@@ -138,7 +138,7 @@ def _scratch(tensors, args, backend):
     results = []
     started = time.perf_counter()
     for tensor in tensors:
-        runtime = SimulatedRuntime(config.resolved_cluster())
+        runtime = SimulatedRuntime(config.cluster)
         try:
             results.append(dbtf(tensor, config=config, runtime=runtime))
         finally:

@@ -1,15 +1,15 @@
-"""Stage-fusion A/B: dispatched stages and wall time, fused vs legacy eager.
+"""Stage-fusion floor: dispatched stages per DBTF iteration, per backend.
 
 The plan layer's claim (DESIGN.md §10): fusing each maximal chain of
-narrow transformations into one dispatch cuts the per-iteration stage
-count of a DBTF run by at least 30% — one scheduler wave, span, and
-driver round-trip per chain instead of per transformation — while the
-factor bit-patterns, the error trace, and every ledger byte total stay
-identical.  This benchmark measures both modes on the same fixed-seed
-planted tensor, derives the *per-iteration* stage counts from the
-difference between a 2-iteration and a 1-iteration run (subtracting the
-shared setup), asserts the equivalence + reduction contract, and writes
-``BENCH_plan.json``::
+narrow transformations into one dispatch costs a DBTF iteration one stage
+per column update — 3 modes × R columns, each mode's cache build fused
+into its first column stage — one scheduler wave, span, and driver
+round-trip per chain instead of per transformation.  This benchmark
+derives the *per-iteration* stage count from the difference between a
+2-iteration and a 1-iteration run (subtracting the shared setup), asserts
+it stays at or below that floor, asserts that the factor bit-patterns, the
+error trace, the stage count and every ledger byte total are identical on
+the serial, thread and process backends, and writes ``BENCH_plan.json``::
 
     python benchmarks/bench_plan.py [--smoke]
 
@@ -32,24 +32,32 @@ sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
 from _emit import best_wall_time, emit, entry  # noqa: E402
 
 N_MACHINES = 4
+BACKENDS = ("serial", "thread", "process")
 
 
-def _run(tensor, rank, max_iterations, n_partitions, eager):
+def max_stages_per_iteration(rank: int) -> int:
+    """The floor: one stage per column update, 3 modes x ``rank`` columns.
+
+    At rank 2 / dim 24 fused dispatch was recorded at 6 stages/iteration
+    against 9 (= 3(R+1), a separate cache-build stage per mode) for the
+    one-stage-per-transformation dispatch this floor replaces.
+    """
+    return 3 * rank
+
+
+def _run(tensor, rank, max_iterations, n_partitions, backend):
     """One decomposition; returns (fingerprint, n_stages, simulated_s)."""
     with SimulatedRuntime(
-        ClusterConfig(n_machines=N_MACHINES, cores_per_machine=2, eager=eager)
+        ClusterConfig(n_machines=N_MACHINES, cores_per_machine=2,
+                      backend=backend, n_workers=2)
     ) as runtime:
         result = dbtf(tensor, rank=rank, max_iterations=max_iterations,
                       n_partitions=n_partitions, seed=0, runtime=runtime)
-        # Task-payload bytes are excluded: fusion dispatches one composed
-        # payload per chain where eager ships one per hop, so TASK totals
-        # legitimately differ between the modes.
         fingerprint = (
             tuple(factor.words.tobytes() for factor in result.factors),
             tuple(result.errors_per_iteration),
-            result.report.shuffle_bytes,
-            result.report.broadcast_bytes,
-            result.report.collect_bytes,
+            result.report.n_stages,
+            tuple(sorted(runtime.ledger.by_stage.items())),
         )
         return fingerprint, result.report.n_stages, runtime.simulated_time(
             N_MACHINES
@@ -57,10 +65,10 @@ def _run(tensor, rank, max_iterations, n_partitions, eager):
 
 
 def measure(dim: int, rank: int, n_partitions: int, iterations: int = 2):
-    """Fused-vs-eager comparison on one planted tensor.
+    """Per-iteration stage count and cross-backend identity on one tensor.
 
-    Returns ``(records, summary)``: the ``_emit`` entries for both modes
-    and a dict with the per-iteration stage counts and the reduction.
+    Returns ``(records, summary)``: the ``_emit`` entries for every
+    backend and a dict with the per-iteration stage count and its floor.
     """
     tensor, _ = planted_tensor(
         (dim, dim, dim), rank=rank, factor_density=0.3,
@@ -68,46 +76,44 @@ def measure(dim: int, rank: int, n_partitions: int, iterations: int = 2):
     )
     params = {"dim": dim, "rank": rank, "n_partitions": n_partitions,
               "iterations": iterations}
+    _, short_stages, _ = _run(tensor, rank, 1, n_partitions, "serial")
 
     records = []
-    stages = {}
-    per_iteration = {}
-    for mode, eager in (("fused", False), ("eager", True)):
+    fingerprints = {}
+    per_iteration = None
+    for backend in BACKENDS:
         wall, (fingerprint, n_stages, simulated) = best_wall_time(
-            lambda eager=eager: _run(tensor, rank, iterations, n_partitions,
-                                     eager),
+            lambda backend=backend: _run(tensor, rank, iterations,
+                                         n_partitions, backend),
             repeats=2,
         )
-        _, short_stages, _ = _run(tensor, rank, 1, n_partitions, eager)
-        stages[mode] = {"fingerprint": fingerprint, "total": n_stages}
-        per_iteration[mode] = n_stages - short_stages
+        fingerprints[backend] = fingerprint
+        per_iteration = n_stages - short_stages
         records.append(
-            entry(f"dbtf_{mode}", {**params, "stages_dispatched": n_stages,
-                                   "stages_per_iteration": per_iteration[mode]},
+            entry(f"dbtf_{backend}",
+                  {**params, "stages_dispatched": n_stages,
+                   "stages_per_iteration": per_iteration},
                   wall_s=wall, simulated_s=simulated)
         )
 
-    # The equivalence half of the contract: fusion may only change *how
-    # many* stages run, never what they compute or meter.
-    if stages["fused"]["fingerprint"] != stages["eager"]["fingerprint"]:
+    # Backends may only change how fast the host finishes, never what the
+    # stages compute or meter.
+    for backend in BACKENDS[1:]:
+        if fingerprints[backend] != fingerprints["serial"]:
+            raise AssertionError(
+                f"{backend} run diverged from serial: factors / errors / "
+                f"stage count / ledger bytes must be bit-identical"
+            )
+    floor = max_stages_per_iteration(rank)
+    if per_iteration > floor:
         raise AssertionError(
-            "fused and eager runs diverged: factors / errors / ledger bytes "
-            "must be bit-identical"
+            f"{per_iteration} stages per iteration exceed the floor of "
+            f"{floor} (one per column update) at rank {rank}"
         )
-    reduction = 1.0 - per_iteration["fused"] / per_iteration["eager"]
-    if reduction < 0.30:
-        raise AssertionError(
-            f"per-iteration stage reduction {reduction:.1%} is below the 30% "
-            f"floor (fused {per_iteration['fused']}, "
-            f"eager {per_iteration['eager']})"
-        )
-    summary = {
-        "stages_per_iteration_fused": per_iteration["fused"],
-        "stages_per_iteration_eager": per_iteration["eager"],
-        "reduction": reduction,
-    }
+    summary = {"stages_per_iteration": per_iteration,
+               "max_stages_per_iteration": floor}
     records.append(
-        entry("stage_reduction_per_iteration", {**params, **summary},
+        entry("stages_per_iteration", {**params, **summary},
               wall_s=0.0, simulated_s=None)
     )
     return records, summary
@@ -127,9 +133,9 @@ def main(argv=None) -> int:
     records, summary = measure(args.dim, args.rank, args.partitions)
     emit("BENCH_plan.json", records)
     print(
-        f"stages/iteration: fused={summary['stages_per_iteration_fused']} "
-        f"eager={summary['stages_per_iteration_eager']} "
-        f"(-{summary['reduction']:.1%})"
+        f"stages/iteration: {summary['stages_per_iteration']} "
+        f"(floor {summary['max_stages_per_iteration']}), bit-identical "
+        f"across {', '.join(BACKENDS)}"
     )
     return 0
 

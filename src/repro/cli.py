@@ -91,15 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     factorize.add_argument("--workers", type=int, default=None,
                            help="worker-pool size for --backend thread/process "
                                 "(default: all cores)")
-    factorize.add_argument("--eager", action="store_true",
-                           help="disable stage fusion (legacy stage-per-"
-                                "transformation dispatch; dbtf only, "
-                                "results are identical)")
-    factorize.add_argument("--driver-shuffle", action="store_true",
-                           help="route combine_by_key shuffles through the "
-                                "legacy driver-side per-pair loop instead "
-                                "of the worker-side bucketed plane (dbtf "
-                                "only, results are identical)")
     factorize.add_argument("--kernel-tier", default=None, metavar="TIER",
                            help="kernel-dispatch tier: fixed (heuristics, "
                                 "the default), auto (autotune + cache), "
@@ -339,35 +330,47 @@ def _command_factorize(args: argparse.Namespace) -> int:
         print("--spill-dir requires --memory-budget", file=sys.stderr)
         return 2
 
-    if args.delta and args.method != "dbtf":
-        print(
-            f"--delta is only supported for dbtf, not {args.method}",
-            file=sys.stderr,
-        )
-        return 2
+    deltas = []
+    if args.delta:
+        if args.method != "dbtf":
+            print(
+                f"--delta is only supported for dbtf, not {args.method}",
+                file=sys.stderr,
+            )
+            return 2
+        from .tensor import load_delta
+
+        try:
+            deltas = [load_delta(path) for path in args.delta]
+        except (OSError, ValueError) as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
 
     tensor = load_tensor(args.tensor)
     tracer = metrics = None
-    if args.method == "dbtf" and args.delta:
+    if args.method == "dbtf":
         from .core import DbtfConfig
-        from .incremental import FactorizationSession
-        from .tensor import load_delta
+        from .distengine import ClusterConfig
 
-        deltas = [load_delta(path) for path in args.delta]
         config = DbtfConfig(
             rank=args.rank,
             seed=args.seed,
             max_iterations=args.max_iterations,
             n_initial_sets=args.initial_sets,
             n_partitions=args.partitions,
-            backend=args.backend,
-            n_workers=args.workers,
-            tracing=observing,
-            eager=args.eager,
-            memory_budget=memory_budget,
-            spill_dir=args.spill_dir,
-            worker_shuffle=False if args.driver_shuffle else None,
+            cluster=ClusterConfig(
+                backend=args.backend,
+                n_workers=args.workers,
+                tracing=observing,
+                memory_budget=memory_budget,
+                spill_dir=args.spill_dir,
+            ),
+            # A session checkpoints per epoch under its own root instead.
+            checkpoint=None if deltas else checkpoint,
         )
+    if deltas:
+        from .incremental import FactorizationSession
+
         with FactorizationSession(
             tensor,
             config,
@@ -390,44 +393,12 @@ def _command_factorize(args: argparse.Namespace) -> int:
                   f"{sum(epoch.dirty_columns):>6} {epoch.columns_swept:>6} "
                   f"{epoch.columns_skipped:>8}  {epoch.error}")
     elif args.method == "dbtf":
-        from contextlib import nullcontext
-
         from .core import dbtf
         from .distengine import SimulatedRuntime
 
-        context = nullcontext()
-        if observing:
-            from .core import DbtfConfig
-
-            probe = DbtfConfig(
-                rank=args.rank,
-                backend=args.backend,
-                n_workers=args.workers,
-                tracing=True,
-                eager=args.eager,
-                memory_budget=memory_budget,
-                spill_dir=args.spill_dir,
-                worker_shuffle=False if args.driver_shuffle else None,
-            )
-            context = SimulatedRuntime(probe.resolved_cluster())
-        with context as runtime:
-            result = dbtf(
-                tensor,
-                rank=args.rank,
-                seed=args.seed,
-                max_iterations=args.max_iterations,
-                n_initial_sets=args.initial_sets,
-                n_partitions=args.partitions,
-                backend=args.backend,
-                n_workers=args.workers,
-                eager=args.eager,
-                checkpoint=checkpoint,
-                memory_budget=memory_budget,
-                spill_dir=args.spill_dir,
-                worker_shuffle=False if args.driver_shuffle else None,
-                runtime=runtime,
-            )
-            if runtime is not None:
+        with SimulatedRuntime(config.cluster) as runtime:
+            result = dbtf(tensor, config=config, runtime=runtime)
+            if observing:
                 tracer, metrics = runtime.tracer, runtime.metrics
         print(f"method         : DBTF (simulated {result.report.n_machines} machines, "
               f"{args.backend} backend)")

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from ..distengine import BACKEND_NAMES, DEFAULT_CLUSTER, ClusterConfig
+from ..distengine import DEFAULT_CLUSTER, ClusterConfig
 from ..resilience import CheckpointConfig
 
 __all__ = ["DbtfConfig"]
@@ -54,25 +54,10 @@ class DbtfConfig:
     seed:
         Seed for all randomness; runs are bit-for-bit reproducible.
     cluster:
-        The simulated cluster the decomposition is metered against.
-    backend:
-        Host-side stage executor: ``"serial"``, ``"thread"``, or
-        ``"process"``.  ``None`` (default) defers to ``cluster.backend``.
-        Factors, error traces, and all metered costs are identical under
-        every backend; only the host's wall-clock time changes.
-    n_workers:
-        Worker-pool size for the thread/process backends; ``None`` defers
-        to ``cluster.n_workers`` (and ultimately the host's CPU count).
-    tracing:
-        Collect a structured span trace of the run (``stage → task →
-        kernel`` plus transfer events) on the runtime's tracer; export it
-        with :mod:`repro.observability`.  ``False`` (default) defers to
-        ``cluster.tracing``.
-    eager:
-        ``True`` disables the plan layer's stage fusion (legacy
-        stage-per-transformation dispatch).  Factors and metered bytes are
-        identical; only the dispatched-stage count grows.  ``False``
-        (default) defers to ``cluster.eager``.
+        The simulated cluster the decomposition is metered against, and
+        how it executes on the host: backend, worker count, tracing and
+        memory budget all live on
+        :class:`~repro.distengine.ClusterConfig`.
     checkpoint:
         Iteration-level checkpointing
         (:class:`~repro.resilience.CheckpointConfig`): snapshot the
@@ -81,19 +66,6 @@ class DbtfConfig:
         from its newest intact snapshot.  ``None`` (default) disables
         checkpointing entirely — the iteration loop pays a single ``None``
         check.
-    memory_budget:
-        Byte ceiling for driver-resident partition caches (the out-of-core
-        storage tier, :mod:`repro.storage`).  ``None`` (default) defers to
-        ``cluster.memory_budget``; factors and errors are bit-identical
-        with or without a budget, only spill I/O is added.
-    spill_dir:
-        Parent directory for storage-tier spill files.  ``None`` (default)
-        defers to ``cluster.spill_dir``.
-    worker_shuffle:
-        ``False`` routes ``combine_by_key`` shuffles through the legacy
-        driver-side per-pair loop instead of the worker-side bucketed
-        plane (A/B lever; results and shuffle bytes are identical).
-        ``None`` (default) defers to ``cluster.worker_shuffle``.
     """
 
     rank: int
@@ -106,14 +78,7 @@ class DbtfConfig:
     init_density: float | None = None
     seed: int = 0
     cluster: ClusterConfig = DEFAULT_CLUSTER
-    backend: str | None = None
-    n_workers: int | None = None
-    tracing: bool = False
-    eager: bool = False
     checkpoint: CheckpointConfig | None = None
-    memory_budget: int | None = None
-    spill_dir: str | None = None
-    worker_shuffle: bool | None = None
 
     def __post_init__(self) -> None:
         if self.rank <= 0:
@@ -146,53 +111,9 @@ class DbtfConfig:
             raise ValueError(
                 f"init_density must be in (0, 1], got {self.init_density}"
             )
-        if self.backend is not None and self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"backend must be one of {BACKEND_NAMES}, got {self.backend!r}"
-            )
-        if self.n_workers is not None and self.n_workers <= 0:
-            raise ValueError(f"n_workers must be positive, got {self.n_workers}")
-        if self.memory_budget is not None and self.memory_budget <= 0:
-            raise ValueError(
-                f"memory_budget must be positive, got {self.memory_budget}"
-            )
 
     def resolved_partitions(self) -> int:
         """The effective partition count N."""
         if self.n_partitions is not None:
             return self.n_partitions
         return self.cluster.total_slots
-
-    def resolved_cluster(self) -> ClusterConfig:
-        """``cluster`` with this config's backend/tracing/eager overrides."""
-        if (
-            self.backend is None
-            and self.n_workers is None
-            and not self.tracing
-            and not self.eager
-            and self.memory_budget is None
-            and self.spill_dir is None
-            and self.worker_shuffle is None
-        ):
-            return self.cluster
-        return replace(
-            self.cluster,
-            backend=self.backend if self.backend is not None else self.cluster.backend,
-            n_workers=(
-                self.n_workers if self.n_workers is not None else self.cluster.n_workers
-            ),
-            tracing=self.tracing or self.cluster.tracing,
-            eager=self.eager or self.cluster.eager,
-            memory_budget=(
-                self.memory_budget if self.memory_budget is not None
-                else self.cluster.memory_budget
-            ),
-            spill_dir=(
-                self.spill_dir if self.spill_dir is not None
-                else self.cluster.spill_dir
-            ),
-            worker_shuffle=(
-                self.worker_shuffle if self.worker_shuffle is not None
-                else self.cluster.worker_shuffle
-            ),
-        )

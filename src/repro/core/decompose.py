@@ -273,7 +273,7 @@ def dbtf(
         raise ValueError("pass either config or overrides, not both")
     owns_runtime = runtime is None
     if runtime is None:
-        runtime = SimulatedRuntime(config.resolved_cluster())
+        runtime = SimulatedRuntime(config.cluster)
     try:
         return drive(dbtf_steps(tensor, config, runtime))
     finally:

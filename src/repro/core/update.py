@@ -150,56 +150,6 @@ def _masks_with_bit_cleared(words: np.ndarray, column: int) -> np.ndarray:
     return words & keep
 
 
-class _BuildCachedPartition:
-    """Stage payload: attach the row-summation cache to each partition.
-
-    A module-level callable whose broadcast values (the inner factor and
-    the V threshold) ride along as attributes, so the payload pickles to
-    process-pool workers — the engine's equivalent of referencing a Spark
-    broadcast variable instead of capturing a driver local.
-    """
-
-    __slots__ = ("inner", "group_size")
-
-    def __init__(self, inner: BitMatrix, group_size: int):
-        self.inner = inner
-        self.group_size = group_size
-
-    def __call__(self, data) -> CachedPartition:
-        return CachedPartition(data, RowSummationCache(self.inner, self.group_size))
-
-
-class _ColumnErrorsTask:
-    """Legacy stage payload: one column's error evaluation, closure-style.
-
-    Embeds the full target masks, outer factor words, and the inner column
-    in every task — O(n_rows·words) serialized bytes per task per column,
-    the traffic the broadcast-handle path eliminates.  Kept behind
-    ``ClusterConfig(handle_broadcasts=False)`` as the A/B baseline.
-    """
-
-    __slots__ = (
-        "masks_if_zero",
-        "outer_words",
-        "outer_column",
-        "inner_column_words",
-    )
-
-    def __init__(self, masks_if_zero, outer_words, outer_column, inner_column_words):
-        self.masks_if_zero = masks_if_zero
-        self.outer_words = outer_words
-        self.outer_column = outer_column
-        self.inner_column_words = inner_column_words
-
-    def __call__(self, cached: CachedPartition):
-        return cached.column_errors(
-            self.masks_if_zero,
-            self.outer_words,
-            self.outer_column,
-            self.inner_column_words,
-        )
-
-
 class _BuildCachedPartitionFromHandle:
     """Stage payload: build the cache from a broadcast handle's factors.
 
@@ -226,8 +176,8 @@ class _ColumnErrorsDeltaTask:
 
     Ships a broadcast handle plus the packed ~n_rows/8-byte column updates
     already chosen this sweep.  The worker reconstructs the current target
-    masks itself — base factor words from the handle, prior columns applied
-    from the deltas, this column cleared in place — so per-column payloads
+    masks itself — base factor words from the handle with this column
+    cleared, prior columns applied from the deltas — so per-column payloads
     are O(n_rows/8) instead of O(n_rows·words).  Rebuilding from the base
     every column (rather than mutating worker-local state) keeps the
     computation a pure function of the payload, which is what makes results
@@ -244,12 +194,12 @@ class _ColumnErrorsDeltaTask:
 
     def __call__(self, cached: CachedPartition):
         target_words, outer_words, _ = self.factors.value
-        masks = target_words.copy()
+        # Deltas only cover earlier columns, so clearing this column first
+        # (which also copies the base words) commutes with applying them.
+        masks = _masks_with_bit_cleared(target_words, self.column)
         for applied_column, delta in self.deltas:
             chosen = np.unpackbits(delta.value, count=self.n_rows)
             packing.set_bit_column(masks, applied_column, chosen)
-        word_index, offset = divmod(self.column, packing.WORD_BITS)
-        masks[:, word_index] &= ~np.uint64(1 << offset)
         return cached.column_errors(
             masks,
             outer_words,
@@ -304,11 +254,9 @@ def update_factor(
             return target.copy(), None, set()
     else:
         dirty = None
-    handles = runtime.config.handle_broadcasts
     # Ship the factor matrices to the workers (paper Sec. III-E: factor
-    # matrices are broadcast each iteration).  With handles on, the column
-    # tasks reference this broadcast by id; the legacy path broadcasts for
-    # the ledger charge but re-embeds the arrays in every task payload.
+    # matrices are broadcast each iteration); the column tasks reference
+    # this broadcast by id instead of embedding the arrays.
     factors = runtime.broadcast(
         [target.words, outer.words, inner.words], name="updateFactor.broadcast"
     )
@@ -319,21 +267,13 @@ def update_factor(
     # stages of this update reuse it; the plan layer fuses the build into
     # the first column's stage (tapping the persist point), so it costs no
     # dedicated dispatch.
-    build_task = (
-        _BuildCachedPartitionFromHandle(
-            factors, inner.n_rows, inner.n_cols, config.cache_group_size
-        )
-        if handles
-        else _BuildCachedPartition(inner, config.cache_group_size)
+    build_task = _BuildCachedPartitionFromHandle(
+        factors, inner.n_rows, inner.n_cols, config.cache_group_size
     )
     cached_rdd = data_rdd.map(build_task, name="cacheRowSummations").persist()
 
     updated = target.copy()
     error_after = 0
-    # Row r of inner^T is the inner factor's column r, packed over the PVM
-    # width — the coverage component c adds inside an active block.  The
-    # handle path reads the same rows worker-side from the cache it built.
-    inner_columns = None if handles else inner.transpose().words
     deltas: list[tuple] = []
     changed: set[int] = set()
     escalated = False
@@ -346,17 +286,9 @@ def update_factor(
             # skip both error evaluations.
             skipped += 1
             continue
-        if handles:
-            task = _ColumnErrorsDeltaTask(
-                factors, column, tuple(deltas), updated.n_rows
-            )
-        else:
-            task = _ColumnErrorsTask(
-                _masks_with_bit_cleared(updated.words, column),
-                outer.words,
-                outer.column(column),
-                inner_columns[column],
-            )
+        task = _ColumnErrorsDeltaTask(
+            factors, column, tuple(deltas), updated.n_rows
+        )
         per_partition = cached_rdd.map(task, name="columnErrors").collect(
             name="collectColumnErrors"
         )
@@ -376,12 +308,10 @@ def update_factor(
         updated.set_column(column, chosen)
         error_after = int(np.minimum(error_if_zero, error_if_one).sum())
         # The workers need the freshly updated column for the next
-        # column-iteration; charge that transfer.  With handles on, later
-        # column tasks reference these packed deltas to rebuild the target
-        # state worker-side.
+        # column-iteration; later column tasks reference these packed
+        # deltas to rebuild the target state worker-side.
         delta = runtime.broadcast(np.packbits(chosen), name="columnUpdate")
-        if handles:
-            deltas.append((column, delta))
+        deltas.append((column, delta))
     # The cache tables are stale the moment `inner` changes in the next
     # mode's update; evict rather than letting them pile up until close().
     cached_rdd.unpersist()

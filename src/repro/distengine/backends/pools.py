@@ -98,7 +98,7 @@ class ProcessBackend(_PoolBackend):
     Task payloads, partitions, and results cross process boundaries via
     pickle, so stage functions must be module-level callables carrying
     their broadcast values as attributes (no captured locals); see
-    ``_BuildCachedPartitions`` / ``_ColumnErrorsTask`` in
+    ``_BuildCachedPartitionFromHandle`` / ``_ColumnErrorsDeltaTask`` in
     :mod:`repro.core.update` for the pattern.
     """
 

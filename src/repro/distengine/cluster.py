@@ -63,28 +63,6 @@ class ClusterConfig:
         speculative duplicates into the simulated makespan and reports
         them as counters/events.  ``None`` (the default) disables
         speculation entirely.
-    eager:
-        ``True`` restores the legacy stage-per-transformation dispatch:
-        every narrow transformation materializes immediately under its own
-        stage name instead of fusing into one composed stage per chain at
-        the next action.  Kept for A/B comparison of the plan layer
-        (``benchmarks/bench_plan.py``); results and metered bytes are
-        identical either way, only the dispatched-stage count differs.
-    dedup_broadcasts:
-        ``True`` makes the runtime serve a broadcast whose content hash
-        matches an earlier payload from the driver's cache without
-        recharging the ledger.  Off by default: the reproduced lemma
-        measurements deliberately count repeated per-iteration broadcast
-        volume (see docs/plan.md).
-    handle_broadcasts:
-        ``True`` (the default) makes the factor-update hot path reference
-        broadcast values through :class:`~repro.distengine.broadcast.
-        BroadcastHandle` ids inside task payloads and ship only packed
-        per-column deltas, instead of embedding the factor arrays in every
-        per-column task closure.  Factors and error traces are identical
-        either way; only the metered task-payload bytes differ.  ``False``
-        restores the legacy closure-capture path for A/B measurement
-        (``benchmarks/bench_update.py``).
     kernel_tier:
         Kernel-dispatch tier applied process-wide when the runtime is
         built (see :mod:`repro.bitops.dispatch`): ``"fixed"`` (heuristics
@@ -111,18 +89,6 @@ class ClusterConfig:
         Parent directory for the storage tier's spill files (a unique
         subdirectory is created inside it per runtime).  ``None`` uses the
         system temp dir.  Only meaningful with ``memory_budget`` set.
-    worker_shuffle:
-        ``True`` (the default) routes ``combine_by_key`` through the
-        worker-side shuffle plane: each map task buckets its partial
-        combiners by destination partition *inside the worker* and returns
-        per-bucket payloads with byte totals pre-measured, so the driver
-        does O(partitions) routing instead of touching every pair — and,
-        under ``memory_budget``, oversized combiner state spills sorted
-        runs to disk instead of accumulating unbounded.  ``False``
-        restores the legacy driver-side per-pair routing loop for A/B
-        measurement (``benchmarks/bench_shuffle.py``); results, metered
-        shuffle bytes, and per-bucket observability are identical either
-        way.
     """
 
     n_machines: int = 16
@@ -138,14 +104,10 @@ class ClusterConfig:
     n_workers: int | None = None
     tracing: bool = False
     speculation: SpeculationConfig | None = None
-    eager: bool = False
-    dedup_broadcasts: bool = False
-    handle_broadcasts: bool = True
     kernel_tier: str | None = None
     autotune_cache: str | None = None
     memory_budget: int | None = None
     spill_dir: str | None = None
-    worker_shuffle: bool = True
 
     def __post_init__(self) -> None:
         if self.n_machines <= 0:
@@ -200,27 +162,11 @@ class ClusterConfig:
         """The same cluster with speculative execution (re)configured."""
         return replace(self, speculation=speculation)
 
-    def with_eager(self, eager: bool = True) -> "ClusterConfig":
-        """The same cluster with legacy eager dispatch switched on (or off)."""
-        return replace(self, eager=eager)
-
-    def with_broadcast_dedup(self, dedup: bool = True) -> "ClusterConfig":
-        """The same cluster with content-hash broadcast dedup toggled."""
-        return replace(self, dedup_broadcasts=dedup)
-
-    def with_handle_broadcasts(self, handles: bool = True) -> "ClusterConfig":
-        """The same cluster with the broadcast-handle hot path toggled."""
-        return replace(self, handle_broadcasts=handles)
-
     def with_memory_budget(
         self, memory_budget: int | None, spill_dir: str | None = None
     ) -> "ClusterConfig":
         """The same cluster with the out-of-core storage tier configured."""
         return replace(self, memory_budget=memory_budget, spill_dir=spill_dir)
-
-    def with_worker_shuffle(self, worker_shuffle: bool = True) -> "ClusterConfig":
-        """The same cluster with worker-side shuffle routing toggled."""
-        return replace(self, worker_shuffle=worker_shuffle)
 
     def with_kernel_tier(
         self, kernel_tier: str | None, autotune_cache: str | None = None

@@ -45,7 +45,6 @@ _OP_LABELS = {
     "filter": "filter",
     "mapPartitions": "mapPartitions",
     "mapPartitionsWithIndex": "mapPartitionsWithIndex",
-    "combineByKey.map": "combineByKey.map",
     "combineByKey.bucket": "combineByKey.bucket",
 }
 
@@ -91,15 +90,6 @@ class PlanNode:
         if self.persisted:
             return "cache-build"
         return _OP_LABELS.get(self.op, self.op)
-
-    def release(self) -> None:
-        """Drop lineage references once the node's output is materialized.
-
-        Eager mode caches every node at creation; without this, the chain
-        of parent links would keep all intermediate partitions alive.
-        """
-        self.parent = None
-        self.fn = None
 
     def __repr__(self) -> str:
         state = "cached" if self.cached is not None else "lazy"
@@ -172,29 +162,22 @@ class PhysicalStage:
 class PlanOptimizer:
     """Groups a lineage DAG's nodes into dispatchable physical stages.
 
-    With ``fuse=True`` (the default) each maximal chain of narrow
-    transformations becomes one stage; chains run *through* persisted
-    nodes that are not cached yet, capturing their outputs as taps so
-    ``persist()`` still materializes exactly once.  With ``fuse=False``
-    every node is its own stage — the legacy eager dispatch shape, kept
-    for A/B comparison (``ClusterConfig(eager=True)``).
+    Each maximal chain of narrow transformations becomes one stage; chains
+    run *through* persisted nodes that are not cached yet, capturing their
+    outputs as taps so ``persist()`` still materializes exactly once.
     """
 
-    __slots__ = ("fuse",)
-
-    def __init__(self, fuse: bool = True):
-        self.fuse = fuse
+    __slots__ = ()
 
     def chain_for(self, node: PlanNode) -> tuple[list[PlanNode], PlanNode]:
         """The fusable chain ending at ``node``, plus the chain's input node.
 
         The chain is upstream-first; the input is the nearest ancestor
-        with materialized partitions (a source, or a cached persist point)
-        when fusing, or simply ``node.parent`` in eager mode.
+        with materialized partitions (a source, or a cached persist point).
         """
         chain = [node]
         cursor = node.parent
-        while self.fuse and cursor is not None and cursor.cached is None:
+        while cursor is not None and cursor.cached is None:
             chain.append(cursor)
             cursor = cursor.parent
         chain.reverse()
@@ -216,8 +199,7 @@ class PlanOptimizer:
         chain = [node]
         cursor = node.parent
         while (
-            self.fuse
-            and cursor is not None
+            cursor is not None
             and cursor.cached is None
             and cursor not in assumed_cached
         ):
@@ -296,8 +278,7 @@ class LogicalPlan:
             suffix = f"  ({', '.join(flags)})" if flags else ""
             lines.append(f"#{cursor.node_id} {cursor.op} {cursor.segment()!r}{suffix}")
             cursor = cursor.parent
-        mode = "fused" if self.optimizer.fuse else "eager"
-        lines.append(f"== physical stages ({mode}) ==")
+        lines.append("== physical stages (fused) ==")
         stages = self.optimizer.plan(self.node)
         if not stages:
             lines.append("(fully materialized — nothing to dispatch)")

@@ -15,10 +15,7 @@ stage, not three, and the fused stage carries the composite name
 ``persist()`` is a real materialization barrier: the partitions are cached
 at first materialization (metered by ``partitions_cached_total``) and
 reused on every later access (``cache_hits_total``) until ``unpersist()``
-or ``runtime.close()`` evicts them.  ``ClusterConfig(eager=True)`` restores
-the legacy stage-per-transformation dispatch — every transformation
-materializes immediately under its legacy stage name — for A/B comparison
-(see ``benchmarks/bench_plan.py``).
+or ``runtime.close()`` evicts them.
 
 Wide operations (``combine_by_key``) still move data between partitions and
 charge the shuffle ledger; narrow ones do not — the same distinction Spark
@@ -112,14 +109,10 @@ class ShuffleMapOutput:
 class _CombineMapTask:
     """Map-side of ``combine_by_key``: pre-combine values within a partition.
 
-    In legacy (driver-routed) mode — ``target_count=None`` — it returns a
-    single-element partition holding the ``key -> combiner`` dict, so the
-    pre-combined data flows back through the stage seam like any other task
-    result.  With ``target_count`` set (the worker-side shuffle plane) the
-    task buckets combiners by ``stable_hash(key) % target_count`` *as it
-    builds them* and returns a :class:`ShuffleMapOutput`: per-bucket pair
-    lists in insertion order with their wire bytes batch-measured inside
-    the worker.
+    The task buckets combiners by ``stable_hash(key) % target_count`` *as
+    it builds them* and returns a single-element partition holding a
+    :class:`ShuffleMapOutput`: per-bucket pair lists in insertion order
+    with their wire bytes batch-measured inside the worker.
 
     With ``spill_threshold`` set (a per-task share of the cluster's memory
     budget), the running combiner-state estimate is tracked incrementally;
@@ -139,7 +132,7 @@ class _CombineMapTask:
         self,
         create_combiner,
         merge_value,
-        target_count: "int | None" = None,
+        target_count: int,
         spill_dir: "str | None" = None,
         spill_threshold: "int | None" = None,
         shuffle_id: int = 0,
@@ -151,18 +144,7 @@ class _CombineMapTask:
         self.spill_threshold = spill_threshold
         self.shuffle_id = shuffle_id
 
-    def __call__(self, index: int, items: list[Any]) -> list:
-        if self.target_count is None:
-            combiners: dict[Any, Any] = {}
-            for key, value in items:
-                if key in combiners:
-                    combiners[key] = self.merge_value(combiners[key], value)
-                else:
-                    combiners[key] = self.create_combiner(value)
-            return [combiners]
-        return [self._bucketed(index, items)]
-
-    def _bucketed(self, index: int, items: list[Any]) -> ShuffleMapOutput:
+    def __call__(self, index: int, items: list[Any]) -> list[ShuffleMapOutput]:
         target = self.target_count
         threshold = self.spill_threshold
         buckets: list[dict[Any, Any]] = [{} for _ in range(target)]
@@ -199,27 +181,11 @@ class _CombineMapTask:
                 buckets = [{} for _ in range(target)]
                 tracked = 0
         mem = [list(b.items()) for b in buckets]
-        return ShuffleMapOutput(
-            mem, [estimate_pair_bytes(pairs) for pairs in mem], runs
-        )
-
-
-class _CombineReduceTask:
-    """Reduce-side of ``combine_by_key``: merge one bucket's combiners."""
-
-    __slots__ = ("merge_combiners",)
-
-    def __init__(self, merge_combiners):
-        self.merge_combiners = merge_combiners
-
-    def __call__(self, _index: int, pairs: list[tuple]) -> list[tuple]:
-        bucket: dict[Any, Any] = {}
-        for key, combiner in pairs:
-            if key in bucket:
-                bucket[key] = self.merge_combiners(bucket[key], combiner)
-            else:
-                bucket[key] = combiner
-        return list(bucket.items())
+        return [
+            ShuffleMapOutput(
+                mem, [estimate_pair_bytes(pairs) for pairs in mem], runs
+            )
+        ]
 
 
 class _SpillSegment:
@@ -242,8 +208,7 @@ class _ShuffleReduceTask:
     Each segment is either an in-memory pair list or a :class:`_SpillSegment`
     loaded on demand.  Segments arrive in deterministic (source partition,
     run, insertion) order, so the merged dict's first-occurrence key order —
-    and with it ``list(bucket.items())`` — is identical to the legacy
-    driver-routed path under every backend.
+    and with it ``list(bucket.items())`` — is identical under every backend.
     """
 
     __slots__ = ("merge_combiners",)
@@ -332,8 +297,6 @@ class Distributed:
             return self
         node.persisted = True
         self.runtime.register_persist(node)
-        if node.cached is not None:  # eager mode materialized it already
-            self.runtime.count_partitions_cached(len(node.cached))
         return self
 
     def unpersist(self) -> "Distributed":
@@ -358,27 +321,19 @@ class Distributed:
         name: str | None,
         default_suffix: str,
     ) -> "Distributed":
-        """Append one narrow node to the lineage (dispatching it if eager).
+        """Append one narrow node to the lineage.
 
-        In eager mode the node's label falls back to the legacy
-        ``"<parent>.<op>"`` stage name, so the stage-per-op dispatch is
-        name-identical to the pre-plan engine; in fused mode an anonymous
-        node contributes just its operator label to the composite name.
+        An anonymous node contributes just its operator label to the
+        composite name of the stage it fuses into.
         """
         runtime = self.runtime
-        label = name or (f"{self.name}.{default_suffix}" if runtime.eager else None)
         node = PlanNode(
-            op, label=label, fn=fn, parent=self.node,
+            op, label=name, fn=fn, parent=self.node,
             node_id=runtime.next_plan_id(),
         )
-        derived = Distributed(
+        return Distributed(
             runtime, name=name or f"{self.name}.{default_suffix}", node=node
         )
-        if runtime.eager:
-            node.cached = runtime.materialize(node)
-            node.release()
-            runtime.admit_cache(node)
-        return derived
 
     def map(self, fn: Callable[[Any], Any], name: str | None = None) -> "Distributed":
         return self._derive("map", _ElementTask(fn), name, "map")
@@ -437,79 +392,16 @@ class Distributed:
         target partition.  The result is a new source node: shuffled data
         has no narrow lineage to recompute from.
 
-        With ``ClusterConfig(worker_shuffle=True)`` (the default) the
-        bucketing happens inside the map tasks and the driver routes whole
-        buckets — O(partitions) work; under a memory budget, map-side
+        The bucketing happens inside the map tasks and the driver routes
+        whole buckets — O(partitions) work; under a memory budget, map-side
         combiner state that outgrows its per-task share spills sorted runs
-        merged back on the reduce side.  ``worker_shuffle=False`` restores
-        the legacy driver-side per-pair loop; results, shuffle bytes, and
-        per-bucket observability are identical either way.  Both routes
-        require ``merge_value``/``merge_combiners`` to be associative with
-        ``create_combiner`` (Spark's combiner contract) — the merge *order*
-        within a bucket is deterministic, but pre-combining splits differ
-        between the paths when a map task spills.
+        merged back on the reduce side.  ``merge_value``/``merge_combiners``
+        must be associative with ``create_combiner`` (Spark's combiner
+        contract) — the merge *order* within a bucket is deterministic, but
+        a map task that spills pre-combines in smaller splits.
         """
         stage_name = name or f"{self.name}.combineByKey"
         target_count = n_partitions or self.n_partitions or 1
-        route = (
-            self._combine_worker_routed
-            if self.runtime.config.worker_shuffle
-            else self._combine_driver_routed
-        )
-        return route(
-            stage_name, target_count, create_combiner, merge_value,
-            merge_combiners,
-        )
-
-    def _combine_driver_routed(
-        self, stage_name, target_count, create_combiner, merge_value,
-        merge_combiners,
-    ) -> "Distributed":
-        """Legacy A/B lever: route every (key, combiner) pair on the driver."""
-        runtime = self.runtime
-        map_node = PlanNode(
-            "combineByKey.map",
-            label=f"{stage_name}.map",
-            fn=_CombineMapTask(create_combiner, merge_value),
-            parent=self.node,
-            node_id=runtime.next_plan_id(),
-        )
-        partial_maps = runtime.materialize(map_node)
-
-        # Driver-side shuffle routing: the driver touches every pair — a
-        # stable_hash placement plus a recursive size estimate each, O(pairs)
-        # sequential work that extra workers cannot absorb.  Pairs are routed
-        # in (source partition, insertion) order so the reduce-side merges
-        # are order-identical under every backend; per-bucket bytes are
-        # accumulated so the observability surface matches the worker path.
-        started = time.perf_counter()
-        bucket_bytes = [0] * target_count
-        routed: list[list[tuple]] = [[] for _ in range(target_count)]
-        for (combiners,) in partial_maps:
-            for key, combiner in combiners.items():
-                bucket_index = stable_hash(key) % target_count
-                bucket_bytes[bucket_index] += (
-                    estimate_bytes(key) + estimate_bytes(combiner)
-                )
-                routed[bucket_index].append((key, combiner))
-        runtime.metrics.counter(
-            "shuffle_routing_seconds_total", stage=stage_name
-        ).inc(time.perf_counter() - started)
-        runtime.record_shuffle_buckets(stage_name, bucket_bytes)
-
-        new_partitions = runtime.run_stage(
-            f"{stage_name}.reduce",
-            _CombineReduceTask(merge_combiners),
-            list(enumerate(routed)),
-        )
-        return Distributed(runtime, new_partitions, name=stage_name)
-
-    def _combine_worker_routed(
-        self, stage_name, target_count, create_combiner, merge_value,
-        merge_combiners,
-    ) -> "Distributed":
-        """Worker-side shuffle plane: map tasks bucket, the driver routes
-        whole buckets in O(partitions)."""
         runtime = self.runtime
         shuffle_id = runtime.next_shuffle_id()
         spill_dir = runtime.shuffle_spill_dir()
@@ -535,12 +427,12 @@ class Distributed:
         )
         outputs = runtime.materialize(map_node)
 
-        # Driver-side work is now O(source partitions × buckets): per map
+        # Driver-side work is O(source partitions × buckets): per map
         # output, splice in any spilled runs (oldest first) and then the
         # in-memory bucket, accumulating the pre-measured per-bucket bytes.
         # First-occurrence key order across a source's runs + remainder
-        # equals its global insertion order, so reduce-side merges stay
-        # order-identical to the legacy path.
+        # equals its global insertion order, so reduce-side merges are
+        # order-identical with or without spilling.
         started = time.perf_counter()
         bucket_bytes = [0] * target_count
         bucket_spills = [0] * target_count

@@ -163,16 +163,14 @@ class SimulatedRuntime:
         self._owns_backend = owns_backend
         self._closed = False
         # Plan layer: node ids are handed out in creation order (so
-        # ``explain()`` output is deterministic), persisted nodes are
-        # tracked for eviction, and repeated broadcast payloads can be
-        # deduplicated by content hash when the cluster opts in.
-        self.plan_optimizer = PlanOptimizer(fuse=not config.eager)
+        # ``explain()`` output is deterministic) and persisted nodes are
+        # tracked for eviction.
+        self.plan_optimizer = PlanOptimizer()
         self._plan_counter = 0
         # Shuffle ids are handed out per wide operation so every spill-run
         # file of every map task lands at a distinct, deterministic path.
         self._shuffle_counter = 0
         self._persisted_nodes: list[PlanNode] = []
-        self._broadcast_cache: dict[int, Broadcast] = {}
         # Spill directory for broadcast values when the backend does not
         # share the driver's memory; created lazily, removed by close().
         self._spill_dir: str | None = None
@@ -192,11 +190,6 @@ class SimulatedRuntime:
         # only meaningful alongside the storage tier, which also provides
         # the spill directory the files live under.
         self._unfolding_store = None
-
-    @property
-    def eager(self) -> bool:
-        """Whether transformations dispatch immediately (legacy mode)."""
-        return self.config.eager
 
     def close(self) -> None:
         """Evict every persist cache, then release execution resources.
@@ -292,25 +285,11 @@ class SimulatedRuntime:
         on first resolution — one transfer per worker per value, which is
         exactly what the single BROADCAST ledger charge models.
 
-        With ``ClusterConfig(dedup_broadcasts=True)`` a payload whose
-        content hash matches an earlier broadcast is served from the
-        driver's cache: nothing is charged to the ledger and
-        ``broadcast_dedup_hits_total`` is incremented.  Off by default —
-        several reproduced lemma measurements count repeated broadcast
-        volume deliberately (see docs/plan.md).
+        Every call is charged, even for a payload equal to an earlier one:
+        the paper's cost analysis counts the per-iteration factor
+        broadcasts, and several reproduced lemma measurements rely on it.
         """
-        fingerprint = stable_hash(value)
-        content_id = f"{fingerprint:016x}"
-        if self.config.dedup_broadcasts:
-            cached = self._broadcast_cache.get(fingerprint)
-            if cached is not None:
-                self.metrics.counter(
-                    "broadcast_dedup_hits_total", broadcast=name
-                ).inc()
-                return Broadcast(
-                    cached.value, content_id, name, cached.n_bytes,
-                    cached.spill_path,
-                )
+        content_id = f"{stable_hash(value):016x}"
         # Broadcast payloads are fingerprinted, sized, and (under process
         # backends) spilled — the memoized sizer makes the repeated walks
         # over one factor-matrix payload a dict hit.
@@ -318,12 +297,9 @@ class SimulatedRuntime:
         self._broadcast_base_bytes += n_bytes
         # The ledger stores the per-machine copy; replay multiplies by M.
         self.record_transfer(TransferKind.BROADCAST, name, n_bytes)
-        result = Broadcast(
+        return Broadcast(
             value, content_id, name, n_bytes, self._spill(content_id, value)
         )
-        if self.config.dedup_broadcasts:
-            self._broadcast_cache[fingerprint] = result
-        return result
 
     def _spill(self, content_id: str, value: Any) -> str | None:
         """Write ``value`` where worker processes can load it, if needed.
@@ -417,8 +393,8 @@ class SimulatedRuntime:
         :class:`~repro.distengine.plan.FusedChainTask` per partition;
         ``tap_positions`` name the chain positions whose intermediate
         output must come back for persist caches.  Single-function chains
-        skip the wrapper entirely, so an unfused stage is bit-for-bit the
-        legacy dispatch.  Returns ``(final_partitions, tapped)`` with
+        skip the wrapper entirely, so their task payload is the function
+        itself.  Returns ``(final_partitions, tapped)`` with
         ``tapped`` sorted by chain position; all metering — durations,
         counters, retries, speculation, spans — flows through
         :meth:`run_stage` under the composite ``stage_name``.
@@ -620,16 +596,15 @@ class SimulatedRuntime:
         self,
         stage_name: str,
         bucket_bytes: "list[int]",
-        bucket_segments: "list[int] | None" = None,
-        bucket_spills: "list[int] | None" = None,
+        bucket_segments: "list[int]",
+        bucket_spills: "list[int]",
     ) -> None:
         """Meter one shuffle's reduce buckets: ledger, histogram, and events.
 
-        The SHUFFLE ledger charge is the sum over buckets — identical to
-        the legacy per-pair accounting — while the per-bucket breakdown
-        lands in the ``shuffle_bucket_bytes`` histogram and one ``shuffle``
-        span event per bucket fetch.  Both routing paths call this, so the
-        observability surface is A/B- and backend-invariant.
+        The SHUFFLE ledger charge is the sum over buckets, while the
+        per-bucket breakdown lands in the ``shuffle_bucket_bytes``
+        histogram and one ``shuffle`` span event per bucket fetch, so the
+        observability surface is backend-invariant.
         """
         self.record_transfer(
             TransferKind.SHUFFLE, stage_name, sum(bucket_bytes)
@@ -643,15 +618,8 @@ class SimulatedRuntime:
             if self.tracer is not None:
                 self.tracer.event(
                     stage_name, SpanKind.SHUFFLE, bucket=index,
-                    bytes=int(n_bytes),
-                    segments=(
-                        bucket_segments[index]
-                        if bucket_segments is not None else 1
-                    ),
-                    spilled=(
-                        bucket_spills[index]
-                        if bucket_spills is not None else 0
-                    ),
+                    bytes=int(n_bytes), segments=bucket_segments[index],
+                    spilled=bucket_spills[index],
                 )
 
     def reset(self) -> None:
@@ -663,7 +631,6 @@ class SimulatedRuntime:
         # counters are being wiped anyway) so a reset runtime re-dispatches
         # from clean lineage.
         self.evict_all(count=False)
-        self._broadcast_cache.clear()
         self.metrics.reset()
         if self.tracer is not None:
             self.tracer.reset()

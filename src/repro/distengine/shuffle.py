@@ -158,7 +158,7 @@ def estimate_pair_bytes(pairs) -> int:
     estimate_bytes(combiner)`` loop; the common shuffle shapes — integer
     keys, packed ndarray combiners — take inlined fast paths that bypass
     the recursive dispatch while producing *exactly* the same sum, so the
-    ledger charge is bit-equal to the legacy per-pair accounting.
+    ledger charge is bit-equal to the per-pair ``estimate_bytes`` sum.
     """
     total = 0
     for key, value in pairs:
@@ -199,9 +199,9 @@ def _hash_bytes(key: object) -> bytes:
     """Canonical byte encoding of a shuffle key, type-tagged per element.
 
     Beyond shuffle keys this also has to fingerprint broadcast payloads
-    (for ``ClusterConfig(dedup_broadcasts=True)``), so numpy arrays hash
-    their dtype, shape, and raw buffer, and lists hash element-wise like
-    tuples (with a distinct tag).
+    (the content ids of their handles), so numpy arrays hash their dtype,
+    shape, and raw buffer, and lists hash element-wise like tuples (with a
+    distinct tag).
     """
     if key is None:
         return b"n"

@@ -159,7 +159,6 @@ def run_dbtf(
     tracing: bool = False,
     trace_path: str | None = None,
     trace_format: str = "jsonl",
-    eager: bool = False,
     **config_overrides,
 ) -> MethodOutcome:
     """Run DBTF; ``seconds`` is the simulated M-machine wall time.
@@ -176,10 +175,6 @@ def run_dbtf(
     trace: the tracer and metrics registry land in ``details["tracer"]`` /
     ``details["metrics"]``, and the trace is written to ``trace_path``
     (``trace_format`` is ``"jsonl"`` or ``"chrome"``) when one is given.
-
-    ``eager=True`` disables stage fusion (legacy stage-per-transformation
-    dispatch); results are identical, only ``details["stages_dispatched"]``
-    grows — that A/B is what ``benchmarks/bench_plan.py`` measures.
     """
     if trace_format not in ("jsonl", "chrome"):
         raise ValueError(
@@ -192,8 +187,6 @@ def run_dbtf(
         cluster = DEFAULT_CLUSTER.with_backend(backend, n_workers)
         if tracing:
             cluster = cluster.with_tracing()
-        if eager:
-            cluster = cluster.with_eager()
         with SimulatedRuntime(cluster) as runtime:
             runtime_box.append(runtime)
             return dbtf(tensor, rank=rank, runtime=runtime, **config_overrides)

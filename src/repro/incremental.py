@@ -188,7 +188,7 @@ class FactorizationSession:
         self.runtime = (
             runtime
             if runtime is not None
-            else SimulatedRuntime(config.resolved_cluster())
+            else SimulatedRuntime(config.cluster)
         )
         self.checkpoint_root = (
             Path(checkpoint_root) if checkpoint_root is not None else None

@@ -341,41 +341,15 @@ def cp_nway_steps(
     return best
 
 
-class _RestartTask:
-    """Legacy stage payload: solve the restarts assigned to one partition.
-
-    Each restart derives its generator from ``seed + restart`` (the same
-    rule as the sequential path), so the candidate set — and therefore the
-    selected best — is identical under every backend.  Embeds the tensor
-    and unfoldings in every task; the handle variant below references one
-    broadcast instead.
-    """
-
-    __slots__ = ("tensor", "unfoldings", "config")
-
-    def __init__(self, tensor, unfoldings, config):
-        self.tensor = tensor
-        self.unfoldings = unfoldings
-        self.config = config
-
-    def __call__(self, _index: int, restarts: list[int]) -> list["NwayCpResult"]:
-        return [
-            _solve_once(
-                self.tensor,
-                self.unfoldings,
-                self.config,
-                np.random.default_rng(self.config.seed + restart),
-            )
-            for restart in restarts
-        ]
-
-
 class _RestartTaskFromHandle:
     """Stage payload: restart solves referencing one problem broadcast.
 
     The handle resolves to ``(tensor, unfoldings)`` worker-side, so each
     of the N restart tasks ships ~32 bytes of problem data instead of the
-    full tensor plus every packed unfolding.
+    full tensor plus every packed unfolding.  Each restart derives its
+    generator from ``seed + restart`` (the same rule as the sequential
+    path), so the candidate set — and therefore the selected best — is
+    identical under every backend.
     """
 
     __slots__ = ("problem", "config")
@@ -428,13 +402,10 @@ def _solve_restarts(
     # on the caller's registries.
     cluster = DEFAULT_CLUSTER.with_backend(config.backend, config.n_workers)
     with SimulatedRuntime(cluster, tracer=tracer, metrics=metrics) as runtime:
-        if runtime.config.handle_broadcasts:
-            problem = runtime.broadcast(
-                (tensor, unfoldings), name="cpNway.broadcast"
-            )
-            task = _RestartTaskFromHandle(problem, config)
-        else:
-            task = _RestartTask(tensor, unfoldings, config)
+        problem = runtime.broadcast(
+            (tensor, unfoldings), name="cpNway.broadcast"
+        )
+        task = _RestartTaskFromHandle(problem, config)
         partitions = (
             runtime.from_partitions([[r] for r in restarts], name="cpNway")
             .map_partitions_with_index(task, name="cpNway.restarts")

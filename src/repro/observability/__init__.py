@@ -18,9 +18,9 @@ reports into:
   (``chrome://tracing`` / Perfetto) dumps, the duration-free structural
   tree used by the golden-trace tests, and a plain-text report.
 
-Tracing is opt-in (``ClusterConfig(tracing=True)`` or
-``DbtfConfig(tracing=True)``); when off, the kernel instrumentation is a
-single thread-local read per call.
+Tracing is opt-in (``ClusterConfig(tracing=True)``, which DBTF takes as
+``DbtfConfig(cluster=ClusterConfig(tracing=True))``); when off, the kernel
+instrumentation is a single thread-local read per call.
 """
 
 from .export import (

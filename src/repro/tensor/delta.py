@@ -179,13 +179,33 @@ def save_delta(delta: TensorDelta, path: "str | os.PathLike") -> None:
             handle.write("- " + " ".join(str(int(c)) for c in coordinate) + "\n")
 
 
+def _parse_indices(
+    name: str, line_number: int, fields: list[str], what: str
+) -> tuple[int, ...]:
+    """``fields`` as integers, or a ``ValueError`` naming the file and line."""
+    try:
+        return tuple(int(field) for field in fields)
+    except ValueError:
+        raise ValueError(
+            f"{name!r} line {line_number}: {what} must be integers, "
+            f"got {' '.join(fields)!r}"
+        ) from None
+
+
 def load_delta(path: "str | os.PathLike") -> TensorDelta:
-    """Read a delta written by :func:`save_delta`."""
+    """Read a delta written by :func:`save_delta`.
+
+    A malformed header, a malformed line, or a coordinate outside the
+    header's shape raises ``ValueError`` naming the path and line number.
+    """
+    name = os.fspath(path)
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().split()
         if header[:2] != ["#", "delta"] or len(header) < 3:
-            raise ValueError(f"{os.fspath(path)!r} is not a tensor delta file")
-        shape = tuple(int(s) for s in header[2:])
+            raise ValueError(f"{name!r} is not a tensor delta file")
+        shape = _parse_indices(name, 1, header[2:], "shape")
+        if min(shape) < 0:
+            raise ValueError(f"{name!r} line 1: negative shape {shape}")
         added, removed = [], []
         for line_number, line in enumerate(handle, start=2):
             fields = line.split()
@@ -194,11 +214,17 @@ def load_delta(path: "str | os.PathLike") -> TensorDelta:
             sign, coordinate = fields[0], fields[1:]
             if sign not in ("+", "-") or len(coordinate) != len(shape):
                 raise ValueError(
-                    f"{os.fspath(path)!r} line {line_number}: expected "
+                    f"{name!r} line {line_number}: expected "
                     f"'+' or '-' followed by {len(shape)} indices, got {line!r}"
                 )
+            index = _parse_indices(name, line_number, coordinate, "coordinates")
+            if any(not 0 <= i < size for i, size in zip(index, shape)):
+                raise ValueError(
+                    f"{name!r} line {line_number}: coordinate {index} out of "
+                    f"bounds for shape {shape}"
+                )
             target = added if sign == "+" else removed
-            target.append([int(c) for c in coordinate])
+            target.append(index)
     return TensorDelta.from_coords(
         shape,
         np.asarray(added, dtype=np.int64).reshape(-1, len(shape)),

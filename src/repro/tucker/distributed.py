@@ -135,45 +135,6 @@ class TuckerCachedPartition:
         return error_if_zero, error_if_zero + delta_if_one
 
 
-class _BuildTuckerCache:
-    """Stage payload: build per-pattern effective-basis caches per partition.
-
-    Module-level and attribute-carrying (instead of a closure over driver
-    locals) so it pickles to process-pool workers.
-    """
-
-    __slots__ = ("outer", "inner", "core_perm", "group_size")
-
-    def __init__(self, outer: BitMatrix, inner: BitMatrix, core_perm, group_size):
-        self.outer = outer
-        self.inner = inner
-        self.core_perm = core_perm
-        self.group_size = group_size
-
-    def __call__(self, data) -> TuckerCachedPartition:
-        return TuckerCachedPartition(
-            data, self.outer, self.inner, self.core_perm, self.group_size
-        )
-
-
-class _TuckerColumnErrorsTask:
-    """Legacy stage payload: one Tucker column's error evaluation.
-
-    Embeds the full target masks per task — the traffic the broadcast-handle
-    path eliminates.  Kept behind ``ClusterConfig(handle_broadcasts=False)``
-    as the A/B baseline.
-    """
-
-    __slots__ = ("masks_if_zero", "column")
-
-    def __init__(self, masks_if_zero: np.ndarray, column: int):
-        self.masks_if_zero = masks_if_zero
-        self.column = column
-
-    def __call__(self, cached: TuckerCachedPartition):
-        return cached.column_errors(self.masks_if_zero, self.column)
-
-
 class _BuildTuckerCacheFromHandle:
     """Stage payload: build the Tucker caches from a broadcast handle.
 
@@ -203,9 +164,9 @@ class _TuckerColumnErrorsDeltaTask:
 
     Same reconstruction discipline as the CP
     :class:`~repro.core.update._ColumnErrorsDeltaTask`: base target words
-    from the handle, prior columns re-applied from packed deltas, this
-    column cleared in place — a pure function of the payload, so results
-    stay bit-identical across backends.
+    from the handle with this column cleared, prior columns re-applied
+    from packed deltas — a pure function of the payload, so results stay
+    bit-identical across backends.
     """
 
     __slots__ = ("factors", "column", "deltas", "n_rows")
@@ -217,13 +178,10 @@ class _TuckerColumnErrorsDeltaTask:
         self.n_rows = n_rows
 
     def __call__(self, cached: TuckerCachedPartition):
-        target_words = self.factors.value[0]
-        masks = target_words.copy()
+        masks = _masks_with_bit_cleared(self.factors.value[0], self.column)
         for applied_column, delta in self.deltas:
             chosen = np.unpackbits(delta.value, count=self.n_rows)
             packing.set_bit_column(masks, applied_column, chosen)
-        word_index, offset = divmod(self.column, packing.WORD_BITS)
-        masks[:, word_index] &= ~np.uint64(1 << offset)
         return cached.column_errors(masks, self.column)
 
 
@@ -237,7 +195,6 @@ def update_tucker_factor(
     runtime: SimulatedRuntime,
 ) -> tuple[BitMatrix, int]:
     """Distributed greedy column update of one Tucker factor."""
-    handles = runtime.config.handle_broadcasts
     factors = runtime.broadcast(
         [target.words, outer.words, inner.words, core_perm],
         name="updateTuckerFactor.broadcast",
@@ -245,26 +202,17 @@ def update_tucker_factor(
     # Persisted for the same reason as the CP update: every column stage
     # reuses the per-pattern caches, and the plan layer fuses the build
     # into the first column's stage via a persist tap.
-    build_task = (
-        _BuildTuckerCacheFromHandle(
-            factors, outer.shape, inner.shape, group_size
-        )
-        if handles
-        else _BuildTuckerCache(outer, inner, core_perm, group_size)
+    build_task = _BuildTuckerCacheFromHandle(
+        factors, outer.shape, inner.shape, group_size
     )
     cached_rdd = data_rdd.map(build_task, name="cacheTuckerSummations").persist()
     updated = target.copy()
     error_after = 0
     deltas: list[tuple] = []
     for column in range(target.n_cols):
-        if handles:
-            task = _TuckerColumnErrorsDeltaTask(
-                factors, column, tuple(deltas), updated.n_rows
-            )
-        else:
-            task = _TuckerColumnErrorsTask(
-                _masks_with_bit_cleared(updated.words, column), column
-            )
+        task = _TuckerColumnErrorsDeltaTask(
+            factors, column, tuple(deltas), updated.n_rows
+        )
         per_partition = cached_rdd.map(
             task, name="tuckerColumnErrors"
         ).collect(name="collectTuckerColumnErrors")
@@ -277,8 +225,7 @@ def update_tucker_factor(
         updated.set_column(column, chosen)
         error_after = int(np.minimum(error_if_zero, error_if_one).sum())
         delta = runtime.broadcast(np.packbits(chosen), name="tuckerColumnUpdate")
-        if handles:
-            deltas.append((column, delta))
+        deltas.append((column, delta))
     cached_rdd.unpersist()
     return updated, error_after
 

@@ -344,12 +344,13 @@ class TestEndToEndEquivalence:
             rng=np.random.default_rng(5),
         )
 
+        cluster = ClusterConfig(backend=backend)
         dispatch.configure(tier="fixed")
         baseline = dbtf(tensor, rank=3, seed=1, max_iterations=2,
-                        backend=backend)
+                        cluster=cluster)
         dispatch.configure(tier="reference")
         referenced = dbtf(tensor, rank=3, seed=1, max_iterations=2,
-                          backend=backend)
+                          cluster=cluster)
 
         assert referenced.error == baseline.error
         assert referenced.errors_per_iteration == baseline.errors_per_iteration

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.tensor import load_matrix, load_tensor, random_tensor, save_tensor
+from repro.tensor import (
+    TensorDelta,
+    load_matrix,
+    load_tensor,
+    random_tensor,
+    save_delta,
+    save_tensor,
+)
 
 
 @pytest.fixture
@@ -29,6 +36,10 @@ class TestParser:
         args = build_parser().parse_args(["generate", "--out", "x.tns"])
         assert args.kind == "random"
         assert args.shape == [64, 64, 64]
+
+    def test_factorize_has_no_eager_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["factorize", "x.tns", "--eager"])
 
 
 class TestGenerate:
@@ -162,6 +173,58 @@ class TestFactorizeCheckpoint:
                      "--rank", "2",
                      "--checkpoint-dir", str(tmp_path / "c")]) == 2
         assert "only supported" in capsys.readouterr().err
+
+
+class TestFactorizeCluster:
+    def test_batch_with_cluster_flags(self, tensor_file, tmp_path, capsys):
+        path, _ = tensor_file
+        trace = tmp_path / "trace.jsonl"
+        code = main(
+            ["factorize", str(path), "--rank", "2", "--max-iterations", "2",
+             "--backend", "thread", "--workers", "2",
+             "--memory-budget", "4K", "--spill-dir", str(tmp_path),
+             "--trace", str(trace), "--metrics"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "thread backend" in out
+        assert "spill I/O" in out
+        assert trace.read_text().strip()
+
+    def test_delta_epochs(self, tensor_file, tmp_path, capsys):
+        path, tensor = tensor_file
+        delta = tmp_path / "step.delta"
+        removal = TensorDelta.from_coords(tensor.shape, removed=tensor.coords[:3])
+        save_delta(removal, delta)
+        code = main(["factorize", str(path), "--rank", "2",
+                     "--max-iterations", "2", "--delta", str(delta),
+                     "--metrics"])
+        assert code == 0
+        assert "DBTF incremental (2 epochs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("# delta 12 twelve 12\n", 1),
+            ("# delta 12 12 12\n+ 1 2 x\n", 2),
+            ("# delta 12 12 12\n+ 1 2 3\n- 1 12 0\n", 3),
+        ],
+    )
+    def test_malformed_delta_exits_2(self, tensor_file, tmp_path, capsys,
+                                     text, line):
+        path, _ = tensor_file
+        delta = tmp_path / "bad.delta"
+        delta.write_text(text)
+        assert main(["factorize", str(path), "--delta", str(delta)]) == 2
+        error = capsys.readouterr().err
+        assert str(delta) in error
+        assert f"line {line}:" in error
+
+    def test_missing_delta_exits_2(self, tensor_file, tmp_path, capsys):
+        path, _ = tensor_file
+        missing = tmp_path / "absent.delta"
+        assert main(["factorize", str(path), "--delta", str(missing)]) == 2
+        assert str(missing) in capsys.readouterr().err
 
 
 class TestExperiment:

@@ -32,7 +32,8 @@ from repro.distengine import (
     stable_hash,
 )
 from repro.distengine.backends import execute_task
-from repro.tensor import planted_tensor
+from repro.incremental import FactorizationSession
+from repro.tensor import SparseBoolTensor, planted_tensor
 
 BACKENDS = list(BACKEND_NAMES)
 
@@ -133,24 +134,12 @@ class TestConfigPlumbing:
         assert cluster.n_workers == 3
         assert cluster.n_machines == 7
 
-    def test_dbtf_config_overrides_cluster(self):
-        config = DbtfConfig(rank=2, backend="process", n_workers=2)
-        resolved = config.resolved_cluster()
-        assert resolved.backend == "process"
-        assert resolved.n_workers == 2
-        # Cost-model parameters are untouched by the override.
-        assert resolved.n_machines == config.cluster.n_machines
-
     def test_dbtf_config_defers_to_cluster(self):
-        cluster = ClusterConfig(backend="thread")
+        cluster = ClusterConfig(backend="thread", n_workers=2)
         config = DbtfConfig(rank=2, cluster=cluster)
-        assert config.resolved_cluster() is cluster
-
-    def test_dbtf_config_rejects_bad_backend(self):
-        with pytest.raises(ValueError):
-            DbtfConfig(rank=2, backend="mpi")
-        with pytest.raises(ValueError):
-            DbtfConfig(rank=2, n_workers=-1)
+        tensor = SparseBoolTensor.from_dense(np.ones((2, 2, 2), dtype=np.uint8))
+        with FactorizationSession(tensor, config) as session:
+            assert session.runtime.config is cluster
 
     def test_runtime_backend_instance_override(self):
         backend = SerialBackend()

@@ -5,7 +5,9 @@ The contract: ``runtime.broadcast`` returns a first-class, content-addressed
 it from the backend-local store or a spill file); task payloads that embed a
 handle cost ~32 wire bytes instead of the value's full size; and the
 delta-only factor-update path produces bit-identical factors and error
-traces while shipping a fraction of the legacy closure path's bytes.
+traces on every backend while shipping no more than a fifth of the
+per-column bytes recorded for closure-capture tasks (8848 B at rank 8,
+dim 128; ``BENCH_update.json`` at the commit that removed them).
 """
 
 import pickle
@@ -20,7 +22,7 @@ from repro.distengine import (
     SimulatedRuntime,
 )
 from repro.distengine.broadcast import _STORE, clear_store
-from repro.distengine.shuffle import HANDLE_WIRE_BYTES, TransferKind, estimate_bytes
+from repro.distengine.shuffle import HANDLE_WIRE_BYTES, estimate_bytes
 from repro.tensor import SparseBoolTensor, planted_tensor
 
 
@@ -79,37 +81,39 @@ class TestBroadcastHandle:
         assert estimate_bytes([handle, handle]) == 2 * HANDLE_WIRE_BYTES + 8
 
     def test_equal_values_share_content_id(self):
-        with SimulatedRuntime(ClusterConfig(dedup_broadcasts=False)) as runtime:
+        with SimulatedRuntime(ClusterConfig()) as runtime:
             first = runtime.broadcast(np.arange(8), name="a")
             second = runtime.broadcast(np.arange(8), name="b")
             assert first.content_id == second.content_id
 
 
-def _dbtf_outcome(tensor, handles, backend="serial", **overrides):
-    config = DbtfConfig(rank=8, max_iterations=2, seed=7, n_partitions=4,
-                        **overrides)
+#: Per-column sweep bytes closure-capture tasks shipped at rank 8, dim 128
+#: (8848 B), divided by the 5x drop the handle path was held to.
+MAX_PER_COLUMN_BYTES = 1769
+
+
+def _dbtf_outcome(tensor, backend="serial"):
+    config = DbtfConfig(rank=8, max_iterations=2, seed=7, n_partitions=4)
     cluster = ClusterConfig(
         n_machines=2, cores_per_machine=2, backend=backend, n_workers=2,
-        handle_broadcasts=handles,
     )
     runtime = SimulatedRuntime(cluster)
     try:
         result = dbtf(tensor, config=config, runtime=runtime)
         by_stage = dict(runtime.ledger.by_stage)
-        task_bytes = runtime.ledger.bytes_of_kind(TransferKind.TASK)
     finally:
         runtime.close()
-    return result, by_stage, task_bytes
+    return result, by_stage
 
 
-def _per_column_bytes(by_stage):
-    """Driver->worker bytes attributable to the per-column sweep."""
-    column_task = sum(
+def _sweep_bytes(by_stage):
+    """Driver->worker bytes of the column sweep: every ledger row with a
+    ``columnErrors`` task or ``columnUpdate`` broadcast segment."""
+    return sum(
         value
         for name, value in by_stage.items()
-        if "columnErrors" in name and "collect" not in name
+        if {"columnErrors", "columnUpdate"} & set(name.split("+"))
     )
-    return column_task + by_stage.get("columnUpdate", 0)
 
 
 class TestHandlePathEquivalence:
@@ -120,31 +124,16 @@ class TestHandlePathEquivalence:
             rng=np.random.default_rng(11), additive_noise=0.02,
         )[0]
 
-    def test_bit_identical_to_legacy_closures(self, tensor):
-        on, _, _ = _dbtf_outcome(tensor, handles=True)
-        off, _, _ = _dbtf_outcome(tensor, handles=False)
-        assert on.error == off.error
-        assert on.errors_per_iteration == off.errors_per_iteration
-        for handle_factor, legacy_factor in zip(on.factors, off.factors):
-            assert np.array_equal(handle_factor.words, legacy_factor.words)
-
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_bit_identical_across_backends(self, tensor, backend):
-        serial, serial_stages, _ = _dbtf_outcome(tensor, handles=True)
-        other, other_stages, _ = _dbtf_outcome(
-            tensor, handles=True, backend=backend
-        )
+        serial, serial_stages = _dbtf_outcome(tensor)
+        other, other_stages = _dbtf_outcome(tensor, backend=backend)
         assert serial.error == other.error
         assert serial.errors_per_iteration == other.errors_per_iteration
         for serial_factor, other_factor in zip(serial.factors, other.factors):
             assert np.array_equal(serial_factor.words, other_factor.words)
         # Ledger byte totals are part of the backend-invariance contract.
         assert serial_stages == other_stages
-
-    def test_handles_cut_task_bytes(self, tensor):
-        _, _, task_on = _dbtf_outcome(tensor, handles=True)
-        _, _, task_off = _dbtf_outcome(tensor, handles=False)
-        assert task_on < task_off
 
 
 class TestPerColumnByteDrop:
@@ -154,20 +143,11 @@ class TestPerColumnByteDrop:
         dense = (rng.random((128, 128, 128)) < 0.01).astype(np.uint8)
         tensor = SparseBoolTensor.from_dense(dense)
         config = DbtfConfig(rank=8, max_iterations=1, seed=3, n_partitions=4)
-        per_column = {}
-        for handles in (True, False):
-            cluster = ClusterConfig(handle_broadcasts=handles)
-            runtime = SimulatedRuntime(cluster)
-            try:
-                result = dbtf(tensor, config=config, runtime=runtime)
-                per_column[handles] = _per_column_bytes(
-                    dict(runtime.ledger.by_stage)
-                )
-                error = result.error
-            finally:
-                runtime.close()
-        ratio = per_column[False] / per_column[True]
-        assert ratio >= 5.0, (
-            f"per-column broadcast bytes dropped only {ratio:.2f}x "
-            f"({per_column[False]} -> {per_column[True]})"
+        with SimulatedRuntime(ClusterConfig()) as runtime:
+            result = dbtf(tensor, config=config, runtime=runtime)
+            sweep = _sweep_bytes(dict(runtime.ledger.by_stage))
+        per_column = sweep / (8 * 3 * len(result.errors_per_iteration))
+        assert per_column <= MAX_PER_COLUMN_BYTES, (
+            f"per-column sweep bytes {per_column:.0f} exceed "
+            f"{MAX_PER_COLUMN_BYTES} (closure-capture baseline 8848 / 5)"
         )

@@ -1,12 +1,11 @@
 """Plan-layer tests: lazy lineage, stage fusion, persist caches, explain().
 
-The fusion contract is that a chain of narrow transformations produces
-bit-identical results whether it is dispatched as one composed task
-(fused, the default) or one stage per transformation
-(``ClusterConfig(eager=True)``) — under every backend — while the fused
-run dispatches strictly fewer stages.  Property tests drive random chains
-through both modes; the ``explain()`` snapshot lives under
-``tests/goldens/`` like the trace golden.
+The fusion contract is that a chain of narrow transformations, dispatched
+as one composed task, produces exactly what applying each step eagerly to
+plain per-partition lists produces — under every backend — in a single
+stage.  Property tests drive random chains against that list reference;
+the ``explain()`` snapshot lives under ``tests/goldens/`` like the trace
+golden.
 """
 
 import os
@@ -71,6 +70,33 @@ _STEPS = {
 }
 
 
+#: The same steps applied directly to one plain partition list.
+_LIST_STEPS = {
+    "map_inc": lambda _index, items: [_inc(x) for x in items],
+    "map_double": lambda _index, items: [_double(x) for x in items],
+    "filter_even": lambda _index, items: [x for x in items if _is_even(x)],
+    "filter_not3": lambda _index, items: [x for x in items if _not_div3(x)],
+    "parts_dedup": lambda _index, items: _dedup_sorted(items),
+    "parts_tag": _tag_with_index,
+}
+
+
+def _eager_reference(data, n_partitions, steps):
+    """Each step applied immediately to ``parallelize``-style list splits."""
+    base, extra = divmod(len(data), n_partitions)
+    partitions, cursor = [], 0
+    for index in range(n_partitions):
+        size = base + (1 if index < extra else 0)
+        partitions.append(data[cursor:cursor + size])
+        cursor += size
+    for step in steps:
+        partitions = [
+            _LIST_STEPS[step](index, items)
+            for index, items in enumerate(partitions)
+        ]
+    return [item for items in partitions for item in items]
+
+
 def _apply_chain(runtime, data, n_partitions, steps, persist_at=()):
     rdd = runtime.parallelize(data, n_partitions=n_partitions, name="numbers")
     for position, step in enumerate(steps):
@@ -80,11 +106,11 @@ def _apply_chain(runtime, data, n_partitions, steps, persist_at=()):
     return rdd
 
 
-def _run_chain(backend, eager, data, n_partitions, steps, persist_at=()):
-    """(collected result, dispatched stage count) for one mode/backend."""
+def _run_chain(backend, data, n_partitions, steps, persist_at=()):
+    """(collected result, dispatched stage count) on one backend."""
     runtime = SimulatedRuntime(
         ClusterConfig(n_machines=2, cores_per_machine=2, backend=backend,
-                      n_workers=2, eager=eager)
+                      n_workers=2)
     )
     try:
         rdd = _apply_chain(runtime, data, n_partitions, steps, persist_at)
@@ -105,13 +131,9 @@ class TestFusionEquivalence:
                        max_size=6),
     )
     def test_fused_matches_eager_serial(self, data, n_partitions, steps):
-        fused, fused_stages = _run_chain("serial", False, data,
-                                         n_partitions, steps)
-        eager, eager_stages = _run_chain("serial", True, data,
-                                         n_partitions, steps)
-        assert fused == eager
+        fused, fused_stages = _run_chain("serial", data, n_partitions, steps)
+        assert fused == _eager_reference(data, n_partitions, steps)
         assert fused_stages == 1  # whole chain is one dispatch
-        assert eager_stages == len(steps)
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -125,9 +147,9 @@ class TestFusionEquivalence:
     def test_fused_matches_eager_thread_with_persist(self, data, steps,
                                                      persist_position):
         persist_at = (persist_position,) if persist_position < len(steps) else ()
-        fused, _ = _run_chain("thread", False, data, 3, steps, persist_at)
-        eager, _ = _run_chain("thread", True, data, 3, steps, persist_at)
-        assert fused == eager
+        fused, fused_stages = _run_chain("thread", data, 3, steps, persist_at)
+        assert fused == _eager_reference(data, 3, steps)
+        assert fused_stages == 1  # a persist tap adds no dispatch
 
     def test_fused_matches_eager_process(self):
         # One fixed chain through the process backend: the composed
@@ -135,11 +157,9 @@ class TestFusionEquivalence:
         data = list(range(40))
         steps = ["map_inc", "filter_even", "parts_dedup", "parts_tag",
                  "map_double"]
-        fused, fused_stages = _run_chain("process", False, data, 4, steps)
-        eager, eager_stages = _run_chain("process", True, data, 4, steps)
-        serial, _ = _run_chain("serial", False, data, 4, steps)
-        assert fused == eager == serial
-        assert (fused_stages, eager_stages) == (1, len(steps))
+        fused, fused_stages = _run_chain("process", data, 4, steps)
+        assert fused == _eager_reference(data, 4, steps)
+        assert fused_stages == 1
 
 
 class TestPersistCache:
@@ -244,22 +264,8 @@ class TestStageNames:
 
 
 class TestBroadcastDedup:
-    def test_repeated_payload_charged_once_when_enabled(self):
-        import numpy as np
-
-        payload = np.arange(256, dtype=np.int64)
-        runtime = SimulatedRuntime(
-            ClusterConfig(n_machines=2, dedup_broadcasts=True)
-        )
-        first = runtime.broadcast(payload, name="factors")
-        again = runtime.broadcast(payload.copy(), name="factors")
-        assert (again.value == first.value).all()
-        assert runtime.ledger.bytes_of_kind(TransferKind.BROADCAST) == 2048
-        hits = runtime.metrics.counters()["broadcast_dedup_hits_total"]
-        assert sum(hits.values()) == 1
-        runtime.close()
-
     def test_default_meters_every_broadcast(self):
+        """An equal payload broadcast twice is charged twice."""
         import numpy as np
 
         payload = np.arange(256, dtype=np.int64)
@@ -267,7 +273,6 @@ class TestBroadcastDedup:
         runtime.broadcast(payload, name="factors")
         runtime.broadcast(payload, name="factors")
         assert runtime.ledger.bytes_of_kind(TransferKind.BROADCAST) == 4096
-        assert "broadcast_dedup_hits_total" not in runtime.metrics.counters()
         runtime.close()
 
 
@@ -292,10 +297,6 @@ class TestOptimizerUnits:
         assert len(stages) == 1
         assert stages[0].tap_positions == (1,)
         assert stages[0].name == "map+cache-build+map+map"
-
-    def test_eager_plan_one_stage_per_node(self):
-        stages = PlanOptimizer(fuse=False).plan(self._chain(3))
-        assert [s.name for s in stages] == ["map", "map", "map"]
 
     def test_cached_interior_node_is_a_barrier(self):
         node = self._chain(4, persist_at=(1,))

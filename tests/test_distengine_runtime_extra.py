@@ -19,15 +19,18 @@ class TestDriverLatency:
         assert difference < 1.0  # only the (tiny) compute part shrank
 
     def test_driver_latency_counts_per_stage(self):
-        # Eager mode: each transformation dispatches its own stage (fusion
-        # would collapse the chain into a single 0.5 s round-trip).
+        # Each action materializes one more persisted step, so the three
+        # maps dispatch as three fused stages of one transformation each.
         config = ClusterConfig(
             n_machines=1, cores_per_machine=1,
-            task_launch_overhead_sec=0.0, driver_latency_sec=0.5, eager=True,
+            task_launch_overhead_sec=0.0, driver_latency_sec=0.5,
         )
         runtime = SimulatedRuntime(config)
         rdd = runtime.parallelize([1], n_partitions=1)
-        rdd = rdd.map(lambda x: x).map(lambda x: x).map(lambda x: x)
+        for _ in range(3):
+            rdd = rdd.map(lambda x: x).persist()
+            rdd.count()
+        assert len(runtime.stages) == 3
         assert runtime.simulated_time(1) >= 1.5  # three stages x 0.5 s
 
     def test_fusion_pays_driver_latency_once(self):

@@ -1,12 +1,13 @@
-"""Worker-side bucketed shuffle plane vs the legacy driver-routed path.
+"""Worker-side bucketed shuffle plane vs a driver-side dict reference.
 
-The central contract: ``ClusterConfig(worker_shuffle=True)`` (the default)
-must produce bit-identical result partitions and identical SHUFFLE ledger
-charges to the legacy driver-side per-pair loop, for every partition shape
-— empty partitions, growing/shrinking ``n_partitions``, keys duplicated
-across every source — on the serial, thread, and process backends, with
-and without a memory budget.  A hypothesis property pins the equivalence
-over randomized keyed datasets.
+The central contract: ``combine_by_key`` must produce result partitions
+and SHUFFLE ledger charges identical to a plain dict-based combine routed
+on the driver with a ``stable_hash`` bucket recount
+(``tests/_shuffle_reference.py``), for every partition shape — empty
+partitions, growing/shrinking ``n_partitions``, keys duplicated across
+every source — on the serial, thread, and process backends, with and
+without a memory budget.  A hypothesis property pins the equivalence over
+randomized keyed datasets.
 """
 
 import numpy as np
@@ -15,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distengine import ClusterConfig, SimulatedRuntime, TransferKind
+
+from ._shuffle_reference import reference_combine
 
 BACKENDS = ["serial", "thread", "process"]
 
@@ -39,18 +42,13 @@ def _normalize(partitions):
 
 
 def _combine(
-    data,
-    n_source,
-    n_target=None,
-    worker_shuffle=True,
-    backend="serial",
-    memory_budget=None,
+    data, n_source, n_target=None, backend="serial", memory_budget=None
 ):
     """One combine_by_key run; returns (partitions, shuffle bytes, runtime facts)."""
     runtime = SimulatedRuntime(
         ClusterConfig(
             n_machines=2, cores_per_machine=2, backend=backend, n_workers=2,
-            worker_shuffle=worker_shuffle, memory_budget=memory_budget,
+            memory_budget=memory_budget,
         )
     )
     try:
@@ -64,6 +62,14 @@ def _combine(
         runtime.close()
 
 
+def _reference(data, n_source, n_target=None):
+    """The dict-based reference's (partitions, total shuffle bytes)."""
+    partitions, bucket_bytes = reference_combine(
+        data, n_source, n_target or n_source, _copy, _add, _add
+    )
+    return _normalize(partitions), sum(bucket_bytes)
+
+
 def _array_data(n_items, n_keys=7):
     return [
         (i % n_keys, np.arange(4, dtype=np.int64) + i) for i in range(n_items)
@@ -73,40 +79,35 @@ def _array_data(n_items, n_keys=7):
 class TestWorkerVsDriverEquivalence:
     def test_partitions_and_bytes_identical(self):
         data = _array_data(120)
-        worker, worker_bytes, _ = _combine(data, 6, worker_shuffle=True)
-        legacy, legacy_bytes, _ = _combine(data, 6, worker_shuffle=False)
-        assert worker == legacy
-        assert worker_bytes == legacy_bytes
+        worker, worker_bytes, _ = _combine(data, 6)
+        assert (worker, worker_bytes) == _reference(data, 6)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_backend_invariant(self, backend):
         data = _array_data(80)
-        base, base_bytes, _ = _combine(data, 4)
         got, got_bytes, _ = _combine(data, 4, backend=backend)
-        assert got == base
-        assert got_bytes == base_bytes
+        assert (got, got_bytes) == _reference(data, 4)
 
     def test_integer_values(self):
         data = [(i % 5, i) for i in range(200)]
         worker, worker_bytes, _ = _combine(data, 8)
-        legacy, legacy_bytes, _ = _combine(data, 8, worker_shuffle=False)
-        assert worker == legacy
-        assert worker_bytes == legacy_bytes
+        assert (worker, worker_bytes) == _reference(data, 8)
 
     def test_routing_timer_recorded_on_both_paths(self):
+        """Timed with and without map-side spilling."""
         data = _array_data(40)
-        for worker_shuffle in (True, False):
-            _, _, counters = _combine(data, 4, worker_shuffle=worker_shuffle)
+        for memory_budget in (None, 2000):
+            _, _, counters = _combine(data, 4, memory_budget=memory_budget)
             routing = counters.get("shuffle_routing_seconds_total", {})
             assert routing, "routing timer missing"
             assert all(value >= 0.0 for value in routing.values())
 
 
 class TestEdgeCases:
-    @pytest.mark.parametrize("worker_shuffle", [True, False])
-    def test_empty_input(self, worker_shuffle):
+    @pytest.mark.parametrize("budgeted", [True, False])
+    def test_empty_input(self, budgeted):
         partitions, shuffle_bytes, _ = _combine(
-            [], 4, worker_shuffle=worker_shuffle
+            [], 4, memory_budget=2000 if budgeted else None
         )
         assert partitions == [[] for _ in range(4)]
         assert shuffle_bytes == 0
@@ -114,33 +115,25 @@ class TestEdgeCases:
     def test_more_partitions_than_items(self):
         data = [(0, 1), (1, 2)]
         worker, worker_bytes, _ = _combine(data, 8)
-        legacy, legacy_bytes, _ = _combine(data, 8, worker_shuffle=False)
-        assert worker == legacy
-        assert worker_bytes == legacy_bytes
+        assert (worker, worker_bytes) == _reference(data, 8)
 
     def test_partition_growth(self):
         data = _array_data(30)
         worker, wb, _ = _combine(data, 2, n_target=8)
-        legacy, lb, _ = _combine(data, 2, n_target=8, worker_shuffle=False)
         assert len(worker) == 8
-        assert worker == legacy
-        assert wb == lb
+        assert (worker, wb) == _reference(data, 2, n_target=8)
 
     def test_partition_shrink(self):
         data = _array_data(30)
         worker, wb, _ = _combine(data, 8, n_target=2)
-        legacy, lb, _ = _combine(data, 8, n_target=2, worker_shuffle=False)
         assert len(worker) == 2
-        assert worker == legacy
-        assert wb == lb
+        assert (worker, wb) == _reference(data, 8, n_target=2)
 
     def test_single_target_partition(self):
         data = _array_data(30)
         worker, wb, _ = _combine(data, 4, n_target=1)
-        legacy, lb, _ = _combine(data, 4, n_target=1, worker_shuffle=False)
         assert len(worker) == 1
-        assert worker == legacy
-        assert wb == lb
+        assert (worker, wb) == _reference(data, 4, n_target=1)
 
     def test_duplicate_keys_across_all_sources(self):
         # Every source partition holds every key, so every reduce bucket
@@ -152,27 +145,22 @@ class TestEdgeCases:
             for key in range(10):
                 data.append((key, np.full(3, source + 1, dtype=np.int64)))
         worker, wb, _ = _combine(data, n_source)
-        legacy, lb, _ = _combine(data, n_source, worker_shuffle=False)
-        assert worker == legacy
-        assert wb == lb
+        assert (worker, wb) == _reference(data, n_source)
 
     def test_none_values_and_string_keys(self):
         data = [(f"k{i % 3}", i) for i in range(20)] + [("k0", 0)]
         worker, wb, _ = _combine(data, 3)
-        legacy, lb, _ = _combine(data, 3, worker_shuffle=False)
-        assert worker == legacy
-        assert wb == lb
+        assert (worker, wb) == _reference(data, 3)
 
 
 class TestBudgetedWorkerShuffle:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_spill_results_identical(self, backend):
         data = _array_data(200)
-        base, _, _ = _combine(data, 8)
         spilled, _, counters = _combine(
             data, 8, backend=backend, memory_budget=2000
         )
-        assert spilled == base
+        assert spilled == _reference(data, 8)[0]
         spills = counters.get("shuffle_spill_total", {})
         assert sum(spills.values()) > 0, "tiny budget must force spill runs"
 
@@ -219,12 +207,6 @@ class TestBudgetedWorkerShuffle:
     n_target=st.integers(1, 6),
 )
 def test_worker_routing_matches_driver_routing(items, n_source, n_target):
-    """Property: identical buckets and identical ledger totals on both paths."""
-    worker, worker_bytes, _ = _combine(
-        items, n_source, n_target=n_target, worker_shuffle=True
-    )
-    legacy, legacy_bytes, _ = _combine(
-        items, n_source, n_target=n_target, worker_shuffle=False
-    )
-    assert worker == legacy
-    assert worker_bytes == legacy_bytes
+    """Property: buckets and ledger totals match the driver-side reference."""
+    worker, worker_bytes, _ = _combine(items, n_source, n_target=n_target)
+    assert (worker, worker_bytes) == _reference(items, n_source, n_target)

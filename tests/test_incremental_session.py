@@ -70,7 +70,7 @@ class TestEpochStream:
         config = _config()
         with FactorizationSession(tensor, config) as session:
             first = session.factorize()
-        runtime = SimulatedRuntime(config.resolved_cluster())
+        runtime = SimulatedRuntime(config.cluster)
         try:
             batch = dbtf(tensor, config=config, runtime=runtime)
         finally:

@@ -1,12 +1,14 @@
 """Shuffle observability: histogram, spill counter, per-bucket span events.
 
-Every ``combine_by_key`` — on either routing path — must land one
-``shuffle`` span event per reduce bucket (with bucket index, bytes,
-segment and spill counts), observe each bucket's bytes into the
-``shuffle_bucket_bytes`` histogram, and count spilled runs in
-``shuffle_spill_total``.  The structure is pinned by a golden fixture
-(``tests/goldens/shuffle_trace.json``, re-record with --update-goldens)
-and must be bit-identical across the serial, thread, and process backends.
+Every ``combine_by_key`` — spilling or not — must land one ``shuffle``
+span event per reduce bucket (with bucket index, bytes, segment and spill
+counts), observe each bucket's bytes into the ``shuffle_bucket_bytes``
+histogram, and count spilled runs in ``shuffle_spill_total``.  Unbudgeted,
+the per-bucket bytes must equal a driver-side dict-combine recount
+(``tests/_shuffle_reference.py``).  The structure is pinned by a golden
+fixture (``tests/goldens/shuffle_trace.json``, re-record with
+--update-goldens) and must be bit-identical across the serial, thread,
+and process backends.
 """
 
 import json
@@ -16,7 +18,10 @@ import numpy as np
 import pytest
 
 from repro.distengine import ClusterConfig, SimulatedRuntime, TransferKind
-from repro.observability import SpanKind, structural_tree
+from repro.distengine.runtime import SHUFFLE_BYTE_BUCKETS
+from repro.observability import MetricsRegistry, SpanKind, structural_tree
+
+from ._shuffle_reference import reference_combine
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 GOLDEN_PATH = os.path.join(GOLDEN_DIR, "shuffle_trace.json")
@@ -32,26 +37,27 @@ def _add(left, right):
     return left + right
 
 
-def _traced_run(
-    backend="serial", worker_shuffle=True, memory_budget=None
-) -> SimulatedRuntime:
+DATA = [(i % 9, np.arange(6, dtype=np.int64) + i) for i in range(180)]
+
+
+def _traced_run(backend="serial", memory_budget=None) -> SimulatedRuntime:
     """A fixed keyed workload through combine_by_key with tracing on."""
     runtime = SimulatedRuntime(
         ClusterConfig(
             n_machines=2, cores_per_machine=2, backend=backend, n_workers=2,
-            tracing=True, worker_shuffle=worker_shuffle,
-            memory_budget=memory_budget,
+            tracing=True, memory_budget=memory_budget,
         )
     )
     try:
-        data = [
-            (i % 9, np.arange(6, dtype=np.int64) + i) for i in range(180)
-        ]
-        rdd = runtime.parallelize(data, n_partitions=6, name="kv")
+        rdd = runtime.parallelize(DATA, n_partitions=6, name="kv")
         rdd.combine_by_key(_copy, _add, _add, n_partitions=4).glom()
     finally:
         runtime.close()
     return runtime
+
+
+def _reference_bucket_bytes():
+    return reference_combine(DATA, 6, 4, _copy, _add, _add)[1]
 
 
 def _shuffle_events(runtime):
@@ -76,9 +82,9 @@ def _histogram_snapshots(runtime, name):
 
 
 class TestShuffleEvents:
-    @pytest.mark.parametrize("worker_shuffle", [True, False])
-    def test_one_event_per_bucket(self, worker_shuffle):
-        runtime = _traced_run(worker_shuffle=worker_shuffle)
+    @pytest.mark.parametrize("spill", [True, False])
+    def test_one_event_per_bucket(self, spill):
+        runtime = _traced_run(memory_budget=2500 if spill else None)
         events = _shuffle_events(runtime)
         assert [event.attrs["bucket"] for event in events] == [0, 1, 2, 3]
         assert all(event.attrs["bytes"] >= 0 for event in events)
@@ -91,17 +97,13 @@ class TestShuffleEvents:
         )
 
     def test_events_identical_across_paths(self):
-        worker = _traced_run(worker_shuffle=True)
-        legacy = _traced_run(worker_shuffle=False)
-        worker_view = [
-            (e.name, e.attrs["bucket"], e.attrs["bytes"])
-            for e in _shuffle_events(worker)
+        """Engine events carry the reference route's per-bucket bytes."""
+        events = _shuffle_events(_traced_run())
+        view = [(e.name, e.attrs["bucket"], e.attrs["bytes"]) for e in events]
+        assert view == [
+            ("kv.combineByKey", bucket, n_bytes)
+            for bucket, n_bytes in enumerate(_reference_bucket_bytes())
         ]
-        legacy_view = [
-            (e.name, e.attrs["bucket"], e.attrs["bytes"])
-            for e in _shuffle_events(legacy)
-        ]
-        assert worker_view == legacy_view
 
     def test_spilled_buckets_flagged(self):
         runtime = _traced_run(memory_budget=2500)
@@ -122,12 +124,18 @@ class TestShuffleMetrics:
         )
 
     def test_histogram_identical_across_paths(self):
-        worker = _traced_run(worker_shuffle=True)
-        legacy = _traced_run(worker_shuffle=False)
-        assert (
-            _histogram_snapshots(worker, "shuffle_bucket_bytes")
-            == _histogram_snapshots(legacy, "shuffle_bucket_bytes")
+        """The histogram equals one fed the reference route's bucket bytes."""
+        (snapshot,) = _histogram_snapshots(
+            _traced_run(), "shuffle_bucket_bytes"
+        ).values()
+        reference = MetricsRegistry()
+        histogram = reference.histogram(
+            "shuffle_bucket_bytes", buckets=SHUFFLE_BYTE_BUCKETS
         )
+        for n_bytes in _reference_bucket_bytes():
+            histogram.observe(n_bytes)
+        ((_, _, _, expected),) = reference.collect()
+        assert snapshot == expected
 
     def test_spill_total_absent_without_budget(self):
         runtime = _traced_run()

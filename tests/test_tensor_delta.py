@@ -157,3 +157,23 @@ class TestDeltaIO:
         path.write_text("+ 0 0 0\n")
         with pytest.raises(ValueError):
             load_delta(path)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("# delta 4 four 6\n", 1, "shape must be integers"),
+            ("# delta 4 -5 6\n", 1, "negative shape"),
+            ("# delta 4 5 6\n+ 1 2 x\n", 2, "coordinates must be integers"),
+            ("# delta 4 5 6\n+ 0 0 0\n\n- 3 5 0\n", 4, "out of bounds"),
+            ("# delta 4 5 6\n+ 0 -1 0\n", 2, "out of bounds"),
+        ],
+    )
+    def test_bad_values_name_path_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.delta"
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            load_delta(path)
+        error = str(excinfo.value)
+        assert str(path) in error
+        assert f"line {line}:" in error
+        assert message in error
