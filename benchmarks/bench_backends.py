@@ -2,8 +2,10 @@
 
 Times the two heavyweight DBTF phases — partition-and-pack (Algorithm 3,
 ``prepare_partitioned_unfoldings``) and one full factor-update sweep
-(Algorithm 4, ``update_factor``) — under each backend, verifies that the
-outputs are bit-identical, and prints per-phase speedups over serial.
+(Algorithm 4, ``update_factor``) — under each backend, prints per-phase
+speedups over serial, and writes the per-phase walls to
+``BENCH_backends.json``.  Exits non-zero unless every backend produced
+bit-identical factors, errors, stage names and per-stage ledger.
 
 The engine's metered quantities (per-task durations, ledger bytes,
 ``simulated_time``) are backend-invariant by construction; only the *host*
@@ -11,10 +13,6 @@ wall clock changes.  On a single-core host every backend necessarily ties
 (pool overhead aside), so the report always includes ``os.cpu_count()`` —
 the acceptance target of >= 2x for thread/process applies on hosts with
 four or more cores.
-
-Also estimates the cost of the per-construction defensive partition copy
-that ``Distributed.__init__`` used to make (it now takes ownership;
-copying happens once at ``parallelize``/``from_partitions`` ingestion).
 
 Usage::
 
@@ -27,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 import time
 
 import numpy as np
@@ -37,6 +36,9 @@ from repro.core.decompose import prepare_partitioned_unfoldings
 from repro.core.update import update_factor
 from repro.distengine import DEFAULT_CLUSTER, SimulatedRuntime
 from repro.tensor import planted_tensor
+
+sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
+from _emit import emit, entry  # noqa: E402
 
 
 def _initial_factors(shape, rank):
@@ -83,19 +85,10 @@ def _run_backend(name, tensor, args):
         fingerprint = (
             tuple(updated_words),
             tuple(errors),
-            len(runtime.stages),
+            tuple(stage.name for stage in runtime.stages),
             tuple(sorted(runtime.ledger.by_stage.items())),
         )
-        copy_seconds = _copy_cost(mode_rdds) * len(runtime.stages)
-    return prepare_seconds, update_seconds, copy_seconds, fingerprint
-
-
-def _copy_cost(mode_rdds):
-    """Seconds one `[list(p) for p in partitions]` pass over the data costs."""
-    started = time.perf_counter()
-    for rdd in mode_rdds:
-        _ = rdd.glom()
-    return time.perf_counter() - started
+    return prepare_seconds, update_seconds, fingerprint
 
 
 def main(argv=None) -> int:
@@ -133,10 +126,8 @@ def main(argv=None) -> int:
     rows = []
     fingerprints = {}
     for name in args.backends:
-        prepare_s, update_s, copy_s, fingerprint = _run_backend(
-            name, tensor, args
-        )
-        rows.append((name, prepare_s, update_s, copy_s))
+        prepare_s, update_s, fingerprint = _run_backend(name, tensor, args)
+        rows.append((name, prepare_s, update_s))
         fingerprints[name] = fingerprint
 
     reference = fingerprints[args.backends[0]]
@@ -145,16 +136,20 @@ def main(argv=None) -> int:
     base_prepare, base_update = rows[0][1], rows[0][2]
     print(f"{'backend':<10}{'prepare (s)':>14}{'update (s)':>14}"
           f"{'prep x':>8}{'upd x':>8}")
-    for name, prepare_s, update_s, _copy_s in rows:
+    records = []
+    for name, prepare_s, update_s in rows:
         print(f"{name:<10}{prepare_s:>14.3f}{update_s:>14.3f}"
               f"{base_prepare / prepare_s:>8.2f}{base_update / update_s:>8.2f}")
+        params = {
+            "backend": name, "dim": args.dim, "rank": args.rank,
+            "partitions": args.partitions, "workers": args.workers,
+            "cores": cores,
+        }
+        records.append(entry(f"{name}.prepare", params, prepare_s))
+        records.append(entry(f"{name}.update", params, update_s))
     print()
     print(f"outputs bit-identical across backends: {identical}")
-    copy_s = rows[0][3]
-    total_s = rows[0][1] + rows[0][2]
-    print(f"removed per-stage defensive copy would have cost ~{copy_s:.3f} s "
-          f"over this run ({100 * copy_s / total_s:.0f}% of serial "
-          f"prepare+update time)")
+    emit("BENCH_backends.json", records)
     return 0 if identical else 1
 
 

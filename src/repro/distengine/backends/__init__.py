@@ -4,16 +4,25 @@ The engine meters *measured per-task durations*, not wall-clock order, so
 the cost model is identical under every backend here; only the host's real
 elapsed time changes.  ``serial`` is the default (and the historical
 behavior), ``thread`` overlaps GIL-releasing numpy kernels, ``process``
-runs partitions on separate cores.
+runs partitions on separate cores and keeps persisted partitions resident
+in its workers.
 """
 
-from .base import BACKEND_NAMES, Backend, StageResult, TaskOutcome, execute_task
+from .base import (
+    BACKEND_NAMES,
+    Backend,
+    ResidentPartition,
+    StageResult,
+    TaskOutcome,
+    execute_task,
+)
 from .pools import ProcessBackend, ThreadBackend
 from .serial import SerialBackend
 
 __all__ = [
     "BACKEND_NAMES",
     "Backend",
+    "ResidentPartition",
     "StageResult",
     "TaskOutcome",
     "execute_task",

@@ -32,13 +32,51 @@ from ...observability.trace import (
     deactivate_task_context,
 )
 
-__all__ = ["BACKEND_NAMES", "Backend", "TaskOutcome", "StageResult", "execute_task"]
+__all__ = [
+    "BACKEND_NAMES",
+    "Backend",
+    "ResidentPartition",
+    "TaskOutcome",
+    "StageResult",
+    "execute_task",
+]
 
 #: Names accepted by ``make_backend`` / ``ClusterConfig.backend``.
 BACKEND_NAMES = ("serial", "thread", "process")
 
 #: ``fn(partition_index, items) -> iterable`` — the unit of distributed work.
 TaskFn = Callable[[int, list], Iterable[Any]]
+
+
+class ResidentPartition:
+    """Driver-side reference to a partition kept in a worker's store.
+
+    Backends that do not share driver memory keep persisted partitions in
+    the worker that produced them; the driver's ``node.cached`` then holds
+    these references instead of the items.  A reference answers ``len()``
+    with the partition's element count and carries ``nbytes``, the
+    :func:`~repro.distengine.shuffle.estimate_bytes` of the real items
+    measured in the worker, so partition counts, storage-tier admission and
+    every ledger charge are the same as for driver-resident partitions.
+    ``key`` is ``(runtime scope, node id, partition index)``.
+    """
+
+    __slots__ = ("key", "worker", "length", "nbytes")
+
+    def __init__(self, key: tuple, worker: int, length: int, nbytes: int):
+        self.key = key
+        self.worker = worker
+        self.length = length
+        self.nbytes = nbytes
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __repr__(self) -> str:
+        return (
+            f"ResidentPartition(key={self.key}, worker={self.worker}, "
+            f"length={self.length}, nbytes={self.nbytes})"
+        )
 
 
 @dataclass(frozen=True)
@@ -104,12 +142,12 @@ def execute_task(
 ) -> TaskOutcome:
     """Run one partition task, timing each attempt and retrying faults.
 
-    This is the function every backend ships to its workers (it must stay
-    module-level so :class:`ProcessBackend` can pickle it).  With a fault
-    injector, attempts chosen by the injector fail *after* doing their work
-    — the lost attempt's duration still counts toward the stage, as on a
-    real cluster — and the task retries up to its budget before raising
-    :class:`TaskFailedError`.
+    This is the function every backend runs per task, inside its workers
+    (a :class:`ProcessBackend` worker calls it in its own process).  With
+    a fault injector, attempts chosen by the injector fail *after* doing
+    their work — the lost attempt's duration still counts toward the
+    stage, as on a real cluster — and the task retries up to its budget
+    before raising :class:`TaskFailedError`.
 
     A :class:`~repro.resilience.RetryPolicy` replaces the injector's fixed
     ``max_retries`` with its own budget and charges a simulated exponential
@@ -216,8 +254,8 @@ class Backend(ABC):
 
     #: Whether workers see the driver's objects directly.  Backends that
     #: cross a process boundary set this False, which tells the runtime to
-    #: spill broadcast values to disk so workers can resolve
-    #: :class:`~repro.distengine.broadcast.BroadcastHandle` references.
+    #: keep persisted partitions worker-resident (``retain``) and to hand
+    #: broadcast values to :meth:`register_broadcast`.
     shares_driver_memory = True
 
     @abstractmethod
@@ -229,6 +267,7 @@ class Backend(ABC):
         fault_injector: FaultInjector | None = None,
         collect_trace: bool = False,
         retry_policy: "RetryPolicy | None" = None,
+        retain: "tuple | None" = None,
     ) -> StageResult:
         """Run ``task_fn`` over every ``(index, items)`` pair.
 
@@ -236,8 +275,29 @@ class Backend(ABC):
         metric increments (see :func:`execute_task`); the driver grafts
         them into its tracer afterwards.  ``retry_policy`` overrides the
         injector's retry budget and charges simulated backoff waits (see
-        :func:`execute_task`).
+        :func:`execute_task`).  ``retain`` is ``(scope, {chain position:
+        node id})`` naming the persist points a worker-memory backend keeps
+        resident; backends sharing driver memory ignore it.
         """
+
+    def fetch(self, partitions: list, release: bool = False) -> list:
+        """``partitions`` with every :class:`ResidentPartition` pulled back.
+
+        Unmetered, like broadcast resolution.  ``release`` also drops the
+        fetched entries from the workers.  Backends sharing driver memory
+        never hand out references, so this is the identity for them.
+        """
+        return partitions
+
+    def release(self, scope: int, node_id: "int | None" = None) -> None:
+        """Drop worker-resident entries of one runtime ``scope``.
+
+        Only the partitions of ``node_id`` when given, else every partition
+        and broadcast value of the scope.  A no-op without worker state.
+        """
+
+    def register_broadcast(self, handle) -> None:
+        """Queue a broadcast value for the workers (no-op in driver memory)."""
 
     def close(self) -> None:
         """Release worker resources; the backend is reusable until closed."""

@@ -8,39 +8,35 @@ network traffic for each broadcast when replaying the cost model.
 :class:`BroadcastHandle` is what :meth:`SimulatedRuntime.broadcast` returns:
 a first-class, content-addressed reference that task payloads embed *instead
 of* the value itself.  Pickling a handle drops the value — only the content
-id, the metadata, and (for process pools) a spill-file path cross the task
-boundary — so a handle inside a task payload costs a few dozen bytes per
-task while the value is transferred once per worker, exactly the Spark
-semantics the closure-capture pattern was approximating.
+id, the owning runtime's scope and the metadata cross the task boundary —
+so a handle inside a task payload costs a few dozen bytes per task while
+the value is transferred once per worker, exactly the Spark semantics the
+closure-capture pattern was approximating.
 
 Resolution is deliberately span- and metric-free: the serial and thread
-backends resolve from driver memory while a process worker loads the spill
-file once into its process-local store, and instrumenting that difference
-would break the engine's backend-invariant trace structure.
+backends resolve from driver memory while a process worker reads the value
+from its resident store (the process backend ships each value once per
+worker, on that worker's next stage message), and instrumenting that
+difference would break the engine's backend-invariant trace structure.
 """
 
 from __future__ import annotations
 
-import pickle
 from typing import Any
 
 __all__ = ["Broadcast", "BroadcastHandle"]
 
-#: Process-local broadcast store: ``content_id -> value``.  Each worker
-#: process pays the deserialization once per distinct broadcast value, no
-#: matter how many task payloads reference the handle.
-_STORE: dict[str, Any] = {}
+#: Process-local resident store of a process-backend worker: broadcast
+#: values keyed ``(scope, content_id)`` and persisted partitions keyed
+#: ``(scope, node_id, partition_index)``, where ``scope`` identifies the
+#: owning runtime so one runtime's ``close()`` drops exactly its entries.
+_STORE: dict[tuple, Any] = {}
 
 _MISSING = object()
 
 
-def _store_size() -> int:
-    """Number of distinct broadcast values resident in this process."""
-    return len(_STORE)
-
-
 def clear_store() -> None:
-    """Drop every value from this process's broadcast store."""
+    """Drop every entry from this process's resident store."""
     _STORE.clear()
 
 
@@ -48,13 +44,12 @@ class BroadcastHandle:
     """A content-addressed reference to a broadcast value.
 
     ``content_id`` is a stable content hash assigned by the runtime; two
-    broadcasts of equal payloads share an id (and therefore a store entry
-    and a spill file).  ``spill_path`` is set by the runtime when the
-    backend does not share the driver's memory; it names a pickle of the
-    value that any worker process can load.
+    broadcasts of equal payloads share an id.  ``scope`` is the owning
+    runtime's token, so ``key`` — the worker store key — never collides
+    between runtimes leasing one worker pool.
     """
 
-    __slots__ = ("content_id", "name", "n_bytes", "spill_path", "_value")
+    __slots__ = ("content_id", "name", "n_bytes", "scope", "_value")
 
     def __init__(
         self,
@@ -62,47 +57,45 @@ class BroadcastHandle:
         content_id: str,
         name: str,
         n_bytes: int,
-        spill_path: str | None = None,
+        scope: "int | None" = None,
     ):
         self._value = value
         self.content_id = content_id
         self.name = name
         self.n_bytes = n_bytes
-        self.spill_path = spill_path
+        self.scope = scope
+
+    @property
+    def key(self) -> tuple:
+        """This value's key in a worker's resident store."""
+        return (self.scope, self.content_id)
 
     @property
     def value(self) -> object:
         """The broadcast value, resolved from the nearest copy.
 
         Driver-side (and under the serial/thread backends) this is the
-        in-memory value.  In a process-pool worker the handle arrives
-        without its value and resolves through the process-local store,
-        loading the spill file on first use.
+        in-memory value.  In a process worker the handle arrives without
+        its value and resolves through the process-local resident store.
         """
         if self._value is not _MISSING:
             return self._value
-        cached = _STORE.get(self.content_id, _MISSING)
-        if cached is not _MISSING:
-            self._value = cached
-            return cached
-        if self.spill_path is None:
+        cached = _STORE.get(self.key, _MISSING)
+        if cached is _MISSING:
             raise RuntimeError(
                 f"broadcast {self.name!r} ({self.content_id}) has no value "
-                f"in this process and no spill file to load it from"
+                f"in this process"
             )
-        with open(self.spill_path, "rb") as stream:
-            loaded = pickle.load(stream)
-        _STORE[self.content_id] = loaded
-        self._value = loaded
-        return loaded
+        self._value = cached
+        return cached
 
     def __getstate__(self) -> tuple:
         # The value never rides inside a pickled handle — that is the whole
-        # point.  Workers re-resolve through the store / spill file.
-        return (self.content_id, self.name, self.n_bytes, self.spill_path)
+        # point.  Workers re-resolve through their resident store.
+        return (self.content_id, self.name, self.n_bytes, self.scope)
 
     def __setstate__(self, state: tuple) -> None:
-        self.content_id, self.name, self.n_bytes, self.spill_path = state
+        self.content_id, self.name, self.n_bytes, self.scope = state
         self._value = _MISSING
 
     def __repr__(self) -> str:

@@ -13,10 +13,10 @@ stage-executor backend (the expensive, shared part) and hands out
 :class:`RuntimeLease`\\ s, each wrapping a *fresh* ``SimulatedRuntime`` that
 executes through the shared backend but owns every piece of measurement
 state privately.  Closing a lease releases the job's state — persist
-caches evicted, broadcast spill files removed — while the pool stays warm
-for the next job.  Closing the factory tears down the pool (and any lease
-leaked by a crashed job, so spill directories can never outlive the
-service).
+caches evicted, and the job's worker-resident partitions and broadcast
+values dropped from every worker — while the pool stays warm for the next
+job.  Closing the factory tears down the pool (and any lease leaked by a
+crashed job, so no job's state can outlive the service).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class RuntimeLease:
     """One job's private runtime view over a shared backend.
 
     Usable as a context manager; :meth:`close` releases the runtime's
-    job-scoped state (persist caches, broadcast spill files, counters)
+    job-scoped state (persist caches, worker-resident entries, counters)
     without touching the shared worker pool.  Closing twice is a no-op.
     """
 
@@ -60,7 +60,8 @@ class RuntimeLease:
             return
         self.closed = True
         # The runtime was built with owns_backend=False, so this evicts
-        # caches and removes spill files but leaves the pool running.
+        # caches and releases its worker entries but leaves the pool
+        # running.
         self.runtime.close()
         self._factory._release(self)
 
@@ -73,7 +74,7 @@ class RuntimeFactory:
     """Owns one shared backend; leases isolated runtimes to jobs.
 
     Every lease's runtime gets its own ledger, stage reports, metrics
-    registry, tracer, plan state, and broadcast store — only the worker
+    registry, tracer, plan state, and worker-store scope — only the worker
     pool is shared, which is exactly the state whose startup cost and host
     footprint must be paid once per service, not once per job.
     """

@@ -233,9 +233,10 @@ class LogicalPlan:
         return self._ensure(self.node, runtime)
 
     def _ensure(self, node: PlanNode, runtime) -> list[list]:
-        # `cached is not None` covers both resident lists and the storage
-        # tier's SpilledPartitions markers; `cached_partitions` resolves
-        # either to the actual list (paging spilled entries back in).
+        # `cached is not None` covers driver lists, worker-resident
+        # references, and the storage tier's SpilledPartitions markers;
+        # `cached_partitions` pages spilled entries back in and leaves
+        # references for the next stage's workers to resolve.
         if node.cached is not None:
             if node.persisted and not node.is_source:
                 runtime.count_cache_hits(len(node.cached))
@@ -247,7 +248,11 @@ class LogicalPlan:
             stage.name,
             [member.fn for member in chain],
             list(enumerate(base)),
-            stage.tap_positions,
+            {
+                position: member.node_id
+                for position, member in enumerate(chain)
+                if member.persisted
+            },
         )
         for position, partitions in tapped:
             chain[position].cached = partitions

@@ -527,7 +527,9 @@ class Distributed:
         collect.
         """
         stage_name = name or f"{self.name}.count"
-        total = sum(len(partition) for partition in self._materialize())
+        # Worker-resident partitions answer len() without being fetched.
+        partitions = self.runtime.materialize(self.node, fetch=False)
+        total = sum(len(partition) for partition in partitions)
         self.runtime.record_transfer(
             TransferKind.COLLECT, stage_name, estimate_bytes(total)
         )

@@ -11,10 +11,8 @@ backends" for why this substitution preserves the paper's measurements).
 
 from __future__ import annotations
 
+import itertools
 import os
-import pickle
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -22,7 +20,7 @@ from typing import Any
 from ..observability import MetricsRegistry, SpanKind, Tracer
 from ..resilience import RetryPolicy, SpeculationConfig, plan_speculation
 from ..storage import MemoryBudget, PartitionSpillStore
-from .backends import Backend, make_backend
+from .backends import Backend, ResidentPartition, make_backend
 from .broadcast import Broadcast
 from .cluster import DEFAULT_CLUSTER, ClusterConfig
 from .faults import FaultInjector
@@ -38,6 +36,10 @@ from .shuffle import (
 )
 
 __all__ = ["SimulatedRuntime", "StageReport", "ExecutionReport"]
+
+#: Source of per-runtime scope tokens: worker-resident entries are keyed by
+#: their runtime's token, so runtimes leasing one pool never collide.
+_SCOPES = itertools.count(1)
 
 #: Bucket bounds of the ``shuffle_bucket_bytes`` histogram.  The registry
 #: default is tuned for task durations in seconds; shuffle buckets are byte
@@ -162,6 +164,9 @@ class SimulatedRuntime:
         # owner closes it.
         self._owns_backend = owns_backend
         self._closed = False
+        #: Token keying this runtime's worker-resident partitions and
+        #: broadcast values (see ``backends.ProcessBackend``).
+        self.scope = next(_SCOPES)
         # Plan layer: node ids are handed out in creation order (so
         # ``explain()`` output is deterministic) and persisted nodes are
         # tracked for eviction.
@@ -171,9 +176,6 @@ class SimulatedRuntime:
         # file of every map task lands at a distinct, deterministic path.
         self._shuffle_counter = 0
         self._persisted_nodes: list[PlanNode] = []
-        # Spill directory for broadcast values when the backend does not
-        # share the driver's memory; created lazily, removed by close().
-        self._spill_dir: str | None = None
         # Out-of-core storage tier: only constructed under an explicit
         # memory budget, so the default path pays one None check per cache
         # access and records zero storage spans/counters.
@@ -185,6 +187,7 @@ class SimulatedRuntime:
                 measure=estimate_bytes,
                 record_io=self._record_spill_io,
                 tracer=self.tracer,
+                resolve=self._pull_resident,
             )
         # Memmap-backed unfolding files (built lazily by the first caller):
         # only meaningful alongside the storage tier, which also provides
@@ -196,8 +199,9 @@ class SimulatedRuntime:
 
         The worker pool is shut down only when this runtime owns it; a
         runtime leased over a shared backend releases all of its private
-        state (caches, broadcast spill files) and leaves the pool warm.
-        Idempotent, so leases and ``finally`` blocks may both call it.
+        state (caches, worker-resident partitions and broadcast values —
+        including those of a stage that failed midway) and leaves the pool
+        warm.  Idempotent, so leases and ``finally`` blocks may both call it.
         """
         if self._closed:
             return
@@ -210,9 +214,8 @@ class SimulatedRuntime:
             self.storage.close()
         if self._owns_backend:
             self.backend.close()
-        if self._spill_dir is not None:
-            shutil.rmtree(self._spill_dir, ignore_errors=True)
-            self._spill_dir = None
+        else:
+            self.backend.release(self.scope)
 
     def __enter__(self) -> "SimulatedRuntime":
         return self
@@ -280,45 +283,27 @@ class SimulatedRuntime:
         payloads embed the handle instead of the value: pickling a handle
         drops the value, so referencing a broadcast from N per-column tasks
         costs N × ~32 bytes instead of N copies of the arrays.  When the
-        backend does not share driver memory (process pools) the value is
-        spilled once to a content-addressed file that worker processes load
-        on first resolution — one transfer per worker per value, which is
-        exactly what the single BROADCAST ledger charge models.
+        backend does not share driver memory (process workers) the value is
+        registered with it and rides once to each worker, on that worker's
+        next stage message, into its resident store — one transfer per
+        worker per value, which is exactly what the single BROADCAST ledger
+        charge models.  ``close()`` drops the value from the workers again.
 
         Every call is charged, even for a payload equal to an earlier one:
         the paper's cost analysis counts the per-iteration factor
         broadcasts, and several reproduced lemma measurements rely on it.
         """
         content_id = f"{stable_hash(value):016x}"
-        # Broadcast payloads are fingerprinted, sized, and (under process
-        # backends) spilled — the memoized sizer makes the repeated walks
-        # over one factor-matrix payload a dict hit.
+        # Broadcast payloads are fingerprinted and sized — the memoized
+        # sizer makes the repeated walks over one factor-matrix payload a
+        # dict hit.
         n_bytes = estimate_bytes_cached(value)
         self._broadcast_base_bytes += n_bytes
         # The ledger stores the per-machine copy; replay multiplies by M.
         self.record_transfer(TransferKind.BROADCAST, name, n_bytes)
-        return Broadcast(
-            value, content_id, name, n_bytes, self._spill(content_id, value)
-        )
-
-    def _spill(self, content_id: str, value: Any) -> str | None:
-        """Write ``value`` where worker processes can load it, if needed.
-
-        Spill files are content-addressed, so re-broadcasting an equal
-        value reuses the existing file.  Returns ``None`` under backends
-        whose workers already see driver memory.
-        """
-        if self.backend.shares_driver_memory:
-            return None
-        if self._spill_dir is None:
-            self._spill_dir = tempfile.mkdtemp(prefix="repro-broadcast-")
-        path = os.path.join(self._spill_dir, content_id + ".pkl")
-        if not os.path.exists(path):
-            staging = path + ".tmp"
-            with open(staging, "wb") as stream:
-                pickle.dump(value, stream, protocol=4)
-            os.replace(staging, path)
-        return path
+        handle = Broadcast(value, content_id, name, n_bytes, self.scope)
+        self.backend.register_broadcast(handle)
+        return handle
 
     # ------------------------------------------------------------------
     # Plan layer: lazy lineage, fusion, persist caches
@@ -328,9 +313,16 @@ class SimulatedRuntime:
         self._plan_counter += 1
         return self._plan_counter
 
-    def materialize(self, node: PlanNode) -> list[list]:
-        """Partitions of ``node``, dispatching whatever stages are missing."""
-        return LogicalPlan(node, self.plan_optimizer).execute(self)
+    def materialize(self, node: PlanNode, fetch: bool = True) -> list[list]:
+        """Partitions of ``node``, dispatching whatever stages are missing.
+
+        With ``fetch`` (driver reads: ``glom``, ``collect``) worker-resident
+        partitions are pulled back unmetered; without it they stay
+        :class:`~repro.distengine.backends.ResidentPartition` references,
+        which still answer ``len()`` (``count``).
+        """
+        partitions = LogicalPlan(node, self.plan_optimizer).execute(self)
+        return self.backend.fetch(partitions) if fetch else partitions
 
     def register_persist(self, node: PlanNode) -> None:
         """Track a persisted node so ``close()`` can evict its cache."""
@@ -347,6 +339,11 @@ class SimulatedRuntime:
                 self.metrics.counter("partitions_evicted_total").inc(
                     len(node.cached)
                 )
+            # A spilled cache is a marker, never worker-resident.
+            if isinstance(node.cached, list) and any(
+                isinstance(p, ResidentPartition) for p in node.cached
+            ):
+                self.backend.release(self.scope, node.node_id)
             node.cached = None
         if self.storage is not None:
             self.storage.discard(node)
@@ -376,6 +373,16 @@ class SimulatedRuntime:
         if self.storage is not None:
             self.storage.admit(node)
 
+    def _pull_resident(self, partitions: list) -> list:
+        """Storage spill hook: swap worker-resident references for items.
+
+        Fetches (unmetered) and drops the entries from the workers.  The
+        swap happens in place because a stage that just produced a
+        persisted result still returns this very list to its caller.
+        """
+        partitions[:] = self.backend.fetch(partitions, release=True)
+        return partitions
+
     def _record_spill_io(self, stage: str, n_bytes: int) -> None:
         """Ledger/metrics/trace entry for one storage spill or load."""
         self.record_transfer(TransferKind.SPILL, stage, n_bytes)
@@ -385,24 +392,38 @@ class SimulatedRuntime:
         stage_name: str,
         fns: list,
         indexed_partitions,
-        tap_positions=(),
+        persist_ids: "dict[int, int] | None" = None,
     ) -> tuple[list[list], list[tuple[int, list[list]]]]:
         """Execute a fused chain of narrow task functions as one stage.
 
         ``fns`` are applied in order inside a single
         :class:`~repro.distengine.plan.FusedChainTask` per partition;
-        ``tap_positions`` name the chain positions whose intermediate
+        ``persist_ids`` maps the chain positions of persisted nodes to
+        their node ids.  Non-terminal ones are taps whose intermediate
         output must come back for persist caches.  Single-function chains
         skip the wrapper entirely, so their task payload is the function
         itself.  Returns ``(final_partitions, tapped)`` with
         ``tapped`` sorted by chain position; all metering — durations,
         counters, retries, speculation, spans — flows through
         :meth:`run_stage` under the composite ``stage_name``.
+
+        Under a backend that does not share driver memory the persisted
+        outputs stay in the workers, and the returned partitions at those
+        positions are :class:`~repro.distengine.backends.ResidentPartition`
+        references.
         """
-        if len(fns) == 1 and not tap_positions:
-            return self.run_stage(stage_name, fns[0], indexed_partitions), []
+        persist_ids = persist_ids or {}
+        retain = None
+        if persist_ids and not self.backend.shares_driver_memory:
+            retain = (self.scope, persist_ids)
+        last = len(fns) - 1
+        tap_positions = tuple(sorted(p for p in persist_ids if p != last))
+        if len(fns) == 1:
+            return self.run_stage(
+                stage_name, fns[0], indexed_partitions, retain
+            ), []
         task = FusedChainTask(fns, tap_positions)
-        wrapped = self.run_stage(stage_name, task, indexed_partitions)
+        wrapped = self.run_stage(stage_name, task, indexed_partitions, retain)
         finals: list[list] = []
         tapped: dict[int, list[list]] = {
             position: [] for position in tap_positions
@@ -417,7 +438,9 @@ class SimulatedRuntime:
     # ------------------------------------------------------------------
     # Stage execution and metering
     # ------------------------------------------------------------------
-    def run_stage(self, stage_name: str, task_fn, indexed_partitions) -> list[list]:
+    def run_stage(
+        self, stage_name: str, task_fn, indexed_partitions, retain=None
+    ) -> list[list]:
         """Execute one stage through the backend and meter the outcome.
 
         Returns the produced partitions ordered by partition index; the
@@ -425,6 +448,8 @@ class SimulatedRuntime:
         this runtime.  This is the single choke point all task execution
         flows through, so serial, thread, and process backends feed the
         cost model — and the trace/metrics layer — identically.
+        ``retain`` names worker-resident persist points (see
+        :meth:`run_plan`).
         """
         tracing = self.tracer is not None
         # The serialized task payload ships to every task at stage launch —
@@ -442,6 +467,7 @@ class SimulatedRuntime:
         stage = self.backend.run_stage(
             stage_name, task_fn, indexed_partitions, self.fault_injector,
             collect_trace=tracing, retry_policy=self.retry_policy,
+            retain=retain,
         )
         wall_time = time.perf_counter() - started
         self.record_stage(

@@ -38,6 +38,8 @@ import tempfile
 from collections import OrderedDict
 from typing import Any, Callable
 
+import numpy as np
+
 from .budget import MemoryBudget
 
 __all__ = ["PartitionSpillStore", "SpilledPartitions"]
@@ -70,6 +72,25 @@ class SpilledPartitions:
             f"SpilledPartitions(n_partitions={self.n_partitions}, "
             f"nbytes={self.nbytes})"
         )
+
+
+class _SpillPickler(pickle.Pickler):
+    """Pickles numeric arrays against their canonical dtype object.
+
+    A pickle writes each distinct dtype *object* once.  Arrays that went
+    through an earlier unpickle (a loaded spill file, a worker fetch) carry
+    private dtype copies, so without this the same data would spill to a
+    size that depends on its history, not on the data.
+    """
+
+    def reducer_override(self, obj):
+        if type(obj) is np.ndarray and obj.dtype.isnative and (
+            obj.dtype.kind in "biufc"
+        ):
+            reconstruct, args, state = obj.__reduce_ex__(4)
+            canonical = np.dtype(obj.dtype.str)
+            return reconstruct, args, state[:2] + (canonical,) + state[3:]
+        return NotImplemented
 
 
 class _Entry:
@@ -106,6 +127,10 @@ class PartitionSpillStore:
         bytes to the cost model (``TransferKind.SPILL``).
     tracer:
         Optional tracer; spill/load record zero-duration ``storage`` spans.
+    resolve:
+        ``partitions -> partitions`` hook applied before a cache is written
+        to disk; the runtime uses it to pull worker-resident partitions
+        back, so spill files always hold the items themselves.
     """
 
     def __init__(
@@ -115,8 +140,10 @@ class PartitionSpillStore:
         measure: "Callable[[list], int] | None" = None,
         record_io: "Callable[[str, int], None] | None" = None,
         tracer: Any = None,
+        resolve: "Callable[[list], list] | None" = None,
     ):
         self.budget = budget
+        self._resolve = resolve
         if spill_dir is not None:
             os.makedirs(spill_dir, exist_ok=True)
         self.directory = tempfile.mkdtemp(prefix="repro-spill-", dir=spill_dir)
@@ -210,9 +237,11 @@ class PartitionSpillStore:
         """
         wrote = not os.path.exists(entry.path)
         if wrote:
+            if self._resolve is not None:
+                partitions = self._resolve(partitions)
             staging = entry.path + ".tmp"
             with open(staging, "wb") as stream:
-                pickle.dump(partitions, stream, protocol=4)
+                _SpillPickler(stream, protocol=4).dump(partitions)
             os.replace(staging, entry.path)
         entry.file_bytes = os.path.getsize(entry.path)
         entry.node.cached = SpilledPartitions(

@@ -113,6 +113,16 @@ class TestBackendUnits:
             assert backend._executor is executor
         assert backend._executor is None  # close() tore the pool down
 
+    def test_process_workers_lazy_reused_and_closed(self):
+        with ProcessBackend(n_workers=2) as backend:
+            assert backend._executor is None  # nothing starts before a stage
+            backend.run_stage("a", _square_partition, [(0, [1])])
+            executor = backend._executor
+            backend.run_stage("b", _square_partition, [(0, [2])])
+            assert backend._executor is executor
+        assert backend._executor is None  # close() tore the pool down
+        assert not any(process.is_alive() for process in executor.processes)
+
     def test_execute_task_counts_failures(self):
         injector = FaultInjector(failure_rate=0.9, max_retries=50, seed=0)
         outcome = execute_task(_square_partition, "s", 0, [2], injector)

@@ -1,8 +1,9 @@
 """Tests for the broadcast-handle comms plane.
 
 The contract: ``runtime.broadcast`` returns a first-class, content-addressed
-:class:`BroadcastHandle`; pickling a handle drops the value (workers resolve
-it from the backend-local store or a spill file); task payloads that embed a
+:class:`BroadcastHandle`; pickling a handle drops the value (process workers
+resolve it from their resident store, which the backend fills once per
+worker and the runtime empties on close); task payloads that embed a
 handle cost ~32 wire bytes instead of the value's full size; and the
 delta-only factor-update path produces bit-identical factors and error
 traces on every backend while shipping no more than a fifth of the
@@ -19,11 +20,24 @@ from repro.core import DbtfConfig, dbtf
 from repro.distengine import (
     BroadcastHandle,
     ClusterConfig,
+    RuntimeFactory,
     SimulatedRuntime,
 )
 from repro.distengine.broadcast import _STORE, clear_store
 from repro.distengine.shuffle import HANDLE_WIRE_BYTES, estimate_bytes
 from repro.tensor import SparseBoolTensor, planted_tensor
+
+
+class _AddBroadcastSum:
+    """Module-level task reading a broadcast, so process workers can run it."""
+
+    __slots__ = ("handle",)
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __call__(self, _index, items):
+        return [sum(self.handle.value) + item for item in items]
 
 
 @pytest.fixture
@@ -50,21 +64,33 @@ class TestBroadcastHandle:
         # The value never rides inside a pickled handle.
         assert len(wire) < 200
         revived = pickle.loads(wire)
-        _STORE[handle.content_id] = value
+        _STORE[handle.key] = value
         np.testing.assert_array_equal(revived.value, value)
 
-    def test_resolution_from_spill_file(self, clean_store, tmp_path):
+    def test_resolution_from_resident_store(self):
         value = list(range(100))
-        spill = tmp_path / "cafe.pkl"
-        spill.write_bytes(pickle.dumps(value))
-        handle = pickle.loads(
-            pickle.dumps(
-                BroadcastHandle(value, "cafe" * 4, "xs", 800, str(spill))
-            )
-        )
-        assert handle.value == value
-        # Loaded once into the store; later handles hit it without the file.
-        assert _STORE[handle.content_id] == value
+        factory = RuntimeFactory(ClusterConfig(backend="process", n_workers=2))
+        try:
+            with factory.lease() as runtime:
+                handle = runtime.broadcast(value, name="xs")
+                rdd = runtime.parallelize([0, 1, 2, 3], n_partitions=4)
+                assert rdd.map_partitions_with_index(
+                    _AddBroadcastSum(handle)
+                ).collect() == [4950, 4951, 4952, 4953]
+                # Shipped once into each worker's resident store: both
+                # workers ran two tasks but hold one entry each.
+                assert factory.backend.resident_entries() == [1, 1]
+            # Closing the lease drops the value from every worker.
+            assert factory.backend.resident_entries() == [0, 0]
+        finally:
+            factory.close()
+
+    def test_handles_of_two_runtimes_never_collide(self, clean_store):
+        first = BroadcastHandle([1], "cafe" * 4, "xs", 8, scope=1)
+        second = BroadcastHandle([2], "cafe" * 4, "xs", 8, scope=2)
+        _STORE[first.key], _STORE[second.key] = [1], [2]
+        assert pickle.loads(pickle.dumps(first)).value == [1]
+        assert pickle.loads(pickle.dumps(second)).value == [2]
 
     def test_unresolvable_handle_raises(self, clean_store):
         handle = pickle.loads(
