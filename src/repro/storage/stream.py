@@ -20,6 +20,14 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
+from ..tensor.sparse import (
+    SparseBoolTensor,
+    check_flat_shape,
+    coords_from_flat,
+    merge_sorted,
+    sorted_unique,
+)
+
 __all__ = ["StreamingTensorBuilder", "iter_coordinate_batches"]
 
 #: Default coordinate rows per batch for the file/iterable chunkers.
@@ -40,6 +48,7 @@ class StreamingTensorBuilder:
             raise ValueError("tensor must have at least one mode")
         if any(s <= 0 for s in self.shape):
             raise ValueError(f"non-positive dimension in shape {self.shape}")
+        check_flat_shape(self.shape)
         self._flat = np.zeros(0, dtype=np.int64)
         self.batches_ingested = 0
         self.rows_ingested = 0
@@ -67,20 +76,19 @@ class StreamingTensorBuilder:
             raise ValueError(
                 f"coordinates out of bounds for shape {self.shape}"
             )
-        flat = np.ravel_multi_index(coords.T, self.shape)
-        # union1d sorts and dedups, so the running array stays canonical and
-        # each merge is one linear pass over (state + batch).
-        self._flat = np.union1d(self._flat, flat)
+        flat = sorted_unique(np.ravel_multi_index(coords.T, self.shape))
+        # Only the batch is sorted; it is then merged into the running array
+        # by binary search, one linear pass over (state + batch).
+        self._flat = merge_sorted(self._flat, flat)
         self.batches_ingested += 1
         self.rows_ingested += int(coords.shape[0])
         return self
 
     def build(self):
         """The accumulated :class:`~repro.tensor.SparseBoolTensor`."""
-        from ..tensor import SparseBoolTensor
-
-        coords = np.column_stack(np.unravel_index(self._flat, self.shape))
-        return SparseBoolTensor(self.shape, coords.astype(np.int64))
+        return SparseBoolTensor(
+            self.shape, coords_from_flat(self._flat, self.shape)
+        )
 
     def packed_unfolding(self, mode: int, store=None):
         """The mode-``mode`` :class:`~repro.tensor.PackedUnfolding`.

@@ -3,10 +3,10 @@
 A :class:`TensorDelta` is the canonical "what changed since last epoch"
 record: two sorted, deduplicated, disjoint sets of row-major flat cell
 indices — cells that turned 0→1 (``added``) and cells that turned 1→0
-(``removed``).  Flat indices rather than coordinate rows make the set
-algebra against :class:`~repro.tensor.sparse.SparseBoolTensor` (which
-already keys its own set operations on row-major flat indices) a single
-``np.isin``/``np.union1d`` pass, and make the wire/disk form compact.
+(``removed``).  Flat indices rather than coordinate rows are the
+canonical form of :class:`~repro.tensor.sparse.SparseBoolTensor` too, so
+applying a delta is a binary search plus one merge into the tensor's
+sorted cells, and the wire/disk form is compact.
 
 ``save_delta``/``load_delta`` give deltas the same human-readable text
 format the rest of :mod:`repro.tensor.io` uses, so an evolving-tensor
@@ -19,7 +19,13 @@ import os
 
 import numpy as np
 
-from .sparse import SparseBoolTensor
+from .sparse import (
+    SparseBoolTensor,
+    check_flat_shape,
+    coords_from_flat,
+    locate,
+    sorted_unique,
+)
 
 __all__ = ["TensorDelta", "save_delta", "load_delta"]
 
@@ -39,7 +45,7 @@ def _canonical_flat(
             f"{what} flat indices out of bounds for shape {shape} "
             f"({n_cells} cells)"
         )
-    return np.unique(flat)
+    return sorted_unique(flat)
 
 
 class TensorDelta:
@@ -51,12 +57,13 @@ class TensorDelta:
         shape = tuple(int(s) for s in shape)
         if not shape or any(s < 0 for s in shape):
             raise ValueError(f"invalid tensor shape {shape}")
+        check_flat_shape(shape)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "added", _canonical_flat(added, shape, "added"))
         object.__setattr__(
             self, "removed", _canonical_flat(removed, shape, "removed")
         )
-        if np.intersect1d(self.added, self.removed).size:
+        if locate(self.added, self.removed)[1].any():
             raise ValueError("a cell cannot be both added and removed")
 
     def __setattr__(self, name, value):
@@ -131,15 +138,11 @@ class TensorDelta:
 
     def added_coords(self) -> np.ndarray:
         """Added cells as an ``(n_added, ndim)`` coordinate array."""
-        return np.stack(
-            np.unravel_index(self.added, self.shape), axis=1
-        ).astype(np.int64, copy=False)
+        return coords_from_flat(self.added, self.shape)
 
     def removed_coords(self) -> np.ndarray:
         """Removed cells as an ``(n_removed, ndim)`` coordinate array."""
-        return np.stack(
-            np.unravel_index(self.removed, self.shape), axis=1
-        ).astype(np.int64, copy=False)
+        return coords_from_flat(self.removed, self.shape)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorDelta):

@@ -4,19 +4,83 @@ A Boolean tensor is a set of nonzero coordinates; all set-algebraic
 operations (Boolean sum, difference, XOR) are set operations on coordinate
 rows.  The class is N-way, although the paper — and therefore the rest of
 this package — works with three-way tensors.
+
+The canonical form is sorted row-major flat indices: ``coords`` rows are
+ordered and deduplicated exactly as their ``np.ravel_multi_index`` values
+are, so every set operation, ``__contains__`` and
+:class:`~repro.tensor.delta.TensorDelta` work on one sorted int64 array.
+A shape whose cell count does not fit in int64 therefore has no flat
+indices and is rejected at construction.
+
+Canonicalization is sort-based (``np.sort`` plus an adjacent-difference
+mask, :func:`sorted_unique`), and sorted inputs are combined by binary
+search (:func:`locate`, :func:`merge_sorted`) rather than re-sorted, so
+advancing a tensor by a delta costs O(|Δ| log |X|) searches plus one
+linear merge.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 
 import numpy as np
 
 __all__ = ["SparseBoolTensor"]
 
+_MAX_CELLS = int(np.iinfo(np.int64).max)
+
+
+def check_flat_shape(shape: tuple[int, ...]) -> None:
+    """Reject a shape whose cells cannot all be numbered by int64 flat indices."""
+    if math.prod(shape) > _MAX_CELLS:
+        raise ValueError(
+            f"shape {shape} has more cells than an int64 flat index can "
+            f"address ({_MAX_CELLS})"
+        )
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array in ascending order, as a new array.
+
+    A sort plus an adjacent-difference mask; NumPy's 1-D ``np.unique``
+    takes a hash-based path that is far slower on large int64 inputs.
+    """
+    values = np.sort(values)
+    if values.shape[0] < 2:
+        return values
+    keep = np.empty(values.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def locate(
+    haystack: np.ndarray, needles: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where ``needles`` would insert into sorted ``haystack``, and which are in it."""
+    positions = np.searchsorted(haystack, needles)
+    found = np.zeros(positions.shape[0], dtype=bool)
+    inside = positions < haystack.shape[0]
+    found[inside] = haystack[positions[inside]] == needles[inside]
+    return positions, found
+
+
+def merge_sorted(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The sorted union of two sorted, deduplicated 1-D arrays."""
+    positions, found = locate(left, right)
+    return np.insert(left, positions[~found], right[~found])
+
+
+def coords_from_flat(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``(n, ndim)`` int64 coordinate rows of row-major flat indices."""
+    return np.stack(np.unravel_index(flat, shape), axis=1).astype(
+        np.int64, copy=False
+    )
+
 
 def _canonical_coords(coords: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Validate, deduplicate, and lexicographically sort coordinate rows."""
+    """Validate, deduplicate, and sort coordinate rows into a new array."""
     coords = np.asarray(coords, dtype=np.int64)
     if coords.size == 0:
         return np.zeros((0, len(shape)), dtype=np.int64)
@@ -29,7 +93,11 @@ def _canonical_coords(coords: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     limits = np.asarray(shape, dtype=np.int64)
     if (coords >= limits[None, :]).any():
         raise ValueError(f"coordinates out of bounds for shape {shape}")
-    return np.unique(coords, axis=0)
+    flat = np.ravel_multi_index(coords.T, shape)
+    if (flat[1:] > flat[:-1]).all():
+        # Already canonical; copy so the tensor never aliases the caller.
+        return np.array(coords, dtype=np.int64, order="C")
+    return coords_from_flat(sorted_unique(flat), shape)
 
 
 class SparseBoolTensor:
@@ -43,6 +111,7 @@ class SparseBoolTensor:
             raise ValueError(f"negative dimension in shape {shape}")
         if not shape:
             raise ValueError("tensor must have at least one mode")
+        check_flat_shape(shape)
         self.shape = shape
         if coords is None:
             coords = np.zeros((0, len(shape)), dtype=np.int64)
@@ -69,7 +138,7 @@ class SparseBoolTensor:
         return cls(shape, coords)
 
     def copy(self) -> "SparseBoolTensor":
-        return SparseBoolTensor(self.shape, self.coords.copy())
+        return SparseBoolTensor(self.shape, self.coords)
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -110,9 +179,7 @@ class SparseBoolTensor:
         if any(not 0 <= c < s for c, s in zip(coordinate, self.shape)):
             raise IndexError(f"coordinate {coordinate} out of bounds for {self.shape}")
         flat = np.ravel_multi_index(coordinate, self.shape)
-        flats = self._flat_indices()
-        position = np.searchsorted(flats, flat)
-        return bool(position < flats.shape[0] and flats[position] == flat)
+        return bool(locate(self._flat_indices(), np.array([flat]))[1][0])
 
     # ------------------------------------------------------------------
     # Set algebra (Boolean tensor operations)
@@ -147,7 +214,9 @@ class SparseBoolTensor:
 
     def hamming_distance(self, other: "SparseBoolTensor") -> int:
         """|X ⊕ Y| counting differing cells — the paper's error measure."""
-        return self.xor(other).nnz
+        self._check_same_shape(other)
+        _, common = locate(self._flat_indices(), other._flat_indices())
+        return self.nnz + other.nnz - 2 * int(common.sum())
 
     def apply_delta(self, delta) -> "SparseBoolTensor":
         """The tensor one epoch later: ``delta.added`` on, ``delta.removed`` off.
@@ -156,6 +225,10 @@ class SparseBoolTensor:
         means the delta was produced against a different base tensor, and an
         incremental factorization advanced with it would silently diverge
         from the from-scratch result — so both raise instead of saturating.
+
+        Both sides are already sorted, so the delta's cells are found by
+        binary search and merged in: O(|Δ| log |X|) plus one linear copy,
+        with no re-sort of the tensor.
         """
         if tuple(delta.shape) != self.shape:
             raise ValueError(
@@ -163,28 +236,22 @@ class SparseBoolTensor:
                 f"shape {self.shape}"
             )
         flats = self._flat_indices()
-        if delta.n_removed:
-            present = np.isin(delta.removed, flats, assume_unique=True)
-            if not present.all():
-                raise ValueError(
-                    f"delta removes {int((~present).sum())} cell(s) not "
-                    f"present in the tensor (delta built against a "
-                    f"different base?)"
-                )
-        if delta.n_added:
-            duplicate = np.isin(delta.added, flats, assume_unique=True)
-            if duplicate.any():
-                raise ValueError(
-                    f"delta adds {int(duplicate.sum())} cell(s) already "
-                    f"present in the tensor (delta built against a "
-                    f"different base?)"
-                )
-        kept = flats[~np.isin(flats, delta.removed, assume_unique=True)]
-        new_flats = np.union1d(kept, delta.added)
-        coords = np.stack(
-            np.unravel_index(new_flats, self.shape), axis=1
-        ).astype(np.int64, copy=False)
-        return SparseBoolTensor(self.shape, coords)
+        removed_at, present = locate(flats, delta.removed)
+        if not present.all():
+            raise ValueError(
+                f"delta removes {int((~present).sum())} cell(s) not "
+                f"present in the tensor (delta built against a "
+                f"different base?)"
+            )
+        _, duplicate = locate(flats, delta.added)
+        if duplicate.any():
+            raise ValueError(
+                f"delta adds {int(duplicate.sum())} cell(s) already "
+                f"present in the tensor (delta built against a "
+                f"different base?)"
+            )
+        new_flats = merge_sorted(np.delete(flats, removed_at), delta.added)
+        return SparseBoolTensor(self.shape, coords_from_flat(new_flats, self.shape))
 
     # ------------------------------------------------------------------
     # Conversion / inspection
@@ -210,7 +277,7 @@ class SparseBoolTensor:
         """Distinct indices along ``mode`` that carry at least one nonzero."""
         if not 0 <= mode < self.ndim:
             raise ValueError(f"mode {mode} out of range for {self.ndim}-way tensor")
-        return np.unique(self.coords[:, mode])
+        return sorted_unique(self.coords[:, mode])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseBoolTensor):

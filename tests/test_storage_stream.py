@@ -22,6 +22,22 @@ class TestStreamingTensorBuilder:
         assert built.shape == tensor.shape
         assert np.array_equal(built.coords, tensor.coords)
 
+    def test_overlapping_unsorted_batches(self):
+        tensor = random_tensor((7, 8, 9), density=0.2,
+                               rng=np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        builder = StreamingTensorBuilder(tensor.shape)
+        seen = set()
+        for _ in range(6):
+            # Each batch: a random, shuffled, repeated sample of the cells.
+            batch = tensor.coords[rng.integers(0, tensor.nnz, size=60)]
+            builder.add_batch(batch)
+            seen.update(map(tuple, batch.tolist()))
+            assert builder.nnz == len(seen)
+        builder.add_batch(tensor.coords[::-1])
+        assert builder.nnz == tensor.nnz
+        assert np.array_equal(builder.build().coords, tensor.coords)
+
     def test_duplicates_across_batches_collapse(self):
         builder = StreamingTensorBuilder((4, 4))
         builder.add_batch([(0, 0), (1, 2), (0, 0)])

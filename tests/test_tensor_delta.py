@@ -55,6 +55,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TensorDelta.from_coords(SHAPE, added=[(4, 0, 0)], removed=[])
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_flat_sets_sorted_unique(self, data):
+        n_cells = int(np.prod(SHAPE))
+        flat = st.lists(st.integers(0, n_cells - 1), max_size=30)
+        added = data.draw(flat)
+        removed = [i for i in data.draw(flat) if i not in set(added)]
+        delta = TensorDelta(SHAPE, added, removed)
+        assert delta.added.tolist() == sorted(set(added))
+        assert delta.removed.tolist() == sorted(set(removed))
+        assert delta.added.dtype == delta.removed.dtype == np.int64
+
+    def test_int64_overflowing_shape_rejected(self):
+        with pytest.raises(ValueError, match="int64"):
+            TensorDelta((2**32, 2**32, 2))
+
     def test_overlapping_add_remove_rejected(self):
         with pytest.raises(ValueError, match="both added and removed"):
             TensorDelta.from_coords(
@@ -131,6 +147,94 @@ class TestApplyDelta:
         delta = TensorDelta.empty((2, 2, 2))
         with pytest.raises(ValueError):
             old.apply_delta(delta)
+
+
+def _cells(shape):
+    return [tuple(int(i) for i in c) for c in np.ndindex(*shape)]
+
+
+def _tensor(shape, cells):
+    return SparseBoolTensor(
+        shape, np.array(sorted(cells), dtype=np.int64).reshape(-1, len(shape))
+    )
+
+
+def _delta(shape, added, removed):
+    return TensorDelta.from_coords(
+        shape,
+        added=np.array(sorted(added), dtype=np.int64).reshape(-1, len(shape)),
+        removed=np.array(sorted(removed), dtype=np.int64).reshape(-1, len(shape)),
+    )
+
+
+def _as_set(tensor):
+    return {tuple(int(i) for i in c) for c in tensor.coords}
+
+
+_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
+
+
+def _subset(data, items):
+    items = sorted(items)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+    return {item for item, kept in zip(items, keep) if kept}
+
+
+class TestApplyDeltaReference:
+    """``apply_delta`` against a set-of-tuples reference."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_tensor_and_delta(self, data):
+        shape = data.draw(_shapes)
+        cells = set(_cells(shape))
+        present = _subset(data, cells)
+        removed = _subset(data, present)
+        added = _subset(data, cells - present)
+        result = _tensor(shape, present).apply_delta(_delta(shape, added, removed))
+        assert _as_set(result) == (present - removed) | added
+        assert result == _tensor(shape, (present - removed) | added)
+
+    @pytest.mark.parametrize("shape", [(1,), (3, 1), (2, 3, 4)])
+    def test_edge_cases(self, shape):
+        cells = set(_cells(shape))
+        first, last = min(cells), max(cells)
+        empty = _tensor(shape, set())
+        full = _tensor(shape, cells)
+        cases = [
+            (empty, set(), set()),  # empty tensor, empty delta
+            (full, set(), set()),  # empty delta
+            (full, set(), cells),  # remove every cell
+            (empty, cells, set()),  # fill an empty tensor
+            (empty, {first, last}, set()),  # flat indices 0 and n_cells - 1
+            (full, set(), {first, last}),
+            (_tensor(shape, {first}), {last} - {first}, {first}),
+        ]
+        for base, added, removed in cases:
+            result = base.apply_delta(_delta(shape, added, removed))
+            assert _as_set(result) == (_as_set(base) - removed) | added
+
+    def test_result_does_not_share_memory(self):
+        old, new = _tensor_pair(seed=8)
+        result = old.apply_delta(TensorDelta.between(old, new))
+        assert not np.shares_memory(result.coords, old.coords)
+        same = old.apply_delta(TensorDelta.empty(SHAPE))
+        assert same == old
+        assert not np.shares_memory(same.coords, old.coords)
+
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_strictness_errors_report_exact_counts(self, seed, data):
+        old, _ = _tensor_pair(seed, density=0.5)
+        present = sorted(_as_set(old))
+        absent = sorted(set(_cells(SHAPE)) - set(present))
+        n_bad = data.draw(st.integers(1, min(len(present), len(absent), 8)))
+        stale_removed = _delta(SHAPE, set(), set(absent[:n_bad]) | set(present[:3]))
+        with pytest.raises(ValueError, match=rf"removes {n_bad} cell\(s\) not"):
+            old.apply_delta(stale_removed)
+        stale_added = _delta(SHAPE, set(present[-n_bad:]) | set(absent[-3:]), set())
+        with pytest.raises(ValueError, match=rf"adds {n_bad} cell\(s\) already"):
+            old.apply_delta(stale_added)
 
 
 class TestDeltaIO:

@@ -62,6 +62,70 @@ class TestConstruction:
             SparseBoolTensor((2, 2, 2), np.array([[0, 0]]))
 
 
+_shapes = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def _coord_rows(draw, shape, max_rows=40):
+    """Coordinate rows in ``shape``, in any order and possibly repeated."""
+    row = st.tuples(*(st.integers(0, size - 1) for size in shape))
+    return draw(st.lists(row, max_size=max_rows))
+
+
+def _rows_array(rows, shape):
+    return np.array(rows, dtype=np.int64).reshape(-1, len(shape))
+
+
+class TestCanonicalForm:
+    """The sort-based constructor against the old ``np.unique(axis=0)`` rule."""
+
+    @staticmethod
+    def _reference(rows, shape):
+        return np.unique(_rows_array(rows, shape), axis=0)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_unique_rows(self, data):
+        shape = data.draw(_shapes)
+        rows = data.draw(_coord_rows(shape))
+        order = data.draw(st.permutations(range(len(rows))))
+        expected = self._reference(rows, shape)
+        coords = _rows_array(rows, shape)
+        shuffled = coords[list(order)]
+        duplicated = np.concatenate([coords, shuffled])
+        for variant in (coords, shuffled, duplicated, expected):
+            tensor = SparseBoolTensor(shape, variant)
+            np.testing.assert_array_equal(tensor.coords, expected)
+            assert tensor.coords.dtype == np.int64
+            assert tensor.coords.flags.c_contiguous
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_caller_array_not_aliased(self, canonical):
+        coords = np.array([[0, 1, 2], [1, 0, 0], [2, 2, 2]], dtype=np.int64)
+        if not canonical:
+            coords = coords[::-1].copy()
+        tensor = SparseBoolTensor((3, 3, 3), coords)
+        before = tensor.coords.copy()
+        coords[:] = 0
+        np.testing.assert_array_equal(tensor.coords, before)
+        assert tensor.nnz == 3
+
+    def test_int64_overflowing_shape_rejected(self):
+        shape = (2**32, 2**32, 2)
+        with pytest.raises(ValueError, match=r"\(4294967296, 4294967296, 2\)"):
+            SparseBoolTensor(shape)
+
+    def test_largest_int64_shape_accepted(self):
+        # 454279 * 20303320287433 == 2**63 - 1, the most cells int64 can count.
+        shape = (454_279, 20_303_320_287_433)
+        last = (shape[0] - 1, shape[1] - 1)
+        tensor = SparseBoolTensor(shape, np.array([last, (0, 0)]))
+        assert last in tensor
+        assert tensor.hamming_distance(SparseBoolTensor.empty(shape)) == 2
+        with pytest.raises(ValueError, match="int64"):
+            SparseBoolTensor((shape[0] + 1, shape[1]))
+
+
 class TestProperties:
     def test_density(self):
         tensor = SparseBoolTensor.from_nonzeros((2, 2, 2), [(0, 0, 0), (1, 1, 1)])
@@ -127,6 +191,21 @@ class TestSetAlgebra:
 
     def test_xor_self_is_empty(self):
         assert self.left.xor(self.left).nnz == 0
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_hamming_distance_is_xor_nnz(self, data):
+        shape = data.draw(_shapes)
+        left, right = (
+            SparseBoolTensor(shape, _rows_array(data.draw(_coord_rows(shape)), shape))
+            for _ in range(2)
+        )
+        assert left.hamming_distance(right) == left.xor(right).nnz
+        assert right.hamming_distance(left) == left.xor(right).nnz
+
+    def test_hamming_distance_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            self.left.hamming_distance(SparseBoolTensor.empty((4, 4, 5)))
 
     @given(st.integers(0, 500), st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
