@@ -147,8 +147,9 @@ class RowSummationCache:
             raise ValueError(
                 f"got {len(tables)} tables but {len(keys)} key arrays"
             )
-        # Guarded: fetch runs 2R times per partition per update, and with
-        # observability off the counter must cost one attribute read.
+        # Guarded: fetch runs per column and partition on every update,
+        # and with observability off the counter must cost one attribute
+        # read.
         if metrics_enabled():
             record_metric("cache_fetches_total")
         summation = tables[0][keys[0]]

@@ -22,6 +22,7 @@ from ..resilience import (
     factors_state,
 )
 from ..tensor import MODE_FACTOR_ROLES, SparseBoolTensor
+from ..tensor.sparse import locate
 from .config import DbtfConfig
 from .incremental import prepare_mode_partitions
 from .result import DecompositionResult
@@ -89,10 +90,19 @@ def _sampled_factors(
     columns become the fibers ``x_:jk``, ``x_i:k``, and ``x_ij:`` — so the
     initial rank-1 blocks already overlap the data's support and the greedy
     updates can refine instead of collapsing to all zeros (DESIGN.md §5).
+
+    The tensor's sorted row-major flat indices make every lookup a binary
+    search: the ``i`` slab and the ``(i, j)`` slab are contiguous ranges,
+    and ``x_:jk`` is one search per ``i``.  Coverage is tested only inside
+    the slabs of the new ``x_:jk`` fiber, so a component costs
+    O(I log nnz + its slabs) on top of the O(nnz) candidate scan.
     """
     shape = tensor.shape
     factors = tuple(BitMatrix.zeros(dimension, config.rank) for dimension in shape)
     coords = tensor.coords
+    flat = tensor._flat_indices()
+    slab = shape[1] * shape[2]
+    rows = np.arange(shape[0], dtype=np.int64) * slab
     covered = np.zeros(tensor.nnz, dtype=bool)
     for r in range(config.rank):
         # Prefer seeds the components so far do not cover, so initial
@@ -102,19 +112,30 @@ def _sampled_factors(
             candidates = np.arange(tensor.nnz)
         pick = int(candidates[rng.integers(0, candidates.size)])
         i, j, k = (int(v) for v in coords[pick])
+        lo, hi = np.searchsorted(flat, [i * slab, (i + 1) * slab])
+        pair_lo, pair_hi = np.searchsorted(
+            flat, [i * slab + j * shape[2], i * slab + (j + 1) * shape[2]]
+        )
+        in_slab = coords[lo:hi]
         fibers = (
-            coords[(coords[:, 1] == j) & (coords[:, 2] == k)][:, 0],
-            coords[(coords[:, 0] == i) & (coords[:, 2] == k)][:, 1],
-            coords[(coords[:, 0] == i) & (coords[:, 1] == j)][:, 2],
+            np.flatnonzero(locate(flat, rows + (j * shape[2] + k))[1]),
+            in_slab[in_slab[:, 2] == k, 1],
+            coords[pair_lo:pair_hi, 2],
         )
-        for factor, fiber in zip(factors, fibers):
-            for index in fiber:
-                factor.set(int(index), r, 1)
-        covered |= (
-            np.isin(coords[:, 0], fibers[0])
-            & np.isin(coords[:, 1], fibers[1])
-            & np.isin(coords[:, 2], fibers[2])
-        )
+        members = []
+        for factor, fiber, dimension in zip(factors, fibers, shape):
+            column = np.zeros(dimension, dtype=bool)
+            column[fiber] = True
+            factor.set_column(r, column)
+            members.append(column)
+        # A nonzero is covered iff all three of its indices lie in the
+        # fibers; only the slabs of the mode-0 fiber can hold one.
+        starts = np.searchsorted(flat, rows[fibers[0]])
+        lengths = np.searchsorted(flat, rows[fibers[0]] + slab) - starts
+        ends = np.cumsum(lengths)
+        inside = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+        hit = members[1][coords[inside, 1]] & members[2][coords[inside, 2]]
+        covered[inside[hit]] = True
     return factors
 
 

@@ -6,6 +6,13 @@ across all partitions: each partition fetches the cached Boolean row
 summation keyed by ``target_row_mask AND outer_row_mask`` per block, XORs it
 against its slice of the unfolded tensor, and popcounts.  The driver collects
 the per-row errors and keeps the value with the smaller error.
+
+The two candidates differ only inside PVM blocks ``j`` with
+``outer[j, c] = 1`` (the *active* blocks); every other block adds the same
+error to both and cannot move a decision.  So only the first evaluated
+column of an update scans every block, to seed the exact error; later
+columns evaluate their active blocks alone and the driver carries the error
+forward by the per-row change (see :func:`_choose_column`).
 """
 
 from __future__ import annotations
@@ -26,11 +33,12 @@ __all__ = ["update_factor", "CachedPartition"]
 class CachedPartition:
     """A partition plus the row-summation cache tables its blocks use.
 
-    Built once per factor update (paper Algorithm 5) and reused for all
-    ``2 * R`` error evaluations of that update.  Full-width blocks — the
-    overwhelming majority (Lemma 3 allows at most two partial blocks per
-    partition) — are evaluated as one batched table gather over all of them
-    at once, which is what keeps the cached kernel ahead of recomputation.
+    Built once per factor update (paper Algorithm 5) and reused for every
+    column evaluation of that update — one per column, each yielding both
+    candidates' errors.  Full-width blocks — the overwhelming majority
+    (Lemma 3 allows at most two partial blocks per partition) — are
+    evaluated as one batched table gather over all the selected ones at
+    once, which is what keeps the cached kernel ahead of recomputation.
     """
 
     __slots__ = ("data", "cache", "full_pvms", "full_words", "edge_blocks")
@@ -66,6 +74,8 @@ class CachedPartition:
         outer_words: np.ndarray,
         outer_column: np.ndarray,
         inner_column_words: np.ndarray,
+        *,
+        all_blocks: bool = False,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Partition-local errors for both candidate values of one column.
 
@@ -74,6 +84,14 @@ class CachedPartition:
         the outer factor's packed row masks and its current column as a 0/1
         vector; ``inner_column_words`` is the inner factor's current column,
         packed over the PVM width.
+
+        Returns per-row ``(error_if_zero, error_if_one)``.  By default they
+        cover only the *active* blocks (``outer_column[pvm] = 1``): outside
+        them both candidates reconstruct the same cells, so the errors there
+        are equal, and ``error_if_one - error_if_zero`` — hence every row's
+        decision — is exactly that of the full errors.  With
+        ``all_blocks=True`` every block is evaluated and both are full
+        per-row reconstruction errors.
 
         Only the candidate-0 reconstruction needs a cache gather: setting
         the entry to 1 Boolean-adds component c's coverage, which inside PVM
@@ -87,7 +105,8 @@ class CachedPartition:
             edge_blocks=len(self.edge_blocks),
         ):
             return self._column_errors(
-                masks_if_zero, outer_words, outer_column, inner_column_words
+                masks_if_zero, outer_words, outer_column, inner_column_words,
+                all_blocks,
             )
 
     def _column_errors(
@@ -96,45 +115,54 @@ class CachedPartition:
         outer_words: np.ndarray,
         outer_column: np.ndarray,
         inner_column_words: np.ndarray,
+        all_blocks: bool,
     ) -> tuple[np.ndarray, np.ndarray]:
         n_rows = masks_if_zero.shape[0]
         error_if_zero = np.zeros(n_rows, dtype=np.int64)
-        delta_if_one = np.zeros(n_rows, dtype=np.int64)
-        if self.full_pvms.size:
-            full_outer = outer_words[self.full_pvms]
-            # Batched over every full-width block: keys (rows, blocks).
-            anded = masks_if_zero[:, None, :] & full_outer[None, :, :]
+        error_if_one = np.zeros(n_rows, dtype=np.int64)
+        selected = (
+            np.arange(self.full_pvms.size)
+            if all_blocks
+            else np.flatnonzero(outer_column[self.full_pvms])
+        )
+        if selected.size:
+            pvms = self.full_pvms[selected]
+            # Rows of (blocks x words), so one popcount sums a whole row.
+            tensor_words = self.full_words[:, selected].reshape(n_rows, -1)
+            # Batched over the selected full-width blocks: keys (rows, blocks).
+            anded = masks_if_zero[:, None, :] & outer_words[pvms][None, :, :]
             keys = self.cache.group_keys(anded)
             rec_zero = self.cache.fetch(self.cache.full_tables, keys)
+            # Component c's coverage in PVM block j is outer[j, c] *
+            # inner[:, c]: nothing in an inactive block.
+            addition = np.where(
+                outer_column[pvms, None] != 0,
+                inner_column_words[None, :],
+                np.uint64(0),
+            )
             error_if_zero += xor_popcount_rows(
-                rec_zero, self.full_words
-            ).sum(axis=1)
-            # Setting the entry to 1 adds component c's coverage, which in
-            # PVM block j is outer[j, c] * inner[:, c] — only blocks with
-            # the outer bit set can change.  A newly covered cell flips the
-            # error by -1 if the tensor has a 1 there and +1 if it has a 0:
-            #   err1 = err0 + popcount(new) - 2 * popcount(new & x)
-            # where new = addition & ~rec0.
-            active = np.flatnonzero(outer_column[self.full_pvms])
-            if active.size:
-                newly = inner_column_words[None, None, :] & ~rec_zero[:, active]
-                delta_if_one += packing.popcount_rows(newly).sum(axis=1)
-                delta_if_one -= 2 * packing.popcount_rows(
-                    newly & self.full_words[:, active]
-                ).sum(axis=1)
+                rec_zero.reshape(n_rows, -1), tensor_words
+            )
+            error_if_one += xor_popcount_rows(
+                (rec_zero | addition).reshape(n_rows, -1), tensor_words
+            )
         for block, tables, tensor_words in self.edge_blocks:
+            active = bool(outer_column[block.pvm_index])
+            if not (active or all_blocks):
+                continue
             anded = masks_if_zero & outer_words[block.pvm_index]
             keys = self.cache.group_keys(anded)
             rec_zero = self.cache.fetch(tables, keys)
-            error_if_zero += xor_popcount_rows(rec_zero, tensor_words)
-            if outer_column[block.pvm_index]:
-                sliced = packing.slice_bits(
+            addition = (
+                packing.slice_bits(
                     inner_column_words[None, :], block.start, block.stop
                 )[0]
-                newly = sliced & ~rec_zero
-                delta_if_one += packing.popcount_rows(newly)
-                delta_if_one -= 2 * packing.popcount_rows(newly & tensor_words)
-        return error_if_zero, error_if_zero + delta_if_one
+                if active
+                else np.uint64(0)
+            )
+            error_if_zero += xor_popcount_rows(rec_zero, tensor_words)
+            error_if_one += xor_popcount_rows(rec_zero | addition, tensor_words)
+        return error_if_zero, error_if_one
 
 
 def _masks_with_bit_cleared(words: np.ndarray, column: int) -> np.ndarray:
@@ -182,6 +210,10 @@ class _ColumnErrorsDeltaTask:
     every column (rather than mutating worker-local state) keeps the
     computation a pure function of the payload, which is what makes results
     bit-identical across serial, thread, and process backends.
+
+    An empty ``deltas`` marks the first column evaluated in this update:
+    it scans every block so the driver can seed the exact error, and every
+    later column evaluates only its active blocks.
     """
 
     __slots__ = ("factors", "column", "deltas", "n_rows")
@@ -205,7 +237,33 @@ class _ColumnErrorsDeltaTask:
             outer_words,
             packing.bit_column(outer_words, self.column),
             cached.cache.columns_packed[self.column],
+            all_blocks=not self.deltas,
         )
+
+
+def _choose_column(
+    error_if_zero: np.ndarray,
+    error_if_one: np.ndarray,
+    current: np.ndarray,
+    error: "int | None",
+) -> tuple[np.ndarray, int]:
+    """One column's per-row choice and the reconstruction error after it.
+
+    ``error`` is the exact error of the factors before this column, or
+    ``None`` for the first evaluated column of an update, whose per-row
+    errors span every block and so are full errors.  Later columns' errors
+    span only their active blocks; the rest of the tensor contributes the
+    same to both candidates and to the current bits, so the exact error
+    moves by ``sum(min(err0, err1) - err_current)``.
+    """
+    # Strict inequality: ties keep 0, favouring sparser factors (the paper
+    # does not specify a tie rule; see DESIGN.md).
+    chosen = (error_if_one < error_if_zero).astype(np.uint8)
+    best = int(np.minimum(error_if_zero, error_if_one).sum())
+    if error is None:
+        return chosen, best
+    kept = int(np.where(current != 0, error_if_one, error_if_zero).sum())
+    return chosen, error + best - kept
 
 
 def update_factor(
@@ -224,6 +282,10 @@ def update_factor(
     solver uses) every column is swept and the return value is
     ``(updated, error_after)`` — the reconstruction error after the last
     column update, which equals the full tensor error for the new factors.
+    The first evaluated column scans every PVM block and its errors are
+    full errors; later columns scan only the blocks where their outer
+    column is set, and ``error_after`` is carried forward exactly from the
+    first column's (:func:`_choose_column`).
 
     With a ``dirty_columns`` set (the incremental path,
     :mod:`repro.incremental`), only columns in the set are re-swept —
@@ -234,7 +296,8 @@ def update_factor(
     decisions are no longer trustworthy.  The return value becomes
     ``(updated, error_after_or_None, changed_columns)`` where the error is
     ``None`` when no column was evaluated (empty dirty set) and otherwise
-    exact (any evaluated column's error is a full reconstruction error).
+    exact (the first evaluated column seeds it, skipped columns keep their
+    bits and so leave it unchanged).
     """
     if target.n_cols != config.rank:
         raise ValueError(
@@ -273,7 +336,7 @@ def update_factor(
     cached_rdd = data_rdd.map(build_task, name="cacheRowSummations").persist()
 
     updated = target.copy()
-    error_after = 0
+    error_after = None
     deltas: list[tuple] = []
     changed: set[int] = set()
     escalated = False
@@ -297,16 +360,16 @@ def update_factor(
         for partial_zero, partial_one in per_partition:
             error_if_zero += partial_zero
             error_if_one += partial_one
-        # Strict inequality: ties keep 0, favouring sparser factors (the
-        # paper does not specify a tie rule; see DESIGN.md).
-        chosen = (error_if_one < error_if_zero).astype(np.uint8)
+        current = updated.column(column)
+        chosen, error_after = _choose_column(
+            error_if_zero, error_if_one, current, error_after
+        )
         if dirty is not None:
             evaluated += 1
-            if not np.array_equal(chosen, updated.column(column)):
+            if not np.array_equal(chosen, current):
                 changed.add(column)
                 escalated = True
         updated.set_column(column, chosen)
-        error_after = int(np.minimum(error_if_zero, error_if_one).sum())
         # The workers need the freshly updated column for the next
         # column-iteration; later column tasks reference these packed
         # deltas to rebuild the target state worker-side.
@@ -319,4 +382,4 @@ def update_factor(
         return updated, error_after
     runtime.metrics.counter("incremental_columns_swept_total").inc(evaluated)
     runtime.metrics.counter("incremental_columns_skipped_total").inc(skipped)
-    return updated, (error_after if evaluated else None), changed
+    return updated, error_after, changed

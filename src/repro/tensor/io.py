@@ -38,27 +38,61 @@ def save_tensor(tensor: SparseBoolTensor, path: str | os.PathLike) -> None:
             handle.write(" ".join(str(int(c)) for c in coordinate) + "\n")
 
 
-def load_tensor(path: str | os.PathLike) -> SparseBoolTensor:
-    """Read a tensor written by :func:`save_tensor`."""
-    with open(path, "r", encoding="ascii") as handle:
-        header = handle.readline().strip()
-        if not header.startswith(_HEADER_PREFIX):
+def _parse_ints(tokens: list[str], path, line_number: int) -> list[int]:
+    try:
+        return [int(token) for token in tokens]
+    except ValueError:
+        raise ValueError(
+            f"{path}:{line_number}: expected integers, got {' '.join(tokens)!r}"
+        ) from None
+
+
+def _read_header(handle, path, prefix: str, arity: "int | None") -> tuple[int, ...]:
+    """The dimensions on line 1: ``arity`` of them, or at least one if None."""
+    header = handle.readline().strip()
+    if not header.startswith(prefix):
+        raise ValueError(f"{path}:1: missing '{prefix}' header, got {header!r}")
+    dims = _parse_ints(header[len(prefix) :].split(), path, 1)
+    if not dims or (arity is not None and len(dims) != arity):
+        raise ValueError(
+            f"{path}:1: expected {arity or 'at least one'} dimension(s) "
+            f"after '{prefix}', got {header!r}"
+        )
+    if any(dim < 0 for dim in dims):
+        raise ValueError(f"{path}:1: negative dimension in {header!r}")
+    return tuple(dims)
+
+
+def _read_indices(handle, path, shape: tuple[int, ...]):
+    """Yield each data line's indices, checked against ``shape``."""
+    for line_number, line in enumerate(handle, start=2):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != len(shape):
             raise ValueError(
-                f"{path}: missing '{_HEADER_PREFIX}' header, got {header!r}"
+                f"{path}:{line_number}: expected {len(shape)} indices, "
+                f"got {len(parts)}"
             )
-        shape = tuple(int(token) for token in header[len(_HEADER_PREFIX) :].split())
-        coords = []
-        for line_number, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != len(shape):
-                raise ValueError(
-                    f"{path}:{line_number}: expected {len(shape)} indices, "
-                    f"got {len(parts)}"
-                )
-            coords.append([int(part) for part in parts])
+        indices = _parse_ints(parts, path, line_number)
+        if any(not 0 <= index < dim for index, dim in zip(indices, shape)):
+            raise ValueError(
+                f"{path}:{line_number}: indices {tuple(indices)} out of range "
+                f"for shape {shape}"
+            )
+        yield indices
+
+
+def load_tensor(path: str | os.PathLike) -> SparseBoolTensor:
+    """Read a tensor written by :func:`save_tensor`.
+
+    A malformed header, a non-integer token, or an index outside the
+    header's shape raises ``ValueError`` naming ``path:line``.
+    """
+    with open(path, "r", encoding="ascii") as handle:
+        shape = _read_header(handle, path, _HEADER_PREFIX, None)
+        coords = list(_read_indices(handle, path, shape))
     coord_array = np.asarray(coords, dtype=np.int64).reshape(-1, len(shape))
     return SparseBoolTensor(shape, coord_array)
 
@@ -73,27 +107,15 @@ def save_matrix(matrix: BitMatrix, path: str | os.PathLike) -> None:
 
 
 def load_matrix(path: str | os.PathLike) -> BitMatrix:
-    """Read a factor matrix written by :func:`save_matrix`."""
+    """Read a factor matrix written by :func:`save_matrix`.
+
+    Errors are reported as in :func:`load_tensor`.
+    """
     with open(path, "r", encoding="ascii") as handle:
-        header = handle.readline().strip()
-        if not header.startswith(_MATRIX_HEADER_PREFIX):
-            raise ValueError(
-                f"{path}: missing '{_MATRIX_HEADER_PREFIX}' header, got {header!r}"
-            )
-        n_rows, n_cols = (
-            int(token) for token in header[len(_MATRIX_HEADER_PREFIX) :].split()
-        )
-        dense = np.zeros((n_rows, n_cols), dtype=np.uint8)
-        for line_number, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{line_number}: expected 'row col', got {line!r}"
-                )
-            dense[int(parts[0]), int(parts[1])] = 1
+        shape = _read_header(handle, path, _MATRIX_HEADER_PREFIX, 2)
+        dense = np.zeros(shape, dtype=np.uint8)
+        for row, col in _read_indices(handle, path, shape):
+            dense[row, col] = 1
     return BitMatrix.from_dense(dense)
 
 

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import dbtf, planted_tensor, random_tensor
+from repro.bitops import BitMatrix
 from repro.core import DbtfConfig
+from repro.core.decompose import _initial_factors, _sampled_factors
 from repro.distengine import SimulatedRuntime, TransferKind
 from repro.tensor import SparseBoolTensor
 
@@ -195,3 +199,108 @@ class TestConfigValidation:
 
     def test_resolved_partitions_explicit(self):
         assert DbtfConfig(rank=2, n_partitions=5).resolved_partitions() == 5
+
+
+def _reference_sampled_factors(tensor, config, rng):
+    """The fiber-seeded initialization as a direct scan of ``coords``.
+
+    Kept as the definition ``_sampled_factors`` must reproduce bit for bit:
+    every fiber is a boolean mask over all nonzeros and coverage is three
+    ``np.isin`` passes, O(R * nnz) per call.
+    """
+    factors = tuple(BitMatrix.zeros(dim, config.rank) for dim in tensor.shape)
+    coords = tensor.coords
+    covered = np.zeros(tensor.nnz, dtype=bool)
+    for r in range(config.rank):
+        candidates = np.flatnonzero(~covered)
+        if candidates.size == 0:
+            candidates = np.arange(tensor.nnz)
+        pick = int(candidates[rng.integers(0, candidates.size)])
+        i, j, k = (int(v) for v in coords[pick])
+        fibers = (
+            coords[(coords[:, 1] == j) & (coords[:, 2] == k)][:, 0],
+            coords[(coords[:, 0] == i) & (coords[:, 2] == k)][:, 1],
+            coords[(coords[:, 0] == i) & (coords[:, 1] == j)][:, 2],
+        )
+        for factor, fiber in zip(factors, fibers):
+            for index in fiber:
+                factor.set(int(index), r, 1)
+        covered |= (
+            np.isin(coords[:, 0], fibers[0])
+            & np.isin(coords[:, 1], fibers[1])
+            & np.isin(coords[:, 2], fibers[2])
+        )
+    return factors
+
+
+@st.composite
+def _init_tensors(draw):
+    shape = tuple(draw(st.integers(1, 9)) for _ in range(3))
+    n_cells = shape[0] * shape[1] * shape[2]
+    kind = draw(st.sampled_from(["random", "tiny", "block", "line"]))
+    if kind == "tiny":
+        # At most three nonzeros.
+        flat = draw(st.sets(st.integers(0, n_cells - 1), min_size=1, max_size=3))
+        coords = np.stack(np.unravel_index(sorted(flat), shape), axis=1)
+        return SparseBoolTensor(shape, coords)
+    if kind == "block":
+        # One dense block: every nonzero shares the same three fibers, so
+        # the first component covers everything and later picks fall back
+        # to all nonzeros.
+        dense = np.zeros(shape, dtype=np.uint8)
+        dense[
+            : draw(st.integers(1, shape[0])),
+            : draw(st.integers(1, shape[1])),
+            : draw(st.integers(1, shape[2])),
+        ] = 1
+        return SparseBoolTensor.from_dense(dense)
+    if kind == "line":
+        # Nonzeros on a few axis-parallel lines: many repeated fibers.
+        dense = np.zeros(shape, dtype=np.uint8)
+        for _ in range(draw(st.integers(1, 4))):
+            j = draw(st.integers(0, shape[1] - 1))
+            k = draw(st.integers(0, shape[2] - 1))
+            dense[:, j, k] = 1
+        return SparseBoolTensor.from_dense(dense)
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.floats(0.02, 0.9))
+    dense = np.random.default_rng(seed).random(shape) < density
+    dense.flat[draw(st.integers(0, n_cells - 1))] = True
+    return SparseBoolTensor.from_dense(dense.astype(np.uint8))
+
+
+class TestSampledInitialization:
+    @given(
+        tensor=_init_tensors(),
+        rank=st.integers(1, 8),
+        n_sets=st.integers(1, 3),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_reference(self, tensor, rank, n_sets, seed):
+        # n_sets > 1 draws every candidate set from one generator, as
+        # dbtf_steps does for n_initial_sets.
+        config = DbtfConfig(rank=rank, n_initial_sets=n_sets)
+        rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        for _ in range(n_sets):
+            actual = _initial_factors(tensor, config, rng)
+            expected = _reference_sampled_factors(tensor, config, reference_rng)
+            assert actual == expected
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_all_covered_falls_back_to_every_nonzero(self):
+        # A dense 2x2x2 block is covered by its first component; the
+        # remaining picks must come from all eight nonzeros.
+        dense = np.zeros((4, 4, 4), dtype=np.uint8)
+        dense[:2, :2, :2] = 1
+        tensor = SparseBoolTensor.from_dense(dense)
+        config = DbtfConfig(rank=4)
+        actual = _sampled_factors(tensor, config, np.random.default_rng(5))
+        expected = _reference_sampled_factors(
+            tensor, config, np.random.default_rng(5)
+        )
+        assert actual == expected
+        for factor in actual:
+            for r in range(4):
+                np.testing.assert_array_equal(factor.column(r), [1, 1, 0, 0])

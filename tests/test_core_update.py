@@ -1,15 +1,20 @@
 """Unit tests for the distributed factor update (Algorithm 4)."""
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.bitops import BitMatrix
 from repro.core import DbtfConfig, prepare_partitioned_unfoldings, update_factor
-from repro.distengine import SimulatedRuntime
+from repro.core import update as update_module
+from repro.distengine import ClusterConfig, SimulatedRuntime
 from repro.tensor import (
     MODE_FACTOR_ROLES,
+    SparseBoolTensor,
     random_factors,
     reconstruct_dense,
     tensor_from_factors,
@@ -159,3 +164,153 @@ class TestUpdateFactorPartitionInvariance:
         updated, error = run(n_partitions)
         assert updated == baseline_factor
         assert error == baseline_error
+
+
+@contextmanager
+def _recorded_column_choices():
+    """Spy on the driver's per-column decision: one (chosen, error) each."""
+    original = update_module._choose_column
+    records = []
+
+    def spy(error_if_zero, error_if_one, current, error):
+        chosen, error_after = original(error_if_zero, error_if_one, current, error)
+        records.append((chosen.copy(), error_after))
+        return chosen, error_after
+
+    with mock.patch.object(update_module, "_choose_column", spy):
+        yield records
+
+
+def _row_errors(factors, dense, axis):
+    """Per-slice error along ``axis`` of the dense reconstruction."""
+    wrong = reconstruct_dense(factors) != dense
+    others = tuple(a for a in range(3) if a != axis)
+    return wrong.sum(axis=others)
+
+
+def _check_against_oracle(tensor, start, mode, records, dirty, rank):
+    """Replay the recorded columns against a dense brute-force recount.
+
+    Walks the columns in sweep order, applying the skip/escalate rule of
+    ``update_factor`` for the ``dirty`` path, and after each evaluated
+    column checks every row's bit against the argmin of the two candidates
+    (ties keep 0) and the carried error against a full recount.  Returns
+    the final state and whether the sweep escalated.
+    """
+    dense = tensor.to_dense()
+    target_index = MODE_FACTOR_ROLES[mode][0]
+    state = list(start)
+    remaining = list(records)
+    escalated = False
+    for column in range(rank):
+        if dirty is not None and not (escalated or column in dirty):
+            continue
+        chosen, error = remaining.pop(0)
+        errors = []
+        for value in (0, 1):
+            candidate = state[target_index].copy()
+            candidate.set_column(column, np.full(candidate.n_rows, value))
+            trial = list(state)
+            trial[target_index] = candidate
+            errors.append(_row_errors(tuple(trial), dense, target_index))
+        expected = (errors[1] < errors[0]).astype(np.uint8)
+        np.testing.assert_array_equal(chosen, expected)
+        if not np.array_equal(chosen, state[target_index].column(column)):
+            escalated = True
+        updated = state[target_index].copy()
+        updated.set_column(column, chosen)
+        state[target_index] = updated
+        assert error == brute_force_error(tuple(state), dense)
+    assert not remaining
+    return state, escalated
+
+
+def _noisy_problem(shape, rank, seed):
+    """A random low-rank tensor with cells flipped, plus a random start."""
+    rng = np.random.default_rng(seed)
+    dense = reconstruct_dense(random_factors(shape, rank, 0.4, rng))
+    dense = dense ^ (rng.random(shape) < 0.15)
+    tensor = SparseBoolTensor.from_dense(dense.astype(np.uint8))
+    start = random_factors(shape, rank, 0.4, rng)
+    return tensor, start
+
+
+_ORACLE_CASES = st.tuples(
+    st.tuples(st.integers(3, 7), st.integers(3, 7), st.integers(3, 7)),
+    st.integers(2, 6),
+    st.integers(2, 7),
+    st.integers(0, 2),
+    st.integers(0, 10_000),
+    st.data(),
+)
+
+
+class TestUpdateFactorPerColumnOracle:
+    """Every column's decision and carried error, at rank > 1 and V < R.
+
+    Only the first evaluated column of an update scans every block; later
+    columns scan their active blocks and carry the error forward, so each
+    intermediate error is checked, not just the last one.
+    """
+
+    def _run(self, backend, case, dirty_sets=None):
+        shape, rank, n_partitions, mode, seed, data = case
+        group_size = data.draw(st.integers(1, rank - 1), label="group_size")
+        tensor, start = _noisy_problem(shape, rank, seed)
+        dirty = None if dirty_sets is None else data.draw(
+            dirty_sets(rank), label="dirty"
+        )
+        runtime = SimulatedRuntime(
+            ClusterConfig(
+                backend=backend, n_workers=2 if backend == "process" else None
+            )
+        )
+        try:
+            rdds = prepare_partitioned_unfoldings(tensor, n_partitions, runtime)
+            config = DbtfConfig(
+                rank=rank, n_partitions=n_partitions, cache_group_size=group_size
+            )
+            target_index, outer_index, inner_index = MODE_FACTOR_ROLES[mode]
+            with _recorded_column_choices() as records:
+                result = update_factor(
+                    rdds[mode],
+                    start[target_index],
+                    start[outer_index],
+                    start[inner_index],
+                    config,
+                    runtime,
+                    **({} if dirty is None else {"dirty_columns": dirty}),
+                )
+        finally:
+            runtime.close()
+        state, escalated = _check_against_oracle(
+            tensor, start, mode, records, dirty, rank
+        )
+        assert result[0] == state[target_index]
+        assert result[1] == records[-1][1]
+        return escalated
+
+    @given(_ORACLE_CASES)
+    @settings(max_examples=40, deadline=None)
+    def test_batch_path_serial(self, case):
+        self._run("serial", case)
+
+    @given(_ORACLE_CASES)
+    @settings(max_examples=6, deadline=None)
+    def test_batch_path_process(self, case):
+        self._run("process", case)
+
+    @staticmethod
+    def _dirty_sets(rank):
+        # Column 0 clean, so the first evaluated column is a later one.
+        return st.sets(st.integers(1, rank - 1), min_size=1)
+
+    @given(_ORACLE_CASES)
+    @settings(max_examples=30, deadline=None)
+    def test_dirty_path_that_escalates_serial(self, case):
+        assume(self._run("serial", case, self._dirty_sets))
+
+    @given(_ORACLE_CASES)
+    @settings(max_examples=5, deadline=None)
+    def test_dirty_path_that_escalates_process(self, case):
+        assume(self._run("process", case, self._dirty_sets))

@@ -100,3 +100,55 @@ class TestCachedPartition:
             )
             assert err_zero.sum() == 0
             assert err_one.sum() == 0
+
+    def _both(self, cp, masks, outer, column, inner_columns):
+        args = (masks, outer.words, outer.column(column), inner_columns[column])
+        return (
+            cp.column_errors(*args),
+            cp.column_errors(*args, all_blocks=True),
+        )
+
+    @pytest.mark.parametrize(
+        "shape, n_partitions", [((6, 7, 9), 4), ((5, 6, 4), 3), ((3, 2, 2), 10)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_active_blocks_decide_like_all_blocks(self, shape, n_partitions, seed):
+        # Edge blocks ((6, 7, 9) / 4 and (5, 6, 4) / 3 split blocks at
+        # partition boundaries) and empty partitions ((3, 2, 2) / 10).
+        _, factors, cached = self._build(shape, 3, n_partitions, seed)
+        a_matrix, b_matrix, c_matrix = factors
+        inner_columns = b_matrix.transpose().words
+        for column in range(3):
+            masks = _masks_with_bit_cleared(a_matrix.words, column)
+            active_zero = np.zeros(shape[0], dtype=np.int64)
+            active_one = np.zeros(shape[0], dtype=np.int64)
+            full_zero = np.zeros(shape[0], dtype=np.int64)
+            full_one = np.zeros(shape[0], dtype=np.int64)
+            for cp in cached:
+                (a0, a1), (f0, f1) = self._both(
+                    cp, masks, c_matrix, column, inner_columns
+                )
+                np.testing.assert_array_equal(a1 - a0, f1 - f0)
+                active_zero += a0
+                active_one += a1
+                full_zero += f0
+                full_one += f1
+            np.testing.assert_array_equal(
+                active_one < active_zero, full_one < full_zero
+            )
+            # Active-only errors are the full errors minus what inactive
+            # blocks add, equally, to both candidates.
+            assert (active_zero <= full_zero).all()
+
+    def test_outer_column_without_active_blocks(self):
+        _, factors, cached = self._build((6, 7, 9), 3, 4, seed=3)
+        a_matrix, b_matrix, c_matrix = factors
+        outer = c_matrix.copy()
+        outer.set_column(1, np.zeros(outer.n_rows, dtype=np.uint8))
+        masks = _masks_with_bit_cleared(a_matrix.words, 1)
+        inner_columns = b_matrix.transpose().words
+        for cp in cached:
+            (a0, a1), (f0, f1) = self._both(cp, masks, outer, 1, inner_columns)
+            # Nothing is active: no block is scanned and no row can gain.
+            assert not a0.any() and not a1.any()
+            np.testing.assert_array_equal(f0, f1)
