@@ -5,11 +5,9 @@ summations (word-wise OR), reconstruction-error evaluation (XOR +
 popcount), cache-table construction (Lemma 2), and the Boolean matrix
 product.  Tracking them catches regressions in the library's foundation.
 
-Every kernel is benchmarked per registered implementation (the dispatch
-registry in :mod:`repro.bitops.dispatch` is the source of truth), and
-``main()`` additionally warms the autotune cache and times the *dispatched*
-``boolean_matmul`` under the auto tier — the entry the >=3x floor is
-asserted against.
+Each kernel is benchmarked against its loop-form reference in
+:mod:`repro.bitops.ops`, and ``main()`` asserts the public kernels' >=3x
+floors over those references.
 """
 
 import numpy as np
@@ -18,11 +16,12 @@ import pytest
 from repro.bitops import (
     BitMatrix,
     boolean_matmul,
-    dispatch,
     khatri_rao,
+    ops,
     or_accumulate_table,
     packing,
     pointwise_vector_matrix,
+    xor_popcount,
 )
 from repro.distengine import (
     estimate_bytes,
@@ -43,11 +42,9 @@ def test_popcount_rows(benchmark, packed_rows):
     assert total.shape == (512,)
 
 
-@pytest.mark.parametrize("impl", ["twopass", "fused", "bytelut"])
-def test_xor_popcount_error_kernel(benchmark, packed_rows, impl):
-    kernel = dispatch.kernel("xor_popcount").impls[impl].fn
+def test_xor_popcount_error_kernel(benchmark, packed_rows):
     other = np.roll(packed_rows, 1, axis=0)
-    result = benchmark(lambda: kernel(packed_rows, other))
+    result = benchmark(lambda: xor_popcount(packed_rows, other))
     assert result == int(packing.popcount_rows(packed_rows ^ other).sum())
 
 
@@ -70,37 +67,38 @@ def test_cache_gather(benchmark):
     assert gathered.shape == (512, 64, table.shape[1])
 
 
-@pytest.mark.parametrize("impl", ["rowloop", "batched", "bulk"])
-def test_boolean_matmul(benchmark, impl):
-    kernel = dispatch.kernel("boolean_matmul").impls[impl].fn
+@pytest.mark.parametrize("kernel", [ops._boolean_matmul_rowloop, boolean_matmul],
+                         ids=["rowloop", "public"])
+def test_boolean_matmul(benchmark, kernel):
     rng = np.random.default_rng(3)
     left = BitMatrix.random(256, 64, 0.2, rng)
     right = BitMatrix.random(64, 1024, 0.2, rng)
     product = benchmark(lambda: kernel(left, right))
     assert product.shape == (256, 1024)
-    assert product == boolean_matmul(left, right)
+    assert product == ops._boolean_matmul_rowloop(left, right)
 
 
-@pytest.mark.parametrize("impl", ["rowloop", "broadcast", "bulk"])
-def test_khatri_rao(benchmark, impl):
-    kernel = dispatch.kernel("khatri_rao").impls[impl].fn
+@pytest.mark.parametrize("kernel", [ops._khatri_rao_rowloop, khatri_rao],
+                         ids=["rowloop", "public"])
+def test_khatri_rao(benchmark, kernel):
     rng = np.random.default_rng(5)
     left = BitMatrix.random(64, 64, 0.3, rng)
     right = BitMatrix.random(64, 64, 0.3, rng)
     product = benchmark(lambda: kernel(left, right))
     assert product.shape == (64 * 64, 64)
-    assert product == khatri_rao(left, right)
+    assert product == ops._khatri_rao_rowloop(left, right)
 
 
-@pytest.mark.parametrize("impl", ["rowloop", "mask", "dense"])
-def test_pointwise_vector_matrix(benchmark, impl):
-    kernel = dispatch.kernel("pointwise_vector_matrix").impls[impl].fn
+@pytest.mark.parametrize("kernel", [ops._pointwise_rowloop,
+                                    pointwise_vector_matrix],
+                         ids=["rowloop", "public"])
+def test_pointwise_vector_matrix(benchmark, kernel):
     rng = np.random.default_rng(6)
     matrix = BitMatrix.random(4096, 64, 0.3, rng)
     vector = (rng.random(64) < 0.5).astype(np.uint8)
     product = benchmark(lambda: kernel(vector, matrix))
     assert product.shape == (4096, 64)
-    assert product == pointwise_vector_matrix(vector, matrix)
+    assert product == ops._pointwise_rowloop(vector, matrix)
 
 
 def test_slice_bits(benchmark, packed_rows):
@@ -156,15 +154,12 @@ def test_estimate_bytes_cached_hit(benchmark):
 
 
 def main(argv=None) -> int:
-    """Time every kernel implementation and write ``BENCH_kernels.json``.
+    """Time every kernel and its reference, and write ``BENCH_kernels.json``.
 
-    Also warms the autotune cache (``--autotune-cache``, default
-    ``.autotune/kernels.json`` at the repo root) over the registered
-    shape grids, then times the *dispatched* ``boolean_matmul`` under the
-    auto tier.  Floors asserted before emitting:
+    Floors asserted before emitting:
 
     * batched boolean_matmul >= 3x the row loop at (256, 64, 1024);
-    * autotuned (dispatched) boolean_matmul >= 3x the row loop there too;
+    * the public boolean_matmul >= 3x the row loop there too;
     * broadcast khatri_rao >= 3x its row loop at (64, 64, 64);
     * packed-mask pointwise product >= 3x its row loop at (4096, 64).
     """
@@ -173,27 +168,16 @@ def main(argv=None) -> int:
     import sys
 
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-    from _emit import REPO_ROOT, best_wall_time, emit, entry
+    from _emit import best_wall_time, emit, entry
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--smoke", action="store_true",
                         help="fewer repeats (CI-friendly)")
-    parser.add_argument("--autotune-cache", default=None, metavar="PATH",
-                        help="autotune cache file to warm and persist "
-                             "(default: .autotune/kernels.json at repo root)")
     args = parser.parse_args(argv)
     repeats = 2 if args.smoke else args.repeats
-    cache_path = args.autotune_cache or str(
-        REPO_ROOT / ".autotune" / "kernels.json"
-    )
 
     from repro.core.update import _masks_with_bit_cleared
-
-    matmul_impls = dispatch.kernel("boolean_matmul").impls
-    khatri_impls = dispatch.kernel("khatri_rao").impls
-    pointwise_impls = dispatch.kernel("pointwise_vector_matrix").impls
-    xor_impls = dispatch.kernel("xor_popcount").impls
 
     rng = np.random.default_rng(0)
     packed = packing.pack_bits((rng.random((512, 4096)) < 0.1).astype(np.uint8))
@@ -222,45 +206,31 @@ def main(argv=None) -> int:
     payload = _Payload()
     estimate_bytes_cached(payload)  # prime the memo before timing
 
-    # Warm the autotune cache over the registered grids, then time the
-    # dispatched matmul under the auto tier (cache hits only, no measuring
-    # inside the timed region).
-    dispatcher = dispatch.configure(tier="auto", cache_path=cache_path)
-    dispatcher.autotune(repeats=repeats)
-    auto_winner = dispatcher.choose("boolean_matmul", (256, 64, 1024))
-
     scenarios = [
         ("popcount_rows", {"rows": 512, "cols": 4096},
          lambda: packing.popcount_rows(packed)),
         ("xor_popcount_error", {"rows": 512, "cols": 4096},
          lambda: int(packing.popcount_rows(packed ^ rolled).sum())),
-        ("xor_popcount_fused", {"rows": 512, "cols": 4096},
-         lambda: xor_impls["fused"].fn(packed, rolled)),
-        ("xor_popcount_bytelut", {"rows": 512, "cols": 4096},
-         lambda: xor_impls["bytelut"].fn(packed, rolled)),
+        ("xor_popcount", {"rows": 512, "cols": 4096},
+         lambda: xor_popcount(packed, rolled)),
         ("cache_table_construction", {"group_size": 15},
          lambda: or_accumulate_table(group, 15)),
         ("cache_gather", {"keys": keys.size},
          lambda: table[keys]),
         ("boolean_matmul_rowloop", {"shape": [256, 64, 1024]},
-         lambda: matmul_impls["rowloop"].fn(left, right)),
+         lambda: ops._boolean_matmul_rowloop(left, right)),
         ("boolean_matmul_batched", {"shape": [256, 64, 1024]},
-         lambda: matmul_impls["batched"].fn(left, right)),
-        ("boolean_matmul_bulk", {"shape": [256, 64, 1024]},
-         lambda: matmul_impls["bulk"].fn(left, right)),
-        ("boolean_matmul_auto", {"shape": [256, 64, 1024],
-                                 "winner": auto_winner},
+         lambda: ops._boolean_matmul_batched(left, right)),
+        ("boolean_matmul", {"shape": [256, 64, 1024]},
          lambda: boolean_matmul(left, right)),
         ("khatri_rao_rowloop", {"shape": [64, 64, 64]},
-         lambda: khatri_impls["rowloop"].fn(kr_left, kr_right)),
+         lambda: ops._khatri_rao_rowloop(kr_left, kr_right)),
         ("khatri_rao_broadcast", {"shape": [64, 64, 64]},
-         lambda: khatri_impls["broadcast"].fn(kr_left, kr_right)),
-        ("khatri_rao_bulk", {"shape": [64, 64, 64]},
-         lambda: khatri_impls["bulk"].fn(kr_left, kr_right)),
+         lambda: khatri_rao(kr_left, kr_right)),
         ("pointwise_rowloop", {"rows": 4096, "cols": 64},
-         lambda: pointwise_impls["rowloop"].fn(pw_vector, pw_matrix)),
+         lambda: ops._pointwise_rowloop(pw_vector, pw_matrix)),
         ("pointwise_mask", {"rows": 4096, "cols": 64},
-         lambda: pointwise_impls["mask"].fn(pw_vector, pw_matrix)),
+         lambda: pointwise_vector_matrix(pw_vector, pw_matrix)),
         ("slice_bits", {"rows": 512, "start": 100, "stop": 3000},
          lambda: packing.slice_bits(packed, 100, 3000)),
         ("masks_bit_cleared", {"rows": 262144, "columns": 64},
@@ -279,14 +249,13 @@ def main(argv=None) -> int:
         entry(name, params, best_wall_time(fn, repeats)[0])
         for name, params, fn in scenarios
     ]
-    dispatch.configure(tier="fixed")
     by_name = {record["name"]: record["wall_s"] for record in entries}
 
     floors = [
         ("batched boolean_matmul", "boolean_matmul_rowloop",
          "boolean_matmul_batched"),
-        ("autotuned boolean_matmul", "boolean_matmul_rowloop",
-         "boolean_matmul_auto"),
+        ("public boolean_matmul", "boolean_matmul_rowloop",
+         "boolean_matmul"),
         ("broadcast khatri_rao", "khatri_rao_rowloop", "khatri_rao_broadcast"),
         ("packed-mask pointwise", "pointwise_rowloop", "pointwise_mask"),
     ]
@@ -305,8 +274,6 @@ def main(argv=None) -> int:
     ]:
         print(f"{label} speedup: {by_name[slow] / by_name[fast]:.2f}x "
               f"({slow} -> {fast})")
-    print(f"autotune cache: {cache_path} "
-          f"(winner at (256,64,1024): {auto_winner})")
     emit("BENCH_kernels.json", entries)
     return 0
 

@@ -2,19 +2,11 @@
 
 Public kernels (:func:`boolean_matmul`, :func:`khatri_rao`,
 :func:`pointwise_vector_matrix`, :func:`xor_popcount`,
-:func:`xor_popcount_rows`) route through the kernel-dispatch tier in
-:mod:`repro.bitops.dispatch`, which picks a registered implementation per
-call shape (heuristic, autotuned, or forced — see ``configure_kernels``).
+:func:`xor_popcount_rows`) each run one implementation (see
+:mod:`repro.bitops.ops`).
 """
 
-from ._numba import HAS_NUMBA
 from .bitmatrix import BitMatrix
-from .dispatch import (
-    KernelDispatcher,
-    configure as configure_kernels,
-    get_dispatcher,
-    reset_dispatcher,
-)
 from .ops import (
     boolean_matmul,
     khatri_rao,
@@ -39,17 +31,12 @@ from .packing import (
 __all__ = [
     "BitMatrix",
     "WORD_BITS",
-    "HAS_NUMBA",
-    "KernelDispatcher",
     "boolean_matmul",
     "khatri_rao",
     "or_accumulate_table",
     "pointwise_vector_matrix",
     "xor_popcount",
     "xor_popcount_rows",
-    "configure_kernels",
-    "get_dispatcher",
-    "reset_dispatcher",
     "pack_bits",
     "unpack_bits",
     "packed_zeros",

@@ -22,8 +22,10 @@ class BitMatrix:
     """An ``n_rows`` x ``n_cols`` Boolean matrix packed row-wise into uint64.
 
     The packed buffer is exposed as ``.words`` (shape ``(n_rows, n_words)``)
-    for vectorized kernels; all mutating helpers keep padding bits beyond
-    ``n_cols`` cleared, which the equality/popcount operations rely on.
+    for vectorized kernels.  Padding bits beyond ``n_cols`` are always
+    clear — the constructor rejects words that set them and all mutating
+    helpers keep them cleared — which the equality/popcount operations and
+    the batched matmul's table gather rely on.
     """
 
     __slots__ = ("n_rows", "n_cols", "words")
@@ -42,6 +44,12 @@ class BitMatrix:
                 raise ValueError(
                     f"words shape {words.shape} does not match "
                     f"({n_rows}, {n_words}) for a {n_rows}x{n_cols} matrix"
+                )
+            tail = n_cols % packing.WORD_BITS
+            if tail and np.any(words[:, -1] >> np.uint64(tail)):
+                raise ValueError(
+                    f"words set padding bits beyond column {n_cols} "
+                    f"of a {n_rows}x{n_cols} matrix"
                 )
         self.words = words
 

@@ -22,10 +22,6 @@ __all__ = [
     "unpack_bits",
     "popcount",
     "popcount_rows",
-    "xor_popcount",
-    "xor_popcount_rows",
-    "xor_popcount_bytelut",
-    "xor_popcount_rows_bytelut",
     "slice_bits",
     "mask_from_indices",
     "indices_from_mask",
@@ -83,55 +79,6 @@ def popcount(packed: np.ndarray) -> int:
 def popcount_rows(packed: np.ndarray) -> np.ndarray:
     """Per-row popcount: sums set bits over the trailing (word) axis."""
     return np.bitwise_count(packed).sum(axis=-1, dtype=np.int64)
-
-
-def xor_popcount_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row ``popcount(a ^ b)`` with one temporary instead of two.
-
-    The error kernel's inner loop is XOR-then-popcount; counting bits in
-    place into the XOR buffer halves the allocation traffic versus
-    ``popcount_rows(a ^ b)`` while returning the identical int64 sums.
-    """
-    xored = np.bitwise_xor(a, b)
-    return np.bitwise_count(xored, out=xored).sum(axis=-1, dtype=np.int64)
-
-
-def xor_popcount(a: np.ndarray, b: np.ndarray) -> int:
-    """Total ``popcount(a ^ b)`` — the Hamming distance of packed arrays."""
-    xored = np.bitwise_xor(a, b)
-    return int(np.bitwise_count(xored, out=xored).sum(dtype=np.int64))
-
-
-#: Set-bit count of every byte value; popcount of a word is the sum of its
-#: bytes' popcounts regardless of endianness.
-_BYTE_POPCOUNT = (
-    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-    .sum(axis=1)
-    .astype(np.int64)
-)
-
-
-def xor_popcount_rows_bytelut(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row ``popcount(a ^ b)`` via a 256-entry byte lookup table.
-
-    An alternative registered implementation for the dispatch tier: views
-    the XOR as bytes and gathers per-byte counts, which on some hosts
-    beats the ``bitwise_count`` path for wide rows.  Bit-identical to
-    :func:`xor_popcount_rows`.
-    """
-    xored = np.ascontiguousarray(np.bitwise_xor(a, b))
-    counts = _BYTE_POPCOUNT[xored.view(np.uint8)]
-    return counts.sum(axis=-1, dtype=np.int64)
-
-
-def xor_popcount_bytelut(a: np.ndarray, b: np.ndarray) -> int:
-    """Total ``popcount(a ^ b)`` via the byte lookup table.
-
-    Bit-identical to :func:`xor_popcount`; registered as an alternative
-    implementation for the dispatch tier.
-    """
-    xored = np.ascontiguousarray(np.bitwise_xor(a, b))
-    return int(_BYTE_POPCOUNT[xored.view(np.uint8)].sum(dtype=np.int64))
 
 
 def slice_bits(packed: np.ndarray, start: int, stop: int) -> np.ndarray:

@@ -91,14 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     factorize.add_argument("--workers", type=int, default=None,
                            help="worker-pool size for --backend thread/process "
                                 "(default: all cores)")
-    factorize.add_argument("--kernel-tier", default=None, metavar="TIER",
-                           help="kernel-dispatch tier: fixed (heuristics, "
-                                "the default), auto (autotune + cache), "
-                                "reference, or a registered implementation "
-                                "name to force it")
-    factorize.add_argument("--autotune-cache", default=None, metavar="PATH",
-                           help="autotune cache file (or directory) for "
-                                "--kernel-tier auto and threshold overrides")
     factorize.add_argument("--seed", type=int, default=0)
     factorize.add_argument("--factors-out", default=None,
                            help="directory for A.mtx/B.mtx/C.mtx")
@@ -216,11 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "partition caches, e.g. 64M; spill files "
                                  "live under each job's checkpoint root and "
                                  "are removed when the job finishes")
-    jobs_serve.add_argument("--kernel-tier", default=None, metavar="TIER",
-                            help="kernel-dispatch tier for every served job "
-                                 "(fixed/auto/reference/<impl>)")
-    jobs_serve.add_argument("--autotune-cache", default=None, metavar="PATH",
-                            help="autotune cache file for --kernel-tier auto")
 
     experiment = subparsers.add_parser(
         "experiment", help="regenerate a paper table or figure"
@@ -278,9 +265,6 @@ def _command_info(args: argparse.Namespace) -> int:
 def _command_factorize(args: argparse.Namespace) -> int:
     from .tensor import load_tensor, save_factors
 
-    code = _configure_kernel_dispatch(args)
-    if code:
-        return code
     observing = args.trace is not None or args.metrics
     if observing and args.method not in ("dbtf", "nway-cp"):
         print(
@@ -574,27 +558,10 @@ def _jobs_result(store, args: argparse.Namespace) -> int:
     return 0
 
 
-def _configure_kernel_dispatch(args: argparse.Namespace) -> int:
-    """Apply --kernel-tier/--autotune-cache process-wide; 0 on success."""
-    if args.kernel_tier is None and args.autotune_cache is None:
-        return 0
-    from .bitops import configure_kernels
-
-    try:
-        configure_kernels(tier=args.kernel_tier, cache_path=args.autotune_cache)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    return 0
-
-
 def _jobs_serve(store, args: argparse.Namespace) -> int:
     from .distengine import DEFAULT_CLUSTER
     from .service import FactorizationService, JobState, ServiceConfig, TenantQuota
 
-    code = _configure_kernel_dispatch(args)
-    if code:
-        return code
     quotas = {}
     for override in args.weight:
         tenant, _, weight = override.partition("=")

@@ -63,19 +63,6 @@ class ClusterConfig:
         speculative duplicates into the simulated makespan and reports
         them as counters/events.  ``None`` (the default) disables
         speculation entirely.
-    kernel_tier:
-        Kernel-dispatch tier applied process-wide when the runtime is
-        built (see :mod:`repro.bitops.dispatch`): ``"fixed"`` (heuristics
-        with configurable thresholds, the default behavior), ``"auto"``
-        (autotuned per shape-class with a persistent cache),
-        ``"reference"`` (always the loop-form reference), or a registered
-        implementation name to force it.  ``None`` (the default) leaves
-        the process configuration — environment variables or an earlier
-        ``configure_kernels`` call — untouched.
-    autotune_cache:
-        Path of the autotune cache file (or directory) used by the
-        ``"auto"`` tier and for threshold overrides.  ``None`` keeps the
-        current process configuration.
     memory_budget:
         Byte ceiling for driver-resident partition caches.  When set, the
         runtime routes plan caches through the out-of-core storage tier
@@ -104,8 +91,6 @@ class ClusterConfig:
     n_workers: int | None = None
     tracing: bool = False
     speculation: SpeculationConfig | None = None
-    kernel_tier: str | None = None
-    autotune_cache: str | None = None
     memory_budget: int | None = None
     spill_dir: str | None = None
 
@@ -130,8 +115,6 @@ class ClusterConfig:
             )
         if self.n_workers is not None and self.n_workers <= 0:
             raise ValueError(f"n_workers must be positive, got {self.n_workers}")
-        if self.kernel_tier is not None and not self.kernel_tier:
-            raise ValueError("kernel_tier must be a non-empty string or None")
         if self.memory_budget is not None and self.memory_budget <= 0:
             raise ValueError(
                 f"memory_budget must be positive, got {self.memory_budget}"
@@ -167,14 +150,6 @@ class ClusterConfig:
     ) -> "ClusterConfig":
         """The same cluster with the out-of-core storage tier configured."""
         return replace(self, memory_budget=memory_budget, spill_dir=spill_dir)
-
-    def with_kernel_tier(
-        self, kernel_tier: str | None, autotune_cache: str | None = None
-    ) -> "ClusterConfig":
-        """The same cluster with a kernel-dispatch tier (and cache) set."""
-        return replace(
-            self, kernel_tier=kernel_tier, autotune_cache=autotune_cache
-        )
 
 
 DEFAULT_CLUSTER = ClusterConfig()

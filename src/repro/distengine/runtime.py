@@ -145,15 +145,6 @@ class SimulatedRuntime:
         self.tracer = tracer if tracer is not None else (
             Tracer() if config.tracing else None
         )
-        # Kernel-dispatch configuration must land before the backend is
-        # built: process pools inherit the dispatcher via fork state or the
-        # environment variables that configure() exports.
-        if config.kernel_tier is not None or config.autotune_cache is not None:
-            from ..bitops import dispatch as kernel_dispatch
-
-            kernel_dispatch.configure(
-                tier=config.kernel_tier, cache_path=config.autotune_cache
-            )
         # `backend` overrides the cluster config's choice — handy for tests
         # that inject a pre-built (or instrumented) executor.
         self.backend = make_backend(

@@ -15,10 +15,9 @@ SimulatedRuntime`:
   :func:`~repro.observability.trace.record_metric` and merged after the
   stage): ``cache_tables_built_total``, ``cache_entries_total``,
   ``cache_fetches_total``, ``bitmatrix_ops_total{op}``;
-* the kernel-dispatch tier (:mod:`repro.bitops.dispatch`):
-  ``kernel_dispatch_total{kernel, impl, tier}`` — one increment per
-  dispatched kernel call inside a traced task, labelling which registered
-  implementation won.
+* the packed-Boolean kernels (:mod:`repro.bitops.ops`):
+  ``kernel_dispatch_total{kernel, impl}`` — one increment per kernel call
+  inside a traced task, labelling the implementation that ran.
 
 Counters and gauges are exact and order-independent, so their merged
 values are identical under the serial, thread, and process backends.

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..bitops import BitMatrix, boolean_matmul, packing
+from ..bitops import BitMatrix, packing
 from ..bitops.ops import xor_popcount_rows
 from ..core.cache import RowSummationCache
 from ..observability.trace import kernel_span

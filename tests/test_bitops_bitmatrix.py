@@ -47,6 +47,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BitMatrix(2, 64, np.zeros((2, 2), dtype=np.uint64))
 
+    def test_set_padding_bits_rejected(self):
+        with pytest.raises(ValueError, match="1x3"):
+            BitMatrix(1, 3, [[0b100101]])
+
+    def test_padding_tail_in_last_word_of_multi_word_row_rejected(self):
+        words = BitMatrix.from_dense(random_dense(3, 70, seed=4)).words.copy()
+        # Column 70 is bit 6 of word 1: padding for a 70-column matrix.
+        words[2, 1] |= np.uint64(1 << 6)
+        with pytest.raises(ValueError, match="beyond column 70 of a 3x70"):
+            BitMatrix(3, 70, words)
+
+    def test_full_last_word_and_clear_padding_accepted(self):
+        full = np.full((2, 2), np.iinfo(np.uint64).max, dtype=np.uint64)
+        assert BitMatrix(2, 128, full).count_nonzeros() == 256
+        dense = random_dense(2, 70, seed=5)
+        assert BitMatrix(2, 70, BitMatrix.from_dense(dense).words) == (
+            BitMatrix.from_dense(dense)
+        )
+
     def test_copy_is_independent(self):
         matrix = BitMatrix.from_dense(random_dense(3, 10, seed=2))
         clone = matrix.copy()

@@ -1,46 +1,55 @@
-"""Differential correctness harness for the kernel-dispatch registry.
+"""Differential correctness harness for the packed-Boolean kernels.
 
-Every registered implementation of every kernel must produce bit-identical
-packed words on the same inputs — this is the contract that lets the
-dispatch tier (heuristic, autotuned, or forced) change *speed* without
-ever changing *results*.  Shapes cover the degenerate cases dispatch has
-to survive: 0-row/0-column operands, the exact batched-path threshold,
-and >64-column multi-word rows.
+Each public kernel runs one vectorized implementation.  This file pins it
+bit-identical to its loop-form reference — for the ``xor_popcount``
+family, to a dense ``unpackbits`` oracle — on the shapes packed-bit
+kernels get wrong: 0-row/0-column operands, multi-word rows, ``(1, W)``
+operands broadcast against ``(N, W)``, and the small row counts the
+batched matmul now handles.  It also holds the kernels' observability
+contract across backends, and checks end to end that swapping the error
+kernel for the oracle leaves DBTF's factors and errors unchanged.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitops import BitMatrix, HAS_NUMBA
-from repro.bitops import dispatch
-from repro.bitops.ops import _BATCH_MIN_ROWS
+from repro.bitops import (
+    BitMatrix,
+    boolean_matmul,
+    khatri_rao,
+    ops,
+    pointwise_vector_matrix,
+    xor_popcount,
+    xor_popcount_rows,
+)
+from repro.distengine import ClusterConfig, SimulatedRuntime
 
 #: Dimensions that historically break packed-bit kernels: empty, single,
-#: word-boundary straddlers (63/64/65), the batched-matmul threshold, and
-#: multi-word widths.
-EDGE_DIMS = [0, 1, 7, 8, 31, _BATCH_MIN_ROWS - 1, _BATCH_MIN_ROWS,
-             _BATCH_MIN_ROWS + 1, 63, 64, 65, 129]
+#: byte and word-boundary straddlers (7/8, 63/64/65), and multi-word widths.
+EDGE_DIMS = [0, 1, 7, 8, 31, 32, 33, 63, 64, 65, 129]
 
 dims = st.sampled_from(EDGE_DIMS) | st.integers(min_value=0, max_value=140)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def _impl_items(kernel_name):
-    entry = dispatch.kernel(kernel_name)
-    return sorted(entry.impls.items())
+def _oracle_xor_popcount_rows(a, b):
+    """Per-row ``popcount(a ^ b)`` by unpacking every bit densely."""
+    a, b = np.broadcast_arrays(
+        np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
+    )
+    xored = np.ascontiguousarray(a ^ b)
+    bits = np.unpackbits(xored.view(np.uint8), axis=-1)
+    return bits.sum(axis=-1, dtype=np.int64)
 
 
-def _assert_all_equal(kernel_name, reference, outputs):
-    for name, out in outputs:
-        assert out == reference, (
-            f"{kernel_name} impl {name!r} diverged from the reference "
-            f"on shape {reference.shape}"
-        )
-        assert out.words.dtype == np.uint64
+def _random_words(rng, shape):
+    return rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
 
 
 class TestBooleanMatmulDifferential:
@@ -50,28 +59,41 @@ class TestBooleanMatmulDifferential:
         rng = np.random.default_rng(seed)
         left = BitMatrix.random(m, k, 0.3, rng)
         right = BitMatrix.random(k, n, 0.3, rng)
-        entry = dispatch.kernel("boolean_matmul")
-        reference = entry.reference.fn(left, right)
-        outputs = [
-            (name, spec.fn(left, right))
-            for name, spec in _impl_items("boolean_matmul")
-            if spec.eligible()
-        ]
-        _assert_all_equal("boolean_matmul", reference, outputs)
+        reference = ops._boolean_matmul_rowloop(left, right)
+        assert ops._boolean_matmul_batched(left, right) == reference
+        product = boolean_matmul(left, right)
+        assert product == reference
+        assert product.words.dtype == np.uint64
 
-    @pytest.mark.parametrize(
-        "m", [_BATCH_MIN_ROWS - 1, _BATCH_MIN_ROWS, _BATCH_MIN_ROWS + 1]
-    )
-    def test_at_threshold_rows(self, m):
-        """The exact dispatch boundary gets explicit (non-random) coverage."""
+    @pytest.mark.parametrize("m", [1, 2, 8, 31, 32, 33])
+    def test_small_row_counts(self, m):
+        """Short left operands run the batched gather too."""
         rng = np.random.default_rng(7)
         left = BitMatrix.random(m, 70, 0.4, rng)
         right = BitMatrix.random(70, 130, 0.4, rng)
-        entry = dispatch.kernel("boolean_matmul")
-        reference = entry.reference.fn(left, right)
-        for name, spec in _impl_items("boolean_matmul"):
-            if spec.eligible():
-                assert spec.fn(left, right) == reference, name
+        assert boolean_matmul(left, right) == ops._boolean_matmul_rowloop(
+            left, right
+        )
+
+    def test_big_endian_runs_rowloop(self, monkeypatch):
+        """On a big-endian host the public kernel runs the row loop.
+
+        The batched gather's byte view only lines up with bit positions on
+        little-endian hosts.  Compute the batched result first, then report
+        a big-endian byteorder: the batched path must not run, and the
+        row-loop output must equal the batched one.
+        """
+        rng = np.random.default_rng(11)
+        left = BitMatrix.random(40, 70, 0.4, rng)
+        right = BitMatrix.random(70, 90, 0.4, rng)
+        batched_expected = boolean_matmul(left, right)
+
+        def _refuse(*args):  # pragma: no cover - must not run
+            raise AssertionError("batched matmul ran on a big-endian host")
+
+        monkeypatch.setattr(sys, "byteorder", "big")
+        monkeypatch.setattr(ops, "_boolean_matmul_batched", _refuse)
+        assert boolean_matmul(left, right) == batched_expected
 
 
 class TestKhatriRaoDifferential:
@@ -86,14 +108,9 @@ class TestKhatriRaoDifferential:
         rng = np.random.default_rng(seed)
         left = BitMatrix.random(p, r, 0.4, rng)
         right = BitMatrix.random(q, r, 0.4, rng)
-        entry = dispatch.kernel("khatri_rao")
-        reference = entry.reference.fn(left, right)
-        outputs = [
-            (name, spec.fn(left, right))
-            for name, spec in _impl_items("khatri_rao")
-            if spec.eligible()
-        ]
-        _assert_all_equal("khatri_rao", reference, outputs)
+        product = khatri_rao(left, right)
+        assert product == ops._khatri_rao_rowloop(left, right)
+        assert product.words.dtype == np.uint64
 
 
 class TestPointwiseDifferential:
@@ -103,14 +120,9 @@ class TestPointwiseDifferential:
         rng = np.random.default_rng(seed)
         matrix = BitMatrix.random(rows, cols, 0.4, rng)
         vector = (rng.random(cols) < 0.5).astype(np.uint8)
-        entry = dispatch.kernel("pointwise_vector_matrix")
-        reference = entry.reference.fn(vector, matrix)
-        outputs = [
-            (name, spec.fn(vector, matrix))
-            for name, spec in _impl_items("pointwise_vector_matrix")
-            if spec.eligible()
-        ]
-        _assert_all_equal("pointwise_vector_matrix", reference, outputs)
+        product = pointwise_vector_matrix(vector, matrix)
+        assert product == ops._pointwise_rowloop(vector, matrix)
+        assert product.words.dtype == np.uint64
 
 
 class TestXorPopcountDifferential:
@@ -118,135 +130,134 @@ class TestXorPopcountDifferential:
     @given(rows=dims, words=st.sampled_from([0, 1, 2, 3, 9]), seed=seeds)
     def test_rows_impls_identical(self, rows, words, seed):
         rng = np.random.default_rng(seed)
-        a = rng.integers(0, 1 << 64, size=(rows, words), dtype=np.uint64)
-        b = rng.integers(0, 1 << 64, size=(rows, words), dtype=np.uint64)
-        entry = dispatch.kernel("xor_popcount_rows")
-        reference = entry.reference.fn(a, b)
-        for name, spec in _impl_items("xor_popcount_rows"):
-            if spec.eligible():
-                out = np.asarray(spec.fn(a, b))
-                assert out.shape == reference.shape, name
-                assert np.array_equal(out, reference), name
+        a = _random_words(rng, (rows, words))
+        b = _random_words(rng, (rows, words))
+        out = xor_popcount_rows(a, b)
+        expected = _oracle_xor_popcount_rows(a, b)
+        assert out.shape == expected.shape == (rows,)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, expected)
 
     @settings(max_examples=40, deadline=None)
     @given(rows=dims, words=st.sampled_from([0, 1, 2, 3, 9]), seed=seeds)
     def test_total_impls_identical(self, rows, words, seed):
         rng = np.random.default_rng(seed)
-        a = rng.integers(0, 1 << 64, size=(rows, words), dtype=np.uint64)
-        b = rng.integers(0, 1 << 64, size=(rows, words), dtype=np.uint64)
-        entry = dispatch.kernel("xor_popcount")
-        reference = entry.reference.fn(a, b)
-        for name, spec in _impl_items("xor_popcount"):
-            if spec.eligible():
-                assert int(spec.fn(a, b)) == reference, name
+        a = _random_words(rng, (rows, words))
+        b = _random_words(rng, (rows, words))
+        total = xor_popcount(a, b)
+        assert type(total) is int
+        assert total == int(_oracle_xor_popcount_rows(a, b).sum())
 
     def test_three_dimensional_operands(self):
         """The CP hot path calls the rows kernel on (rows, blocks, words)."""
         rng = np.random.default_rng(3)
-        a = rng.integers(0, 1 << 64, size=(11, 4, 3), dtype=np.uint64)
-        b = rng.integers(0, 1 << 64, size=(11, 4, 3), dtype=np.uint64)
-        entry = dispatch.kernel("xor_popcount_rows")
-        reference = entry.reference.fn(a, b)
-        assert reference.shape == (11, 4)
-        for name, spec in _impl_items("xor_popcount_rows"):
-            if spec.eligible():
-                assert np.array_equal(np.asarray(spec.fn(a, b)), reference), name
+        a = _random_words(rng, (11, 4, 3))
+        b = _random_words(rng, (11, 4, 3))
+        out = xor_popcount_rows(a, b)
+        assert out.shape == (11, 4)
+        assert np.array_equal(out, _oracle_xor_popcount_rows(a, b))
 
     def test_broadcast_operands(self):
         """Broadcasting (1, W) against (N, W) must match materialized inputs."""
         rng = np.random.default_rng(4)
-        a = rng.integers(0, 1 << 64, size=(1, 5), dtype=np.uint64)
-        b = rng.integers(0, 1 << 64, size=(24, 5), dtype=np.uint64)
-        entry = dispatch.kernel("xor_popcount_rows")
-        reference = entry.reference.fn(np.broadcast_to(a, b.shape), b)
-        for name, spec in _impl_items("xor_popcount_rows"):
-            if spec.eligible():
-                assert np.array_equal(np.asarray(spec.fn(a, b)), reference), name
+        a = _random_words(rng, (1, 5))
+        b = _random_words(rng, (24, 5))
+        expected = _oracle_xor_popcount_rows(np.broadcast_to(a, b.shape), b)
+        assert np.array_equal(xor_popcount_rows(a, b), expected)
+        assert np.array_equal(xor_popcount_rows(b, a), expected)
+        assert xor_popcount(a, b) == int(expected.sum())
 
 
-class TestRegistryCompleteness:
-    """The registry itself is part of the contract the harness verifies."""
-
-    EXPECTED = {
-        "boolean_matmul": {"rowloop", "batched", "bulk"},
-        "khatri_rao": {"rowloop", "broadcast", "bulk"},
-        "pointwise_vector_matrix": {"rowloop", "mask", "dense"},
-        "xor_popcount": {"twopass", "fused", "bytelut"},
-        "xor_popcount_rows": {"twopass", "fused", "bytelut"},
-    }
-
-    def test_every_kernel_registered_with_expected_impls(self):
-        assert set(self.EXPECTED) <= set(dispatch.kernel_names())
-        for kernel_name, expected in self.EXPECTED.items():
-            registered = set(dispatch.kernel(kernel_name).impls)
-            assert expected <= registered, kernel_name
-
-    def test_every_kernel_has_a_reference_impl(self):
-        for kernel_name in self.EXPECTED:
-            entry = dispatch.kernel(kernel_name)
-            assert entry.reference_name is not None
-            assert entry.reference.reference
-
-    def test_batched_matmul_declares_endianness_requirement(self):
-        spec = dispatch.kernel("boolean_matmul").impls["batched"]
-        assert spec.needs_little_endian
-
-    def test_little_endian_guard_forces_rowloop(self, monkeypatch):
-        """The previously untested byteorder guard, now via the registry.
-
-        Compute the batched result first (on this little-endian host), then
-        monkeypatch the reported byteorder: the batched impl must become
-        ineligible, the fixed-tier heuristic must fall back to the row
-        loop, and the row-loop output must equal the batched one.
-        """
-        import sys as real_sys
-
-        from repro.bitops import boolean_matmul
-        from repro.bitops import dispatch as dispatch_module
-
-        rng = np.random.default_rng(11)
-        left = BitMatrix.random(_BATCH_MIN_ROWS + 8, 70, 0.4, rng)
-        right = BitMatrix.random(70, 90, 0.4, rng)
-        entry = dispatch.kernel("boolean_matmul")
-        batched_expected = entry.impls["batched"].fn(left, right)
-
-        monkeypatch.setattr(real_sys, "byteorder", "big")
-        assert not entry.impls["batched"].eligible()
-        dispatcher = dispatch_module.KernelDispatcher(tier="fixed")
-        shape = (left.n_rows, left.n_cols, right.n_cols)
-        assert dispatcher.choose("boolean_matmul", shape) == "rowloop"
-        # Forcing the batched tier must also refuse the ineligible impl.
-        forced = dispatch_module.KernelDispatcher(tier="batched")
-        assert forced.choose("boolean_matmul", shape) == "rowloop"
-        # And the public wrapper's output is unchanged.
-        assert boolean_matmul(left, right) == batched_expected
+# ----------------------------------------------------------------------
+# Observability: impl= span labels and kernel_dispatch_total
+# ----------------------------------------------------------------------
+BACKENDS = ["serial", "thread", "process"]
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-class TestNumbaBackend:
-    """Exercised only where Numba exists (skipped in the default CI image)."""
+def _kernel_probe_task(index, items):
+    """Module-level (picklable) task: one matmul + one xor per partition."""
+    seed = items[0]
+    rng = np.random.default_rng(seed)
+    left = BitMatrix.random(12, 12, 0.4, rng)
+    right = BitMatrix.random(12, 9, 0.4, rng)
+    product = boolean_matmul(left, right)
+    totals = xor_popcount_rows(left.words, left.words)
+    return [int(product.words.sum() % 1000003) + int(totals.sum())]
 
-    def test_numba_impls_registered(self):
-        assert "numba" in dispatch.kernel("boolean_matmul").impls
-        assert "numba" in dispatch.kernel("xor_popcount").impls
-        assert "numba" in dispatch.kernel("xor_popcount_rows").impls
 
-    def test_numba_matmul_matches_reference(self):
-        rng = np.random.default_rng(5)
-        left = BitMatrix.random(40, 70, 0.3, rng)
-        right = BitMatrix.random(70, 130, 0.3, rng)
-        entry = dispatch.kernel("boolean_matmul")
-        assert entry.impls["numba"].fn(left, right) == entry.reference.fn(
-            left, right
-        )
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestKernelObservability:
+    def test_impl_label_and_counter(self, backend):
+        config = ClusterConfig(n_machines=2, backend=backend, tracing=True)
+        with SimulatedRuntime(config) as runtime:
+            results = runtime.run_stage(
+                "kernelProbe", _kernel_probe_task, [(0, [0]), (1, [1])]
+            )
+        assert len(results) == 2
 
-    def test_numba_xor_matches_reference(self):
-        rng = np.random.default_rng(6)
-        a = rng.integers(0, 1 << 64, size=(33, 4), dtype=np.uint64)
-        b = rng.integers(0, 1 << 64, size=(33, 4), dtype=np.uint64)
-        rows = dispatch.kernel("xor_popcount_rows")
-        total = dispatch.kernel("xor_popcount")
-        assert np.array_equal(
-            np.asarray(rows.impls["numba"].fn(a, b)), rows.reference.fn(a, b)
-        )
-        assert int(total.impls["numba"].fn(a, b)) == total.reference.fn(a, b)
+        matmul_spans = [
+            span for span in runtime.tracer.spans
+            if span.name == "boolean_matmul"
+        ]
+        assert len(matmul_spans) == 2
+        for span in matmul_spans:
+            assert span.attrs["impl"] == "batched"
+            assert span.attrs["m"] == 12
+
+        assert runtime.metrics.value(
+            "kernel_dispatch_total", kernel="boolean_matmul", impl="batched",
+        ) == 2.0
+        assert runtime.metrics.value(
+            "kernel_dispatch_total", kernel="xor_popcount_rows", impl="twopass",
+        ) == 2.0
+
+    def test_counter_totals_repeatable(self, backend):
+        def run():
+            config = ClusterConfig(n_machines=2, backend=backend, tracing=True)
+            with SimulatedRuntime(config) as runtime:
+                runtime.run_stage(
+                    "kernelProbe", _kernel_probe_task,
+                    [(i, [i]) for i in range(4)],
+                )
+            return runtime.metrics.value(
+                "kernel_dispatch_total", kernel="boolean_matmul", impl="batched",
+            )
+
+        assert run() == run() == 4.0
+
+
+# ----------------------------------------------------------------------
+# End to end: the error kernel's implementation never changes results
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_dbtf_identical_with_oracle_error_kernel(backend, monkeypatch):
+    """DBTF with the dense oracle as its error kernel gives the same solve.
+
+    The process backend forks its workers at the first stage, after the
+    patch, so the workers run the oracle too.
+    """
+    from repro.core import dbtf, update
+    from repro.tensor import planted_tensor
+
+    tensor, _ = planted_tensor(
+        (16, 16, 16), rank=3, factor_density=0.3,
+        rng=np.random.default_rng(5),
+    )
+    cluster = ClusterConfig(backend=backend)
+    baseline = dbtf(tensor, rank=3, seed=1, max_iterations=2, cluster=cluster)
+
+    calls = []
+
+    def oracle(a, b):
+        calls.append(1)
+        return _oracle_xor_popcount_rows(a, b)
+
+    monkeypatch.setattr(update, "xor_popcount_rows", oracle)
+    checked = dbtf(tensor, rank=3, seed=1, max_iterations=2, cluster=cluster)
+
+    if backend != "process":
+        assert calls, "the oracle error kernel never ran"
+    assert checked.error == baseline.error
+    assert checked.errors_per_iteration == baseline.errors_per_iteration
+    for ours, theirs in zip(checked.factors, baseline.factors):
+        assert np.array_equal(ours.to_dense(), theirs.to_dense())
