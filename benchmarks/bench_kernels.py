@@ -23,11 +23,7 @@ from repro.bitops import (
     pointwise_vector_matrix,
     xor_popcount,
 )
-from repro.distengine import (
-    estimate_bytes,
-    estimate_bytes_cached,
-    estimate_pair_bytes,
-)
+from repro.distengine import estimate_bytes, estimate_bytes_cached
 
 
 @pytest.fixture(scope="module")
@@ -125,21 +121,6 @@ def test_masks_with_bit_cleared(benchmark):
     assert benchmark(sweep) == reference
 
 
-@pytest.fixture(scope="module")
-def keyed_pairs():
-    rng = np.random.default_rng(7)
-    return [(i, rng.integers(0, 2, 16, dtype=np.int64)) for i in range(4096)]
-
-
-def test_estimate_pair_bytes_batched(benchmark, keyed_pairs):
-    """Batched shuffle sizing vs the per-pair estimate_bytes loop."""
-    total = benchmark(lambda: estimate_pair_bytes(keyed_pairs))
-    assert total == sum(
-        estimate_bytes(key) + estimate_bytes(value)
-        for key, value in keyed_pairs
-    )
-
-
 def test_estimate_bytes_cached_hit(benchmark):
     """Memoized payload sizing: repeat calls skip the recursive walk."""
 
@@ -196,7 +177,6 @@ def main(argv=None) -> int:
     kr_right = BitMatrix.random(64, 64, 0.3, rng)
     pw_matrix = BitMatrix.random(4096, 64, 0.3, rng)
     pw_vector = (rng.random(64) < 0.5).astype(np.uint8)
-    pairs = [(i, rng.integers(0, 2, 16, dtype=np.int64)) for i in range(4096)]
 
     class _Payload:
         def __init__(self):
@@ -235,11 +215,6 @@ def main(argv=None) -> int:
          lambda: packing.slice_bits(packed, 100, 3000)),
         ("masks_bit_cleared", {"rows": 262144, "columns": 64},
          lambda: _mask_sweep()),
-        ("sizing_per_pair_loop", {"pairs": len(pairs)},
-         lambda: sum(estimate_bytes(k) + estimate_bytes(v)
-                     for k, v in pairs)),
-        ("sizing_batched_pairs", {"pairs": len(pairs)},
-         lambda: estimate_pair_bytes(pairs)),
         ("sizing_payload_walk", {"attrs": 2},
          lambda: estimate_bytes(payload)),
         ("sizing_payload_cached", {"attrs": 2},
@@ -266,14 +241,9 @@ def main(argv=None) -> int:
             raise SystemExit(
                 f"{label} only {speedup:.2f}x faster than {slow}; expected >= 3x"
             )
-    for label, slow, fast in [
-        ("batched pair sizing", "sizing_per_pair_loop",
-         "sizing_batched_pairs"),
-        ("memoized payload sizing", "sizing_payload_walk",
-         "sizing_payload_cached"),
-    ]:
-        print(f"{label} speedup: {by_name[slow] / by_name[fast]:.2f}x "
-              f"({slow} -> {fast})")
+    slow, fast = "sizing_payload_walk", "sizing_payload_cached"
+    print(f"memoized payload sizing speedup: "
+          f"{by_name[slow] / by_name[fast]:.2f}x ({slow} -> {fast})")
     emit("BENCH_kernels.json", entries)
     return 0
 

@@ -4,8 +4,9 @@ Factorizes a planted tensor whose tracked cache working set is at least
 2x the configured memory budget and verifies, per backend, that:
 
 * factors and the per-iteration error trace are bit-identical to an
-  unbudgeted serial run (the budget moves caches between RAM and spill
-  files, never changes the arithmetic);
+  unbudgeted serial run, both without a budget and with one (the budget
+  moves caches between RAM and spill files, never changes the arithmetic;
+  the backend never changes it either);
 * tracked resident bytes never exceed the budget (``peak_resident``);
 * the run actually spilled (``spill_events > 0``) — otherwise the
   working-set-to-budget ratio was too small to prove anything.
@@ -72,10 +73,10 @@ def _run(tensor, args, memory_budget):
     return results
 
 
-def _baseline(tensor, args):
-    """Unbudgeted serial run: the reference fingerprint."""
+def _baseline(tensor, args, backend):
+    """Unbudgeted run; the serial one is the reference fingerprint."""
     runtime = SimulatedRuntime(
-        ClusterConfig(n_machines=2, cores_per_machine=2, backend="serial")
+        ClusterConfig(n_machines=2, cores_per_machine=2, backend=backend)
     )
     try:
         started = time.perf_counter()
@@ -132,7 +133,11 @@ def main(argv=None) -> int:
     print(f"memory budget   : {format_size(budget_bytes)} "
           f"(pressure ratio {working_set / budget_bytes:.1f}x)")
 
-    base_wall, base_sim, base_fingerprint = _baseline(tensor, args)
+    base_wall, base_sim, base_fingerprint = _baseline(tensor, args, "serial")
+    unbudgeted = {
+        backend: _baseline(tensor, args, backend)
+        for backend in args.backends if backend != "serial"
+    }
     budgeted = _run(tensor, args, budget_bytes)
 
     entries = [
@@ -145,6 +150,17 @@ def main(argv=None) -> int:
               base_wall, base_sim),
     ]
     failures = []
+    for backend, (wall_s, simulated_s, fingerprint) in unbudgeted.items():
+        if fingerprint != base_fingerprint:
+            failures.append(f"{backend}: unbudgeted results differ from serial")
+        entries.append(
+            entry(f"storage_unbudgeted_{backend}",
+                  {"dim": args.dim, "rank": args.rank},
+                  wall_s, simulated_s)
+        )
+    print(f"unbudgeted      : {', '.join(unbudgeted) or 'no other backend'} "
+          f"bit-identical to serial "
+          f"{all(fp == base_fingerprint for _, _, fp in unbudgeted.values())}")
     print()
     print(f"{'backend':<10}{'wall (s)':>10}{'spills':>8}{'loads':>7}"
           f"{'spill I/O':>12}{'peak resident':>16}{'identical':>11}")

@@ -252,10 +252,25 @@ def _command_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_info(args: argparse.Namespace) -> int:
+def _load_tensor_or_report(path: str):
+    """``load_tensor(path)``, or ``None`` after printing why it failed.
+
+    A missing file or a malformed one (the ``path:line`` message of
+    :func:`~repro.tensor.load_tensor`) is a usage error, not a traceback.
+    """
     from .tensor import load_tensor
 
-    tensor = load_tensor(args.tensor)
+    try:
+        return load_tensor(path)
+    except (OSError, ValueError) as exc:
+        print(str(exc), file=sys.stderr)
+        return None
+
+
+def _command_info(args: argparse.Namespace) -> int:
+    tensor = _load_tensor_or_report(args.tensor)
+    if tensor is None:
+        return 2
     print(f"shape   : {'x'.join(str(s) for s in tensor.shape)}")
     print(f"nonzeros: {tensor.nnz}")
     print(f"density : {tensor.density():.6f}")
@@ -263,12 +278,21 @@ def _command_info(args: argparse.Namespace) -> int:
 
 
 def _command_factorize(args: argparse.Namespace) -> int:
-    from .tensor import load_tensor, save_factors
+    from .tensor import save_factors
 
     observing = args.trace is not None or args.metrics
     if observing and args.method not in ("dbtf", "nway-cp"):
         print(
             f"--trace/--metrics are only supported for dbtf and nway-cp, "
+            f"not {args.method}",
+            file=sys.stderr,
+        )
+        return 2
+    if args.method not in ("dbtf", "nway-cp") and (
+        args.backend != "serial" or args.workers is not None
+    ):
+        print(
+            f"--backend/--workers are only supported for dbtf and nway-cp, "
             f"not {args.method}",
             file=sys.stderr,
         )
@@ -330,7 +354,9 @@ def _command_factorize(args: argparse.Namespace) -> int:
             print(str(exc), file=sys.stderr)
             return 2
 
-    tensor = load_tensor(args.tensor)
+    tensor = _load_tensor_or_report(args.tensor)
+    if tensor is None:
+        return 2
     tracer = metrics = None
     if args.method == "dbtf":
         from .core import DbtfConfig
@@ -497,11 +523,13 @@ def _command_jobs(args: argparse.Namespace) -> int:
 
 def _jobs_submit(store, args: argparse.Namespace) -> int:
     from .service import JobSpec
-    from .tensor import load_tensor
 
+    tensor = _load_tensor_or_report(args.tensor)
+    if tensor is None:
+        return 2
     spec = JobSpec(
         tenant=args.tenant,
-        tensor=load_tensor(args.tensor),
+        tensor=tensor,
         method=args.method,
         rank=args.rank,
         core_shape=tuple(args.core_shape) if args.core_shape else None,

@@ -27,8 +27,9 @@ class DbtfConfig:
         Number of random factor-matrix sets L tried in the first iteration
         (paper default 1); the best-scoring set is kept.
     n_partitions:
-        Vertical partitions N per unfolded tensor.  ``None`` uses the
-        cluster's total slot count, matching Spark's default parallelism.
+        Vertical partitions N per unfolded tensor.  ``None`` uses the total
+        slot count of the cluster that executes the run, matching Spark's
+        default parallelism.
     cache_group_size:
         The threshold V limiting a single cache table to ``2**V`` row
         summations (paper default 15).  Ranks above V are split into
@@ -112,8 +113,12 @@ class DbtfConfig:
                 f"init_density must be in (0, 1], got {self.init_density}"
             )
 
-    def resolved_partitions(self) -> int:
-        """The effective partition count N."""
+    def resolved_partitions(self, cluster: ClusterConfig) -> int:
+        """The effective partition count N on the executing ``cluster``.
+
+        Pass the runtime's cluster, not :attr:`cluster`: a caller-supplied
+        runtime may run on a different one.
+        """
         if self.n_partitions is not None:
             return self.n_partitions
-        return self.cluster.total_slots
+        return cluster.total_slots

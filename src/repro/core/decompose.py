@@ -217,7 +217,9 @@ def _update_all_factors_scoped(
     return (current[0], current[1], current[2]), error
 
 
-def _dbtf_fingerprint(tensor: SparseBoolTensor, config: DbtfConfig) -> str:
+def _dbtf_fingerprint(
+    tensor: SparseBoolTensor, config: DbtfConfig, n_partitions: int
+) -> str:
     """Fingerprint of everything that shapes the dbtf iteration trajectory.
 
     Stopping criteria (``max_iterations``, ``tolerance``) are deliberately
@@ -233,7 +235,7 @@ def _dbtf_fingerprint(tensor: SparseBoolTensor, config: DbtfConfig) -> str:
             "initialization": config.initialization,
             "init_density": config.init_density,
             "n_initial_sets": config.n_initial_sets,
-            "n_partitions": config.resolved_partitions(),
+            "n_partitions": n_partitions,
             "cache_group_size": config.cache_group_size,
             "shape": list(tensor.shape),
             "nnz": tensor.nnz,
@@ -353,11 +355,12 @@ def dbtf_steps(
     """
     if tensor.ndim != 3:
         raise ValueError(f"DBTF factorizes three-way tensors, got {tensor.ndim}-way")
+    n_partitions = config.resolved_partitions(runtime.config)
     manager = None
     if config.checkpoint is not None:
         manager = CheckpointManager(
             config.checkpoint,
-            _dbtf_fingerprint(tensor, config),
+            _dbtf_fingerprint(tensor, config, n_partitions),
             metrics=runtime.metrics,
             tracer=runtime.tracer,
         )
@@ -375,9 +378,7 @@ def dbtf_steps(
         mode_rdds = (
             list(shared_unfoldings)
             if shared_unfoldings is not None
-            else prepare_partitioned_unfoldings(
-                tensor, config.resolved_partitions(), runtime
-            )
+            else prepare_partitioned_unfoldings(tensor, n_partitions, runtime)
         )
 
         resumed = None

@@ -15,7 +15,7 @@ from .cluster import DEFAULT_CLUSTER, ClusterConfig
 from .faults import FaultInjector, InjectedTaskFailure, TaskFailedError
 from .lease import RuntimeFactory, RuntimeLease
 from .plan import FusedChainTask, LogicalPlan, PhysicalStage, PlanNode, PlanOptimizer
-from .rdd import Distributed, ShuffleMapOutput
+from .rdd import Distributed
 from .runtime import ExecutionReport, SimulatedRuntime, StageReport
 from .scheduler import assign_tasks, makespan
 from .shuffle import (
@@ -23,7 +23,6 @@ from .shuffle import (
     TransferKind,
     estimate_bytes,
     estimate_bytes_cached,
-    estimate_pair_bytes,
     stable_hash,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "ClusterConfig",
     "DEFAULT_CLUSTER",
     "Distributed",
-    "ShuffleMapOutput",
     "LogicalPlan",
     "PlanNode",
     "PlanOptimizer",
@@ -57,7 +55,6 @@ __all__ = [
     "TransferKind",
     "estimate_bytes",
     "estimate_bytes_cached",
-    "estimate_pair_bytes",
     "stable_hash",
     "makespan",
     "assign_tasks",

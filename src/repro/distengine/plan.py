@@ -45,7 +45,6 @@ _OP_LABELS = {
     "filter": "filter",
     "mapPartitions": "mapPartitions",
     "mapPartitionsWithIndex": "mapPartitionsWithIndex",
-    "combineByKey.bucket": "combineByKey.bucket",
 }
 
 

@@ -41,14 +41,6 @@ __all__ = ["SimulatedRuntime", "StageReport", "ExecutionReport"]
 #: their runtime's token, so runtimes leasing one pool never collide.
 _SCOPES = itertools.count(1)
 
-#: Bucket bounds of the ``shuffle_bucket_bytes`` histogram.  The registry
-#: default is tuned for task durations in seconds; shuffle buckets are byte
-#: counts, so they get power-of-four byte bounds from one cache line up to
-#: a paper-scale unfolding slab.
-SHUFFLE_BYTE_BUCKETS = (
-    64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304, 16777216,
-)
-
 
 @dataclass(frozen=True)
 class StageReport:
@@ -163,9 +155,6 @@ class SimulatedRuntime:
         # tracked for eviction.
         self.plan_optimizer = PlanOptimizer()
         self._plan_counter = 0
-        # Shuffle ids are handed out per wide operation so every spill-run
-        # file of every map task lands at a distinct, deterministic path.
-        self._shuffle_counter = 0
         self._persisted_nodes: list[PlanNode] = []
         # Out-of-core storage tier: only constructed under an explicit
         # memory budget, so the default path pays one None check per cache
@@ -589,55 +578,6 @@ class SimulatedRuntime:
             self.tracer.event(
                 stage, SpanKind.TRANSFER, transfer=kind, bytes=int(n_bytes)
             )
-
-    # ------------------------------------------------------------------
-    # Shuffle plane (worker-side bucketed routing support)
-    # ------------------------------------------------------------------
-    def next_shuffle_id(self) -> int:
-        """Deterministic per-runtime id of one wide (shuffling) operation."""
-        self._shuffle_counter += 1
-        return self._shuffle_counter
-
-    def shuffle_spill_dir(self) -> "str | None":
-        """Directory for map-side combiner spill runs, or ``None``.
-
-        Only meaningful under a memory budget: the runs live inside the
-        storage tier's spill directory, so one ``close()`` removes both
-        and a leased runtime's shuffle runs share its job-scoped root.
-        """
-        if self.storage is None:
-            return None
-        return os.path.join(self.storage.directory, "shuffle")
-
-    def record_shuffle_buckets(
-        self,
-        stage_name: str,
-        bucket_bytes: "list[int]",
-        bucket_segments: "list[int]",
-        bucket_spills: "list[int]",
-    ) -> None:
-        """Meter one shuffle's reduce buckets: ledger, histogram, and events.
-
-        The SHUFFLE ledger charge is the sum over buckets, while the
-        per-bucket breakdown lands in the ``shuffle_bucket_bytes``
-        histogram and one ``shuffle`` span event per bucket fetch, so the
-        observability surface is backend-invariant.
-        """
-        self.record_transfer(
-            TransferKind.SHUFFLE, stage_name, sum(bucket_bytes)
-        )
-        histogram = self.metrics.histogram(
-            "shuffle_bucket_bytes", buckets=SHUFFLE_BYTE_BUCKETS,
-            stage=stage_name,
-        )
-        for index, n_bytes in enumerate(bucket_bytes):
-            histogram.observe(n_bytes)
-            if self.tracer is not None:
-                self.tracer.event(
-                    stage_name, SpanKind.SHUFFLE, bucket=index,
-                    bytes=int(n_bytes), segments=bucket_segments[index],
-                    spilled=bucket_spills[index],
-                )
 
     def reset(self) -> None:
         self.ledger.reset()

@@ -23,7 +23,6 @@ __all__ = [
     "ShuffleLedger",
     "estimate_bytes",
     "estimate_bytes_cached",
-    "estimate_pair_bytes",
     "stable_hash",
     "TransferKind",
     "HANDLE_WIRE_BYTES",
@@ -123,9 +122,9 @@ def _evict_size(obj_id: int) -> None:
 def estimate_bytes_cached(obj: object) -> int:
     """Like :func:`estimate_bytes`, memoized per live object identity.
 
-    Broadcast payloads and packed combiners are sized repeatedly — once per
-    fingerprint, once per ledger charge, once per spill decision — and the
-    recursive walk over a factor-matrix payload is not free.  This caches
+    Broadcast payloads are sized repeatedly — once per fingerprint, once
+    per ledger charge — and the recursive walk over a factor-matrix payload
+    is not free.  This caches
     the measured size against the object's identity via a weak reference,
     so re-sizing the same live object is a dict hit.
 
@@ -149,26 +148,6 @@ def estimate_bytes_cached(obj: object) -> int:
         return size
     _SIZE_CACHE[obj_id] = (ref, size)
     return size
-
-
-def estimate_pair_bytes(pairs) -> int:
-    """Total wire size of an iterable of ``(key, combiner)`` pairs.
-
-    One batched call replaces a per-pair ``estimate_bytes(key) +
-    estimate_bytes(combiner)`` loop; the common shuffle shapes — integer
-    keys, packed ndarray combiners — take inlined fast paths that bypass
-    the recursive dispatch while producing *exactly* the same sum, so the
-    ledger charge is bit-equal to the per-pair ``estimate_bytes`` sum.
-    """
-    total = 0
-    for key, value in pairs:
-        total += 8 if type(key) is int else _estimate(key, None)
-        total += (
-            int(value.nbytes)
-            if type(value) is np.ndarray
-            else _estimate(value, None)
-        )
-    return total
 
 
 def _payload_attrs(obj: object) -> "list | None":
@@ -196,12 +175,11 @@ def _payload_attrs(obj: object) -> "list | None":
 
 
 def _hash_bytes(key: object) -> bytes:
-    """Canonical byte encoding of a shuffle key, type-tagged per element.
+    """Canonical byte encoding of a value, type-tagged per element.
 
-    Beyond shuffle keys this also has to fingerprint broadcast payloads
-    (the content ids of their handles), so numpy arrays hash their dtype,
-    shape, and raw buffer, and lists hash element-wise like tuples (with a
-    distinct tag).
+    This fingerprints broadcast payloads (the content ids of their handles)
+    and job specs, so numpy arrays hash their dtype, shape, and raw buffer,
+    and lists hash element-wise like tuples (with a distinct tag).
     """
     if key is None:
         return b"n"
@@ -240,11 +218,11 @@ def _hash_bytes(key: object) -> bytes:
 def stable_hash(key: object) -> int:
     """A 64-bit hash that is identical across processes and interpreter runs.
 
-    The builtin ``hash`` is salted per process (``PYTHONHASHSEED``), so
-    using it for shuffle placement would scatter keys differently between
-    driver and pool workers — and between two runs of the same experiment.
-    Shuffle bucket assignment therefore uses this blake2b-based hash, which
-    depends only on the key's value.
+    The builtin ``hash`` is salted per process (``PYTHONHASHSEED``), so a
+    broadcast content id or service job id built from it would differ
+    between driver and pool workers — and between two runs of the same
+    experiment.  Both therefore use this blake2b-based hash, which depends
+    only on the value.
     """
     digest = hashlib.blake2b(_hash_bytes(key), digest_size=8).digest()
     return int.from_bytes(digest, "big")

@@ -285,7 +285,9 @@ class FactorizationSession:
     ) -> Generator[StepEvent, None, EpochResult]:
         if self._unfoldings is None:
             self._unfoldings = PartitionedUnfoldings.prepare(
-                self.tensor, self.config.resolved_partitions(), self.runtime
+                self.tensor,
+                self.config.resolved_partitions(self.runtime.config),
+                self.runtime,
             )
         config = self._epoch_config(epoch)
         swept_before, skipped_before = self._sweep_counters()

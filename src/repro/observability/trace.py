@@ -53,12 +53,8 @@ class SpanKind:
     CHECKPOINT = "checkpoint"
     SPECULATION = "speculation"
     STORAGE = "storage"
-    SHUFFLE = "shuffle"
 
-    ALL = (
-        STAGE, TASK, KERNEL, TRANSFER, CHECKPOINT, SPECULATION, STORAGE,
-        SHUFFLE,
-    )
+    ALL = (STAGE, TASK, KERNEL, TRANSFER, CHECKPOINT, SPECULATION, STORAGE)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,7 @@ fit in driver RAM.  This package removes that assumption:
   built once, flushed, and paged on demand;
 * :class:`StreamingTensorBuilder` — chunked ingestion that accumulates
   sorted-unique flat indices per batch instead of materializing the full
-  coordinate list;
-* :class:`ShuffleSpillWriter` — sorted-run spill files for worker-side
-  ``combine_by_key`` state: a map task whose combiner dicts outgrow their
-  budget share writes the bucket set as one atomic run, merged back
-  bit-identically on the reduce side.
+  coordinate list.
 
 The tier is wired through :class:`~repro.distengine.ClusterConfig`
 (``memory_budget=...``, ``spill_dir=...``); with ``memory_budget=None``
@@ -28,7 +24,6 @@ single ``None`` check.
 
 from .budget import MemoryBudget, format_size, parse_memory_size
 from .mmap_store import MmapUnfoldingStore
-from .shuffle_spill import ShuffleSpillWriter, SpillRun, read_bucket
 from .spill import PartitionSpillStore, SpilledPartitions
 from .stream import StreamingTensorBuilder, iter_coordinate_batches
 
@@ -39,9 +34,6 @@ __all__ = [
     "MmapUnfoldingStore",
     "PartitionSpillStore",
     "SpilledPartitions",
-    "ShuffleSpillWriter",
-    "SpillRun",
-    "read_bucket",
     "StreamingTensorBuilder",
     "iter_coordinate_batches",
 ]

@@ -76,6 +76,17 @@ class TestInfo:
         assert "12x12x12" in out
         assert str(tensor.nnz) in out
 
+    def test_missing_tensor_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "absent.tns"
+        assert main(["info", str(missing)]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_malformed_tensor_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tns"
+        bad.write_text("1 2 3\n")
+        assert main(["info", str(bad)]) == 2
+        assert f"{bad}:1:" in capsys.readouterr().err
+
 
 class TestFactorize:
     def test_dbtf(self, tensor_file, tmp_path, capsys):
@@ -219,6 +230,40 @@ class TestFactorizeCluster:
         error = capsys.readouterr().err
         assert str(delta) in error
         assert f"line {line}:" in error
+
+    def test_missing_tensor_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "absent.tns"
+        assert main(["factorize", str(missing), "--rank", "2"]) == 2
+        captured = capsys.readouterr()
+        assert str(missing) in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("0 1 2\n", 1),
+            ("# shape 4 4 4\n0 1 9\n", 2),
+        ],
+    )
+    def test_malformed_tensor_exits_2(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "bad.tns"
+        bad.write_text(text)
+        assert main(["factorize", str(bad), "--rank", "2"]) == 2
+        assert f"{bad}:{line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["tucker", "bcp-als", "walk-n-merge"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--backend", "process"], ["--backend", "thread"], ["--workers", "3"]],
+    )
+    def test_cluster_flags_rejected_for_single_machine_methods(
+        self, tensor_file, capsys, method, flags
+    ):
+        path, _ = tensor_file
+        code = main(["factorize", str(path), "--method", method,
+                     "--rank", "2", *flags])
+        assert code == 2
+        assert "--backend/--workers" in capsys.readouterr().err
 
     def test_missing_delta_exits_2(self, tensor_file, tmp_path, capsys):
         path, _ = tensor_file

@@ -9,7 +9,14 @@ from repro import dbtf, planted_tensor, random_tensor
 from repro.bitops import BitMatrix
 from repro.core import DbtfConfig
 from repro.core.decompose import _initial_factors, _sampled_factors
-from repro.distengine import SimulatedRuntime, TransferKind
+from repro.distengine import (
+    DEFAULT_CLUSTER,
+    ClusterConfig,
+    SimulatedRuntime,
+    TransferKind,
+)
+from repro.incremental import FactorizationSession
+from repro.resilience import CheckpointConfig
 from repro.tensor import SparseBoolTensor
 
 
@@ -194,11 +201,68 @@ class TestConfigValidation:
             DbtfConfig(**kwargs)
 
     def test_resolved_partitions_default(self):
-        config = DbtfConfig(rank=2)
-        assert config.resolved_partitions() == config.cluster.total_slots
+        cluster = ClusterConfig(n_machines=2, cores_per_machine=2)
+        assert DbtfConfig(rank=2).resolved_partitions(cluster) == 4
 
     def test_resolved_partitions_explicit(self):
-        assert DbtfConfig(rank=2, n_partitions=5).resolved_partitions() == 5
+        config = DbtfConfig(rank=2, n_partitions=5)
+        assert config.resolved_partitions(DEFAULT_CLUSTER) == 5
+
+
+class TestDefaultPartitions:
+    """``n_partitions=None`` means the slots of the runtime that executes.
+
+    ``config.cluster`` stays at ``DEFAULT_CLUSTER`` (128 slots) in these
+    tests while the supplied runtime has 4, so every stage must run 4 tasks.
+    """
+
+    @staticmethod
+    def _setup():
+        rng = np.random.default_rng(21)
+        tensor = random_tensor((16, 16, 16), density=0.1, rng=rng)
+        runtime = SimulatedRuntime(ClusterConfig(n_machines=2, cores_per_machine=2))
+        return tensor, runtime
+
+    def test_dbtf_uses_runtime_slots(self):
+        tensor, runtime = self._setup()
+        with runtime:
+            dbtf(tensor, rank=2, max_iterations=1, runtime=runtime)
+            assert runtime.stages
+            assert {stage.n_tasks for stage in runtime.stages} == {4}
+
+    def test_session_uses_runtime_slots(self):
+        tensor, runtime = self._setup()
+        with runtime:
+            with FactorizationSession(
+                tensor, DbtfConfig(rank=2, max_iterations=1), runtime=runtime
+            ) as session:
+                session.factorize()
+            assert runtime.stages
+            assert {stage.n_tasks for stage in runtime.stages} == {4}
+
+    def test_checkpoint_fingerprint_uses_runtime_slots(self, tmp_path):
+        # A run that defaulted to the runtime's 4 slots is the same
+        # trajectory as an explicit n_partitions=4 run, so the latter may
+        # resume the former's checkpoints.
+        tensor, runtime = self._setup()
+        with runtime:
+            first = dbtf(
+                tensor, runtime=runtime, config=DbtfConfig(
+                    rank=2, max_iterations=1,
+                    checkpoint=CheckpointConfig(directory=str(tmp_path)),
+                ),
+            )
+        _, runtime = self._setup()
+        with runtime:
+            resumed = dbtf(
+                tensor, runtime=runtime, config=DbtfConfig(
+                    rank=2, max_iterations=1, n_partitions=4,
+                    checkpoint=CheckpointConfig(
+                        directory=str(tmp_path), resume=True
+                    ),
+                ),
+            )
+        assert resumed.errors_per_iteration == first.errors_per_iteration
 
 
 def _reference_sampled_factors(tensor, config, rng):

@@ -20,8 +20,10 @@ from repro.core import (
     dirty_columns_for_delta,
     update_factor,
 )
+from repro.core import dbtf
 from repro.core.config import DbtfConfig
-from repro.distengine import ClusterConfig, SimulatedRuntime
+from repro.distengine import ClusterConfig, SimulatedRuntime, TransferKind
+from repro.incremental import FactorizationSession
 from repro.tensor import (
     SparseBoolTensor,
     TensorDelta,
@@ -332,3 +334,75 @@ class TestDirtyColumnSoundness:
         assert dirty_columns_for_delta(
             TensorDelta.empty(tensor.shape), factors
         ) == [set(), set(), set()]
+
+
+def _shuffle_rows(runtime):
+    """The SHUFFLE ledger broken down by stage, from the transfer counter."""
+    counters = runtime.metrics.counters().get("transfer_bytes_total", {})
+    rows = {}
+    for labels, value in counters.items():
+        labels = dict(labels)
+        if labels["kind"] == TransferKind.SHUFFLE:
+            rows[labels["stage"]] = int(value)
+    return rows
+
+
+class TestLemma6ShuffleLedger:
+    """Algorithm 3 is the batch path's only SHUFFLE writer (Lemma 6).
+
+    Each mode's partitioning shuffles one (row, block, offset) int64 triple
+    per nonzero, so a run's SHUFFLE rows are exactly the three
+    ``partitionUnfolding[m]`` stages, 24 bytes x nnz each: 72 x nnz in all,
+    whatever the iteration count.  An epoch advance adds only the
+    ``patchUnfolding[m]`` rows.
+    """
+
+    PARTITION_ROWS = {f"partitionUnfolding[{mode}]" for mode in range(3)}
+
+    @staticmethod
+    def _cluster(backend, budgeted, tmp_path):
+        return ClusterConfig(
+            n_machines=2, cores_per_machine=2, backend=backend, n_workers=2,
+            memory_budget=(1 << 20) if budgeted else None,
+            spill_dir=str(tmp_path) if budgeted else None,
+        )
+
+    @pytest.mark.parametrize("budgeted", [False, True])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_batch_rows_are_exactly_partitioning(
+        self, backend, budgeted, tmp_path
+    ):
+        tensor = _random_tensor(seed=30, shape=(9, 8, 7))
+        with SimulatedRuntime(
+            self._cluster(backend, budgeted, tmp_path)
+        ) as runtime:
+            assert (runtime.unfolding_storage() is not None) == budgeted
+            dbtf(tensor, rank=2, seed=0, n_partitions=3, max_iterations=3,
+                 runtime=runtime)
+            rows = _shuffle_rows(runtime)
+            assert set(rows) == self.PARTITION_ROWS
+            assert all(n_bytes == 24 * tensor.nnz for n_bytes in rows.values())
+            assert runtime.ledger.bytes_of_kind(TransferKind.SHUFFLE) == (
+                72 * tensor.nnz
+            )
+
+    @pytest.mark.parametrize("budgeted", [False, True])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_advance_adds_only_patch_rows(self, backend, budgeted, tmp_path):
+        tensor = _random_tensor(seed=31, shape=(9, 8, 7))
+        delta = _random_delta(tensor, seed=32)
+        config = DbtfConfig(
+            rank=2, seed=0, n_partitions=3, max_iterations=3,
+            cluster=self._cluster(backend, budgeted, tmp_path),
+        )
+        with FactorizationSession(tensor, config) as session:
+            session.factorize()
+            before = _shuffle_rows(session.runtime)
+            assert set(before) == self.PARTITION_ROWS
+            assert sum(before.values()) == 72 * tensor.nnz
+            session.advance(delta)
+            after = _shuffle_rows(session.runtime)
+        added = set(after) - set(before)
+        assert added == {f"patchUnfolding[{mode}]" for mode in range(3)}
+        assert all(after[row] > 0 for row in added)
+        assert {row: after[row] for row in before} == before

@@ -4,11 +4,10 @@ The engine's contract is that serial, thread, and process backends are
 observationally identical — bit-identical factors, error traces, stage
 reports, and ledger byte totals — because everything the cost model
 consumes is measured inside the task, not scheduled by the driver.  These
-tests pin that contract, plus the process-independence of shuffle
-placement (``stable_hash``).
+tests pin that contract, plus the process-independence of ``stable_hash``
+(which keys broadcast content ids and service job ids).
 """
 
-import operator
 import os
 import subprocess
 import sys
@@ -169,7 +168,7 @@ class TestStableHash:
         assert len(buckets) == 8
 
     def test_independent_of_hash_seed(self):
-        """The same key lands in the same bucket under any PYTHONHASHSEED."""
+        """The same value hashes identically under any PYTHONHASHSEED."""
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         code = (
             "from repro.distengine import stable_hash; "
@@ -186,26 +185,6 @@ class TestStableHash:
                 ).stdout.strip()
             )
         assert len(outputs) == 1
-
-
-class TestShuffleEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_reduce_by_key_matches_serial(self, backend):
-        def run(name):
-            runtime = _runtime(name)
-            try:
-                pairs = [((i % 5, "k"), i) for i in range(40)]
-                rdd = runtime.parallelize(pairs, n_partitions=4)
-                reduced = rdd.reduce_by_key(operator.add, n_partitions=3)
-                return (
-                    reduced.glom(),
-                    runtime.ledger.bytes_of_kind("shuffle"),
-                    [stage.name for stage in runtime.stages],
-                )
-            finally:
-                runtime.close()
-
-        assert run(backend) == run("serial")
 
 
 class TestDbtfEquivalence:

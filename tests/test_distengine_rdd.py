@@ -83,39 +83,6 @@ class TestTransformations:
         assert rdd.persist() is rdd
 
 
-class TestCombineByKey:
-    def test_group_and_sum(self, runtime):
-        pairs = [("a", 1), ("b", 2), ("a", 3), ("b", 4), ("a", 5)]
-        rdd = runtime.parallelize(pairs, n_partitions=3)
-        combined = dict(rdd.reduce_by_key(lambda x, y: x + y).collect())
-        assert combined == {"a": 9, "b": 6}
-
-    def test_combine_by_key_custom(self, runtime):
-        pairs = [(1, "x"), (2, "y"), (1, "z")]
-        rdd = runtime.parallelize(pairs, n_partitions=2)
-        combined = dict(
-            rdd.combine_by_key(
-                create_combiner=lambda v: [v],
-                merge_value=lambda acc, v: acc + [v],
-                merge_combiners=lambda a, b: a + b,
-            ).collect()
-        )
-        assert sorted(combined[1]) == ["x", "z"]
-        assert combined[2] == ["y"]
-
-    def test_shuffle_bytes_recorded(self, runtime):
-        pairs = [(i % 3, np.ones(100)) for i in range(9)]
-        rdd = runtime.parallelize(pairs, n_partitions=3)
-        rdd.reduce_by_key(lambda x, y: x + y)
-        assert runtime.ledger.bytes_of_kind(TransferKind.SHUFFLE) > 0
-
-    def test_target_partition_count(self, runtime):
-        pairs = [(i, i) for i in range(20)]
-        rdd = runtime.parallelize(pairs, n_partitions=4)
-        result = rdd.reduce_by_key(lambda x, y: x + y, n_partitions=7)
-        assert result.n_partitions == 7
-
-
 class TestActions:
     def test_reduce(self, runtime):
         rdd = runtime.parallelize([1, 2, 3, 4], n_partitions=2)

@@ -8,7 +8,6 @@ from repro.distengine import (
     TransferKind,
     estimate_bytes,
     estimate_bytes_cached,
-    estimate_pair_bytes,
 )
 
 
@@ -48,41 +47,6 @@ class TestShuffleLedger:
         assert set(summary) == set(TransferKind.ALL)
         assert summary[TransferKind.SHUFFLE] == 7
         assert summary[TransferKind.BROADCAST] == 0
-
-
-class TestEstimatePairBytes:
-    def test_matches_per_pair_sum(self):
-        pairs = [
-            (0, np.arange(5, dtype=np.int64)),
-            ("key", [1, 2, 3]),
-            ((1, 2), 3.5),
-            (7, {"a": np.ones(2)}),
-            (True, None),
-        ]
-        expected = sum(
-            estimate_bytes(key) + estimate_bytes(value)
-            for key, value in pairs
-        )
-        assert estimate_pair_bytes(pairs) == expected
-
-    def test_empty(self):
-        assert estimate_pair_bytes([]) == 0
-
-    def test_fast_paths_exact(self):
-        # The inlined int-key / ndarray-value fast paths must agree with
-        # the recursive sizer bit-for-bit (ledger parity depends on it).
-        pairs = [(i, np.full(3, i, dtype=np.uint64)) for i in range(50)]
-        expected = sum(
-            estimate_bytes(key) + estimate_bytes(value)
-            for key, value in pairs
-        )
-        assert estimate_pair_bytes(pairs) == expected
-
-    def test_accepts_generators(self):
-        pairs = {1: np.arange(2), 2: np.arange(3)}
-        assert estimate_pair_bytes(pairs.items()) == estimate_pair_bytes(
-            list(pairs.items())
-        )
 
 
 class TestEstimateBytesCached:

@@ -206,5 +206,5 @@ class TestSpanRecord:
     def test_kinds(self):
         assert SpanKind.ALL == (
             "stage", "task", "kernel", "transfer", "checkpoint",
-            "speculation", "storage", "shuffle",
+            "speculation", "storage",
         )

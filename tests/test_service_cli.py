@@ -62,6 +62,21 @@ class TestSubmitStatus:
         assert "spooled" in out
         assert "acme" in out
 
+    def test_submit_missing_tensor_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "absent.tns"
+        spool = tmp_path / "spool"
+        assert main(["jobs", "--spool", str(spool), "submit", str(missing),
+                     "--tenant", "acme"]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_submit_malformed_tensor_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tns"
+        bad.write_text("# shape 4 4 4\n0 x 1\n")
+        spool = tmp_path / "spool"
+        assert main(["jobs", "--spool", str(spool), "submit", str(bad),
+                     "--tenant", "acme"]) == 2
+        assert f"{bad}:2:" in capsys.readouterr().err
+
     def test_status_empty_spool(self, tmp_path, capsys):
         assert main(["jobs", "--spool", str(tmp_path / "s"), "status"]) == 0
         assert "empty" in capsys.readouterr().out
