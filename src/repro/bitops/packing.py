@@ -23,6 +23,7 @@ __all__ = [
     "popcount",
     "popcount_rows",
     "slice_bits",
+    "scatter_bits",
     "mask_from_indices",
     "indices_from_mask",
     "packed_zeros",
@@ -108,6 +109,31 @@ def slice_bits(packed: np.ndarray, start: int, stop: int) -> np.ndarray:
     if tail:
         window[..., -1] &= _WORD_DTYPE((1 << tail) - 1)
     return window
+
+
+def scatter_bits(
+    words: np.ndarray,
+    rows: np.ndarray,
+    blocks: np.ndarray,
+    offsets: np.ndarray,
+    value: bool = True,
+) -> None:
+    """Set (or clear) bit ``offsets[i]`` of ``words[rows[i], blocks[i]]``.
+
+    ``words`` is a C-contiguous ``(n_rows, n_blocks, n_words)`` array,
+    updated in place with one unbuffered scatter over its flat view, so
+    repeated cells are idempotent.
+    """
+    if not words.flags.c_contiguous:
+        raise ValueError("scatter_bits needs C-contiguous words")
+    _, n_blocks, n_words = words.shape
+    linear = (rows * n_blocks + blocks) * n_words + offsets // WORD_BITS
+    bits = _WORD_DTYPE(1) << (offsets % WORD_BITS).astype(_WORD_DTYPE)
+    flat = words.reshape(-1)
+    if value:
+        np.bitwise_or.at(flat, linear, bits)
+    else:
+        np.bitwise_and.at(flat, linear, ~bits)
 
 
 def mask_from_indices(indices: np.ndarray | list[int]) -> int:

@@ -30,7 +30,6 @@ from ..tensor import MODE_FACTOR_ROLES, SparseBoolTensor, TensorDelta, unfold
 from ..tensor.matricize import _mode_axes
 from ..tensor.packed import PackedUnfolding
 from .partition import (
-    Block,
     PartitionData,
     PartitionPlan,
     build_partition_data,
@@ -97,7 +96,7 @@ def prepare_mode_partitions(
         )
         return rdd, plans
     # Budgeted path: pack once driver-side, flush to the mmap file, then
-    # hand out partitions whose full-width blocks are views into the map.
+    # hand out partitions whose slabs are views into the map.
     # The shuffle charge matches the coordinate path exactly — the same
     # nonzeros cross the simulated network no matter how the driver stores
     # its copy.
@@ -107,45 +106,11 @@ def prepare_mode_partitions(
     runtime.record_transfer(
         TransferKind.SHUFFLE, f"partitionUnfolding[{mode}]", shuffle_bytes
     )
-    data = build_partition_data(flushed, plans, copy=False)
+    data = build_partition_data(flushed, plans)
     rdd = runtime.from_partitions(
         [[partition] for partition in data], name=f"pX({mode + 1})"
     )
     return rdd, plans
-
-
-def _select_block_cells(
-    rows: np.ndarray,
-    block_ids: np.ndarray,
-    offsets: np.ndarray,
-    block: Block,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """(rows, local offsets) of the given cells that land in ``block``."""
-    mask = block_ids == block.pvm_index
-    if not block.is_full:
-        mask &= (offsets >= block.start) & (offsets < block.stop)
-    return rows[mask], offsets[mask] - block.start
-
-
-def _apply_bits(
-    words: np.ndarray,
-    rows: np.ndarray,
-    local_offsets: np.ndarray,
-    value: bool,
-) -> None:
-    """Set (or clear) one bit per (row, offset) pair in packed block words."""
-    n_words = words.shape[1]
-    word_index = local_offsets // packing.WORD_BITS
-    bit = (
-        np.uint64(1)
-        << (local_offsets % packing.WORD_BITS).astype(np.uint64)
-    )
-    flat = words.reshape(-1)
-    linear = rows * n_words + word_index
-    if value:
-        np.bitwise_or.at(flat, linear, bit)
-    else:
-        np.bitwise_and.at(flat, linear, ~bit)
 
 
 class _PatchPartitionsTask:
@@ -153,9 +118,9 @@ class _PatchPartitionsTask:
 
     A pure function of ``(payloads, partition)`` keyed by the partition
     plan's index, so results are bit-identical across the serial, thread,
-    and process backends.  Copy-on-write per block: blocks no delta cell
-    touches keep their existing word arrays (which may be read-only memmap
-    views on the budgeted path), touched blocks are copied and flipped.
+    and process backends.  Copy-on-write per partition: a partition no
+    delta cell touches keeps its slab (which may be a read-only memmap view
+    on the budgeted path); a touched one gets a patched copy.
     """
 
     __slots__ = ("payloads",)
@@ -167,21 +132,12 @@ class _PatchPartitionsTask:
         payload = self.payloads.get(data.plan.index)
         if payload is None:
             return data
-        add_cells, remove_cells = payload
-        new_blocks = []
-        for block, words in zip(data.plan.blocks, data.block_words):
-            add_rows, add_local = _select_block_cells(*add_cells, block)
-            rem_rows, rem_local = _select_block_cells(*remove_cells, block)
-            if add_rows.size == 0 and rem_rows.size == 0:
-                new_blocks.append(words)
-                continue
-            words = np.array(words, dtype=np.uint64, copy=True)
-            if add_rows.size:
-                _apply_bits(words, add_rows, add_local, True)
-            if rem_rows.size:
-                _apply_bits(words, rem_rows, rem_local, False)
-            new_blocks.append(words)
-        return PartitionData(plan=data.plan, block_words=new_blocks)
+        words = np.array(data.words, order="C", copy=True)
+        first = data.plan.pvm_span.start
+        # The payload is (added cells, removed cells): set, then clear.
+        for (rows, block_ids, offsets), value in zip(payload, (True, False)):
+            packing.scatter_bits(words, rows, block_ids - first, offsets, value)
+        return PartitionData(plan=data.plan, words=words)
 
 
 def _mode_cells(coords: np.ndarray, mode: int) -> "tuple[np.ndarray, ...]":

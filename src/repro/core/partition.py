@@ -5,6 +5,12 @@ divided into *blocks* at the boundaries of the pointwise vector-matrix (PVM)
 products ``(c_j: ∗ B)ᵀ`` so that every block can fetch its Boolean row
 summations straight from a cache table (full-width blocks) or from a
 bit-sliced copy of one (partial blocks).
+
+A partition's packed bits live in one *slab*: a ``(n_rows, n_pvms,
+n_words)`` array holding every PVM product the partition touches at full
+PVM width.  The full-width blocks are then one contiguous view and a
+partial block is a bit slice of its PVM's words; this module is the only
+one that knows that layout (:class:`PartitionData`).
 """
 
 from __future__ import annotations
@@ -94,27 +100,69 @@ class PartitionPlan:
     def block_types(self) -> set[BlockType]:
         return {block.block_type for block in self.blocks}
 
+    @property
+    def pvm_span(self) -> slice:
+        """The PVM products this partition touches: its slab's block axis."""
+        if not self.blocks:
+            return slice(0, 0)
+        return slice(self.blocks[0].pvm_index, self.blocks[-1].pvm_index + 1)
+
 
 @dataclass
 class PartitionData:
-    """A partition's slice of the bit-packed unfolded tensor.
+    """A partition's slab of the bit-packed unfolded tensor.
 
-    ``block_words[b]`` holds, for every matrix row, the packed bits of block
-    ``b``'s column range — the data the error kernel XORs against cached row
-    summations.  Built once and reused for the whole decomposition (the
-    paper caches partitioned unfoldings across iterations, Lemma 7).
+    ``words[:, p]`` holds, for every matrix row, the packed bits of PVM
+    product ``plan.blocks[0].pvm_index + p`` at full width — the data the
+    error kernel XORs against cached row summations.  Only the bits inside
+    the partition's column range are ever read: they are zero outside it
+    when packed from the partition's own nonzeros, and the neighbouring
+    partitions' bits when the slab is a view of a shared unfolding.  Built
+    once and reused for the whole decomposition (the paper caches
+    partitioned unfoldings across iterations, Lemma 7).
     """
 
     plan: PartitionPlan
-    block_words: list[np.ndarray]
+    words: np.ndarray
 
     @property
     def n_rows(self) -> int:
-        return self.block_words[0].shape[0] if self.block_words else 0
+        return self.words.shape[0]
 
     @property
     def nbytes(self) -> int:
-        return sum(int(words.nbytes) for words in self.block_words)
+        return int(self.words.nbytes)
+
+    @property
+    def full_pvms(self) -> range:
+        """PVM indices of the full-width blocks, one contiguous run.
+
+        Only the first and the last block can be partial (Lemma 3).
+        """
+        blocks = self.plan.blocks
+        if not blocks:
+            return range(0)
+        start = blocks[0].pvm_index + (not blocks[0].is_full)
+        stop = blocks[-1].pvm_index + blocks[-1].is_full
+        return range(start, max(start, stop))
+
+    @property
+    def full_words(self) -> np.ndarray:
+        """The full-width blocks as one ``(n_rows, n_full, n_words)`` view,
+        in :attr:`full_pvms` order."""
+        full, first = self.full_pvms, self.plan.pvm_span.start
+        return self.words[:, full.start - first : full.stop - first]
+
+    def block_words(self, block: Block) -> np.ndarray:
+        """Packed ``(n_rows, n_words)`` bits of one of the plan's blocks.
+
+        A view for a full-width block; a partial block's columns are
+        bit-sliced out of its PVM's words, so they start at bit 0.
+        """
+        pvm_words = self.words[:, block.pvm_index - self.plan.pvm_span.start]
+        if block.is_full:
+            return pvm_words
+        return packing.slice_bits(pvm_words, block.start, block.stop)
 
 
 def make_partition_plans(
@@ -227,61 +275,38 @@ def split_unfolding_coordinates(
 
 
 def pack_partition(coordinates: PartitionCoordinates) -> PartitionData:
-    """Organize a partition's nonzeros into bit-packed blocks.
+    """Pack a partition's nonzeros into its slab.
 
     This is the executor-local step of Algorithm 3 ("further split p into a
     set of blocks"); it runs as a distributed (timed) task.
     """
     plan = coordinates.plan
-    block_words = []
-    for block in plan.blocks:
-        mask = coordinates.block_ids == block.pvm_index
-        if not block.is_full:
-            mask &= (coordinates.offsets >= block.start) & (
-                coordinates.offsets < block.stop
-            )
-        selected_rows = coordinates.rows[mask]
-        selected_offsets = coordinates.offsets[mask] - block.start
-        n_words = packing.words_for_bits(block.n_cols)
-        words = np.zeros((coordinates.n_rows, n_words), dtype=np.uint64)
-        if selected_rows.size:
-            word_index = selected_offsets // packing.WORD_BITS
-            bit_offset = selected_offsets % packing.WORD_BITS
-            flat = words.reshape(-1)
-            linear = selected_rows * n_words + word_index
-            np.bitwise_or.at(
-                flat, linear, np.uint64(1) << bit_offset.astype(np.uint64)
-            )
-        block_words.append(words)
-    return PartitionData(plan=plan, block_words=block_words)
+    span = plan.pvm_span
+    width = plan.blocks[0].width if plan.blocks else 0
+    words = packing.packed_zeros(
+        (coordinates.n_rows, span.stop - span.start), width
+    )
+    packing.scatter_bits(
+        words,
+        coordinates.rows,
+        coordinates.block_ids - span.start,
+        coordinates.offsets,
+    )
+    return PartitionData(plan=plan, words=words)
 
 
 def build_partition_data(
-    packed: PackedUnfolding, plans: list[PartitionPlan], copy: bool = True
+    packed: PackedUnfolding, plans: list[PartitionPlan]
 ) -> list[PartitionData]:
-    """Materialize each partition's packed tensor blocks from an unfolding.
+    """Each partition's slab as a zero-copy view of a packed unfolding.
 
-    With ``copy=False`` full-width blocks stay zero-copy views of
-    ``packed.words`` — when the unfolding is memmap-backed
-    (:class:`~repro.storage.MmapUnfoldingStore`), the partitions then
-    reference file-backed pages instead of duplicating the whole unfolding
-    in driver RAM.  Partial blocks always allocate (``slice_bits`` shifts
-    across word boundaries).
+    When the unfolding is memmap-backed
+    (:class:`~repro.storage.MmapUnfoldingStore`), the partitions reference
+    file-backed pages instead of duplicating the whole unfolding in driver
+    RAM.  ``np.asarray`` demotes memmap views to plain ndarray views so
+    downstream pickling and kernels never see the memmap subclass.
     """
-    data = []
-    for plan in plans:
-        block_words = []
-        for block in plan.blocks:
-            pvm_words = packed.words[:, block.pvm_index, :]
-            if block.is_full:
-                # np.asarray demotes memmap views to plain ndarray views so
-                # downstream pickling/kernels never see the memmap subclass.
-                block_words.append(
-                    np.asarray(pvm_words) if not copy else pvm_words.copy()
-                )
-            else:
-                block_words.append(
-                    packing.slice_bits(pvm_words, block.start, block.stop)
-                )
-        data.append(PartitionData(plan=plan, block_words=block_words))
-    return data
+    return [
+        PartitionData(plan=plan, words=np.asarray(packed.words[:, plan.pvm_span]))
+        for plan in plans
+    ]

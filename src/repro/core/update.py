@@ -38,34 +38,31 @@ class CachedPartition:
     candidates' errors.  Full-width blocks — the overwhelming majority
     (Lemma 3 allows at most two partial blocks per partition) — are
     evaluated as one batched table gather over all the selected ones at
-    once, which is what keeps the cached kernel ahead of recomputation.
+    once, straight from the partition's slab, which is what keeps the
+    cached kernel ahead of recomputation.
     """
 
-    __slots__ = ("data", "cache", "full_pvms", "full_words", "edge_blocks")
+    __slots__ = ("data", "cache", "edge_blocks")
 
     def __init__(self, data: PartitionData, cache: RowSummationCache):
         self.data = data
         self.cache = cache
-        full_pvms = []
-        full_words = []
         # (block, sliced tables, tensor words) for the <= 2 partial blocks.
-        self.edge_blocks: list[tuple] = []
-        for block, words in zip(data.plan.blocks, data.block_words):
-            if block.is_full:
-                full_pvms.append(block.pvm_index)
-                full_words.append(words)
-            else:
-                self.edge_blocks.append(
-                    (block, cache.tables_for(block.start, block.stop), words)
-                )
-        self.full_pvms = np.asarray(full_pvms, dtype=np.int64)
-        # Stacked as (n_rows, n_full_blocks, n_words) to match the batched
-        # gather's output layout.
-        self.full_words = (
-            np.stack(full_words, axis=1)
-            if full_words
-            else np.zeros((data.n_rows, 0, cache.full_tables[0].shape[1]),
-                          dtype=np.uint64)
+        self.edge_blocks = [
+            (block, cache.tables_for(block.start, block.stop),
+             data.block_words(block))
+            for block in data.plan.blocks
+            if not block.is_full
+        ]
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes, each buffer once: the slab, the cache (which
+        owns the edge blocks' sliced tables) and the edge blocks' words."""
+        return (
+            self.data.nbytes
+            + self.cache.nbytes
+            + sum(int(words.nbytes) for _, _, words in self.edge_blocks)
         )
 
     def column_errors(
@@ -101,7 +98,7 @@ class CachedPartition:
         with kernel_span(
             "cp.columnErrors",
             rows=masks_if_zero.shape[0],
-            full_blocks=int(self.full_pvms.size),
+            full_blocks=len(self.data.full_pvms),
             edge_blocks=len(self.edge_blocks),
         ):
             return self._column_errors(
@@ -120,15 +117,16 @@ class CachedPartition:
         n_rows = masks_if_zero.shape[0]
         error_if_zero = np.zeros(n_rows, dtype=np.int64)
         error_if_one = np.zeros(n_rows, dtype=np.int64)
+        full_pvms = self.data.full_pvms
         selected = (
-            np.arange(self.full_pvms.size)
+            np.arange(len(full_pvms))
             if all_blocks
-            else np.flatnonzero(outer_column[self.full_pvms])
+            else np.flatnonzero(outer_column[full_pvms.start : full_pvms.stop])
         )
         if selected.size:
-            pvms = self.full_pvms[selected]
+            pvms = full_pvms.start + selected
             # Rows of (blocks x words), so one popcount sums a whole row.
-            tensor_words = self.full_words[:, selected].reshape(n_rows, -1)
+            tensor_words = self.data.full_words[:, selected].reshape(n_rows, -1)
             # Batched over the selected full-width blocks: keys (rows, blocks).
             anded = masks_if_zero[:, None, :] & outer_words[pvms][None, :, :]
             keys = self.cache.group_keys(anded)

@@ -31,16 +31,9 @@ class PackedUnfolding:
         self.words = np.zeros(
             (self.n_rows, self.block_count, self.n_words), dtype=np.uint64
         )
-        if unfolding.nnz:
-            word_index = unfolding.offsets // packing.WORD_BITS
-            bit_offset = unfolding.offsets % packing.WORD_BITS
-            flat = self.words.reshape(-1)
-            linear = (
-                unfolding.rows * self.block_count + unfolding.block_ids
-            ) * self.n_words + word_index
-            np.bitwise_or.at(
-                flat, linear, np.uint64(1) << bit_offset.astype(np.uint64)
-            )
+        packing.scatter_bits(
+            self.words, unfolding.rows, unfolding.block_ids, unfolding.offsets
+        )
 
     @classmethod
     def from_words(
@@ -86,14 +79,6 @@ class PackedUnfolding:
 
     def nnz(self) -> int:
         return packing.popcount(self.words)
-
-    def row_block(self, row: int, block: int) -> np.ndarray:
-        """Packed words of one PVM block of one row."""
-        return self.words[row, block]
-
-    def block_slice(self, blocks: slice) -> np.ndarray:
-        """A view over a contiguous range of blocks, all rows."""
-        return self.words[:, blocks]
 
     def to_dense(self) -> np.ndarray:
         """Unpack back to a dense 0/1 matrix of shape (n_rows, n_cols)."""

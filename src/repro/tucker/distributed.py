@@ -81,7 +81,7 @@ class TuckerCachedPartition:
 
     def _build(self, data, outer, inner, inner_dense, caches,
                core_perm, group_size) -> None:
-        for block, tensor_words in zip(data.plan.blocks, data.block_words):
+        for block in data.plan.blocks:
             pattern = outer.row_mask(block.pvm_index)
             if pattern not in caches:
                 bits = np.array(
@@ -102,7 +102,8 @@ class TuckerCachedPartition:
                     coverage_words, block.start, block.stop
                 )
             self.entries.append(
-                (block, cache, tables, coverage_sliced, tensor_words)
+                (block, cache, tables, coverage_sliced,
+                 data.block_words(block))
             )
 
     def column_errors(

@@ -128,6 +128,30 @@ class TestSliceBits:
         )
 
 
+class TestScatterBits:
+    def test_set_then_clear_matches_dense(self):
+        rng = np.random.default_rng(0)
+        n_rows, n_blocks, n_bits = 5, 3, 70
+        rows = rng.integers(0, n_rows, 40)
+        blocks = rng.integers(0, n_blocks, 40)
+        offsets = rng.integers(0, n_bits, 40)
+        dense = np.zeros((n_rows, n_blocks, n_bits), dtype=np.uint8)
+        dense[rows, blocks, offsets] = 1
+        words = packing.packed_zeros((n_rows, n_blocks), n_bits)
+        # Repeated cells set their bit once.
+        packing.scatter_bits(words, rows, blocks, offsets)
+        np.testing.assert_array_equal(packing.unpack_bits(words, n_bits), dense)
+        dense[rows[:10], blocks[:10], offsets[:10]] = 0
+        packing.scatter_bits(words, rows[:10], blocks[:10], offsets[:10], False)
+        np.testing.assert_array_equal(packing.unpack_bits(words, n_bits), dense)
+
+    def test_non_contiguous_rejected(self):
+        words = packing.packed_zeros((4, 6), 10)[:, ::2]
+        cells = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ValueError, match="contiguous"):
+            packing.scatter_bits(words, cells, cells, cells)
+
+
 class TestMasks:
     def test_mask_round_trip(self):
         indices = [0, 3, 17, 63, 64, 100]

@@ -67,7 +67,7 @@ def _materialize(unfoldings):
     """Every partition's packed block words, per mode."""
     return [
         [
-            [np.asarray(words).copy() for words in data.block_words]
+            [np.array(data.block_words(block)) for block in data.plan.blocks]
             for data in rdd.collect()
         ]
         for rdd in unfoldings.rdds
@@ -95,7 +95,14 @@ def _patched_vs_rebuilt(tensor, deltas, n_partitions=3, memory_budget=None):
         current = tensor
         for delta in deltas:
             current = current.apply_delta(delta)
+            # Copy-on-write: partitions collected before the patch keep
+            # their bytes, whatever the patch writes into its copies.
+            held = [rdd.collect() for rdd in live.rdds]
+            held_words = [[np.array(d.words) for d in parts] for parts in held]
             live.patch(delta)
+            for parts, words in zip(held, held_words):
+                for data, before in zip(parts, words):
+                    np.testing.assert_array_equal(data.words, before)
             rebuilt = PartitionedUnfoldings.prepare(
                 current, n_partitions, runtime
             )
@@ -162,6 +169,34 @@ class TestPatchMatchesRebuild:
             deltas.append(delta)
             current = current.apply_delta(delta)
         _patched_vs_rebuilt(tensor, deltas, memory_budget=1)
+
+    @pytest.mark.parametrize("memory_budget", [None, 1 << 30])
+    def test_patch_copies_touched_slabs_only(self, memory_budget):
+        # A budget large enough that nothing spills keeps the source
+        # generation as read-only views of the flushed memmap.
+        tensor = _random_tensor(seed=12)
+        delta = _random_delta(tensor, seed=13, n_adds=2, n_removes=1)
+        cluster = ClusterConfig(
+            n_machines=2, cores_per_machine=1, memory_budget=memory_budget
+        )
+        with SimulatedRuntime(cluster) as runtime:
+            live = PartitionedUnfoldings.prepare(tensor, 3, runtime)
+            sources = [rdd.collect() for rdd in live.rdds]
+            source_words = [[np.array(d.words) for d in parts] for parts in sources]
+            live.patch(delta)
+            for parts, words, rdd in zip(sources, source_words, live.rdds):
+                touched = 0
+                for old, before, new in zip(parts, words, rdd.collect()):
+                    np.testing.assert_array_equal(old.words, before)
+                    if memory_budget is not None:
+                        assert not old.words.flags.writeable
+                    if new is old:
+                        continue
+                    touched += 1
+                    assert new.words.flags.writeable
+                    assert not np.shares_memory(new.words, old.words)
+                assert touched
+            live.unpersist()
 
     def test_budget_path_matches_default_path(self):
         tensor = _random_tensor(seed=9)

@@ -14,6 +14,8 @@ from repro.core import (
     pack_partition,
     split_unfolding_coordinates,
 )
+from repro.core.incremental import prepare_mode_partitions
+from repro.distengine import ClusterConfig, SimulatedRuntime
 from repro.tensor import PackedUnfolding, SparseBoolTensor, unfold
 
 
@@ -123,7 +125,8 @@ class TestBuildPartitionData:
         data = build_partition_data(packed, plans)
         unfolded = packed.to_dense()
         for part in data:
-            for block, words in zip(part.plan.blocks, part.block_words):
+            for block in part.plan.blocks:
+                words = part.block_words(block)
                 lo = block.pvm_index * block.width + block.start
                 hi = block.pvm_index * block.width + block.stop
                 np.testing.assert_array_equal(
@@ -135,7 +138,9 @@ class TestBuildPartitionData:
         plans = make_partition_plans(packed.block_count, packed.block_width, 3)
         data = build_partition_data(packed, plans)
         total = sum(
-            packing.popcount(words) for part in data for words in part.block_words
+            packing.popcount(part.block_words(block))
+            for part in data
+            for block in part.plan.blocks
         )
         assert total == tensor.nnz
 
@@ -144,6 +149,36 @@ class TestBuildPartitionData:
         plans = make_partition_plans(packed.block_count, packed.block_width, 2)
         data = build_partition_data(packed, plans)
         assert all(part.nbytes > 0 for part in data)
+
+    def test_slabs_are_views_of_the_unfolding(self):
+        packed, _ = self._packed((6, 7, 8), seed=4)
+        plans = make_partition_plans(packed.block_count, packed.block_width, 5)
+        for part in build_partition_data(packed, plans):
+            assert np.shares_memory(part.words, packed.words)
+            span = part.plan.pvm_span
+            np.testing.assert_array_equal(part.words, packed.words[:, span])
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_budgeted_slabs_share_the_flushed_memmap(self, mode):
+        # Edge-bearing partitions included: a partial block is sliced out
+        # of the slab on demand, so no partition copies the unfolding.
+        _, tensor = self._packed((6, 7, 8), seed=5)
+        cluster = ClusterConfig(
+            n_machines=2, cores_per_machine=1, memory_budget=1 << 30
+        )
+        with SimulatedRuntime(cluster) as runtime:
+            rdd, plans = prepare_mode_partitions(tensor, mode, 5, runtime)
+            directory = runtime.unfolding_storage().directory
+            parts = rdd.collect()
+            assert any(not block.is_full for plan in plans for block in plan.blocks)
+            for part in parts:
+                base = part.words
+                while base is not None and not isinstance(base, np.memmap):
+                    base = base.base
+                assert isinstance(base, np.memmap)
+                assert base.filename.startswith(directory)
+                assert np.shares_memory(part.words, base)
+                assert not part.words.flags.writeable
 
 
 class TestSparsePartitioning:
@@ -188,8 +223,10 @@ class TestSparsePartitioning:
         ]
         for expected, actual in zip(dense_path, sparse_path):
             assert expected.plan == actual.plan
-            for left, right in zip(expected.block_words, actual.block_words):
-                np.testing.assert_array_equal(left, right)
+            for block in expected.plan.blocks:
+                np.testing.assert_array_equal(
+                    expected.block_words(block), actual.block_words(block)
+                )
 
     def test_empty_partition_packs_to_no_blocks(self):
         unfolding, _ = self._unfolding((2, 2, 2), seed=3)
@@ -198,4 +235,4 @@ class TestSparsePartitioning:
         empty = [s for s in splits if s.plan.n_cols == 0]
         assert empty
         for split in empty:
-            assert pack_partition(split).block_words == []
+            assert pack_partition(split).words.shape[1] == 0

@@ -1,12 +1,16 @@
 """Unit tests for update-kernel internals (CachedPartition, mask helpers)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.bitops import BitMatrix, packing
 from repro.core import DbtfConfig, RowSummationCache
+from repro.core.incremental import prepare_mode_partitions
 from repro.core.partition import build_partition_data, make_partition_plans
 from repro.core.update import CachedPartition, _masks_with_bit_cleared
+from repro.distengine import ClusterConfig, SimulatedRuntime, estimate_bytes
 from repro.tensor import PackedUnfolding, SparseBoolTensor, random_factors, unfold
 
 
@@ -51,12 +55,82 @@ class TestCachedPartition:
         return tensor, factors, [CachedPartition(part, cache) for part in parts]
 
     def test_full_and_edge_blocks_partition_the_plan(self):
-        _, _, cached = self._build((6, 7, 9), 3, 4, seed=0)
+        tensor, _, cached = self._build((6, 7, 9), 3, 4, seed=0)
+        unfolded = unfold(tensor, 0).to_dense()
         for cp in cached:
-            assert cp.full_pvms.size + len(cp.edge_blocks) == len(cp.data.plan.blocks)
+            data = cp.data
+            full = data.full_words
+            assert full.shape[1] + len(cp.edge_blocks) == len(data.plan.blocks)
             # Lemma 3: at most two partial blocks per partition.
             assert len(cp.edge_blocks) <= 2
+            # The full-width blocks are a view of the slab, in PVM order.
+            assert np.shares_memory(full, data.words)
+            for position, pvm in enumerate(data.full_pvms):
+                np.testing.assert_array_equal(
+                    packing.unpack_bits(full[:, position], 7),
+                    unfolded[:, pvm * 7 : (pvm + 1) * 7],
+                )
+            for block, _, words in cp.edge_blocks:
+                lo = block.pvm_index * block.width
+                np.testing.assert_array_equal(
+                    packing.unpack_bits(words, block.n_cols),
+                    unfolded[:, lo + block.start : lo + block.stop],
+                )
 
+    def test_nbytes_counts_each_buffer_once(self):
+        # 12 x 13 x 14 mode 0 in 5 partitions: partition 1 spans columns
+        # [37, 74) of 13-wide PVMs, so it has a suffix and a prefix block.
+        tensor = SparseBoolTensor.from_dense(
+            (np.random.default_rng(4).random((12, 13, 14)) < 0.3).astype(np.uint8)
+        )
+        packed = PackedUnfolding(unfold(tensor, 0))
+        plans = make_partition_plans(packed.block_count, packed.block_width, 5)
+        inner = BitMatrix.random(13, 4, 0.5, np.random.default_rng(5))
+        two_edges = 0
+        for data in build_partition_data(packed, plans):
+            cp = CachedPartition(data, RowSummationCache(inner, group_size=2))
+            cache = cp.cache
+            buffers = [data.words, cache.columns_packed, *cache.full_tables]
+            buffers += [t for tables in cache._sliced.values() for t in tables]
+            buffers += [words for _, _, words in cp.edge_blocks]
+            distinct = {id(buffer): buffer for buffer in buffers}
+            total = sum(int(buffer.nbytes) for buffer in distinct.values())
+            assert cp.nbytes == total
+            assert estimate_bytes(cp) == total
+            two_edges += len(cp.edge_blocks) == 2
+        assert two_edges
+
+    @pytest.mark.parametrize("budget", [None, 1 << 30])
+    def test_allocates_only_cache_and_edge_slices(self, budget):
+        # Both unfolding paths: slabs packed from coordinates, and slabs
+        # that are views of the budgeted path's memmap.
+        rng = np.random.default_rng(6)
+        tensor = SparseBoolTensor.from_dense(
+            (rng.random((48, 130, 200)) < 0.02).astype(np.uint8)
+        )
+        inner = BitMatrix.random(130, 4, 0.5, rng)
+        cluster = ClusterConfig(
+            n_machines=2, cores_per_machine=1, memory_budget=budget
+        )
+        with SimulatedRuntime(cluster) as runtime:
+            rdd, _ = prepare_mode_partitions(tensor, 0, 7, runtime)
+            with_edges = 0
+            for data in rdd.collect():
+                cache = RowSummationCache(inner, group_size=2)
+                cache_before = cache.nbytes
+                tracemalloc.start()
+                try:
+                    cp = CachedPartition(data, cache)
+                    allocated, _ = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                edges = sum(int(words.nbytes) for _, _, words in cp.edge_blocks)
+                owned = cache.nbytes - cache_before + edges
+                # A copy of the slab would blow far past the slack.
+                assert data.nbytes > 8 * 4096
+                assert allocated <= owned + 4096
+                with_edges += bool(cp.edge_blocks)
+            assert with_edges
     def test_column_errors_sum_to_whole_row_error(self):
         tensor, factors, cached = self._build((6, 7, 9), 3, 4, seed=1)
         a_matrix, b_matrix, c_matrix = factors

@@ -28,7 +28,7 @@ class TestPackedUnfolding:
         packed = PackedUnfolding(unfold(tensor, 0))
         assert packed.nnz() == int(dense.sum())
 
-    def test_row_block_extracts_inner_fiber(self):
+    def test_words_hold_inner_fiber(self):
         # Block k of row i in mode-0 is the tube x_{i,:,k}.
         tensor, dense = random_tensor((4, 5, 6), seed=2)
         packed = PackedUnfolding(unfold(tensor, 0))
@@ -36,15 +36,8 @@ class TestPackedUnfolding:
 
         for i in range(4):
             for k in range(6):
-                block = packing.unpack_bits(packed.row_block(i, k), 5)
+                block = packing.unpack_bits(packed.words[i, k], 5)
                 np.testing.assert_array_equal(block, dense[i, :, k])
-
-    def test_block_slice_view(self):
-        tensor, _ = random_tensor((3, 4, 5), seed=3)
-        packed = PackedUnfolding(unfold(tensor, 0))
-        view = packed.block_slice(slice(1, 3))
-        assert view.shape == (3, 2, packed.n_words)
-        np.testing.assert_array_equal(view, packed.words[:, 1:3])
 
     def test_empty_tensor(self):
         packed = PackedUnfolding(unfold(SparseBoolTensor.empty((2, 3, 4)), 1))
