@@ -2,9 +2,8 @@
 
 The plan layer's claim (DESIGN.md §10): fusing each maximal chain of
 narrow transformations into one dispatch costs a DBTF iteration one stage
-per column update — 3 modes × R columns, each mode's cache build fused
-into its first column stage — one scheduler wave, span, and driver
-round-trip per chain instead of per transformation.  This benchmark
+per column update — 3 modes × R columns — one scheduler wave, span, and
+driver round-trip per chain instead of per transformation.  This benchmark
 derives the *per-iteration* stage count from the difference between a
 2-iteration and a 1-iteration run (subtracting the shared setup), asserts
 it stays at or below that floor, asserts that the factor bit-patterns, the
@@ -39,7 +38,8 @@ def max_stages_per_iteration(rank: int) -> int:
     """The floor: one stage per column update, 3 modes x ``rank`` columns.
 
     At rank 2 / dim 24 fused dispatch was recorded at 6 stages/iteration
-    against 9 (= 3(R+1), a separate cache-build stage per mode) for the
+    against 9 (= 3(R+1), a separate cache-build stage per mode, while the
+    cache tables were a persisted node) for the
     one-stage-per-transformation dispatch this floor replaces.
     """
     return 3 * rank

@@ -115,11 +115,14 @@ class RowSummationCache:
                 f"invalid column range [{start}, {stop}) for width {self.width}"
             )
         key = (start, stop)
-        if key not in self._sliced:
-            self._sliced[key] = [
+        tables = self._sliced.get(key)
+        if tables is None:
+            # setdefault keeps the first insert, so the concurrent tasks of
+            # a thread backend all get the same memoized slices.
+            tables = self._sliced.setdefault(key, [
                 packing.slice_bits(table, start, stop) for table in self.full_tables
-            ]
-        return self._sliced[key]
+            ])
+        return tables
 
     def group_keys(self, anded_words: np.ndarray) -> list[np.ndarray]:
         """Per-group integer cache keys from packed AND-ed row masks.

@@ -22,6 +22,7 @@ import numpy as np
 from ..bitops import BitMatrix, packing
 from ..bitops.ops import xor_popcount_rows
 from ..distengine import Distributed, SimulatedRuntime
+from ..distengine.broadcast import worker_state
 from ..observability.trace import kernel_span
 from .cache import RowSummationCache
 from .config import DbtfConfig
@@ -33,9 +34,11 @@ __all__ = ["update_factor", "CachedPartition"]
 class CachedPartition:
     """A partition plus the row-summation cache tables its blocks use.
 
-    Built once per factor update (paper Algorithm 5) and reused for every
-    column evaluation of that update — one per column, each yielding both
-    candidates' errors.  Full-width blocks — the overwhelming majority
+    A transient wrapper built by each column task around its partition and
+    the worker's shared cache (paper Algorithm 5: the tables are built
+    once per worker and factor update, see :func:`_shared_cache`); the
+    edge blocks' sliced tables are memoized in that cache, so wrapping
+    costs microseconds.  Full-width blocks — the overwhelming majority
     (Lemma 3 allows at most two partial blocks per partition) — are
     evaluated as one batched table gather over all the selected ones at
     once, straight from the partition's slab, which is what keeps the
@@ -176,25 +179,28 @@ def _masks_with_bit_cleared(words: np.ndarray, column: int) -> np.ndarray:
     return words & keep
 
 
-class _BuildCachedPartitionFromHandle:
-    """Stage payload: build the cache from a broadcast handle's factors.
+#: Worker-state slot of the shared row-summation cache (one per runtime).
+_CACHE_SLOT = "rowSummationCache"
 
-    The handle resolves to ``[target_words, outer_words, inner_words]``
-    worker-side; only the inner factor's dimensions ride in the payload.
+
+def _shared_cache(factors, rank: int, group_size: int) -> RowSummationCache:
+    """This worker's row-summation cache for one factors broadcast.
+
+    Algorithm 5's tables depend only on the inner factor, so every
+    partition on a worker shares one cache, built on the worker's first
+    task of the update and replaced by the next update's (see
+    :func:`~repro.distengine.broadcast.worker_state`).
     """
 
-    __slots__ = ("factors", "inner_rows", "inner_cols", "group_size")
+    def build() -> RowSummationCache:
+        inner_words = factors.value[2]
+        inner = BitMatrix(inner_words.shape[0], rank, inner_words)
+        return RowSummationCache(inner, group_size)
 
-    def __init__(self, factors, inner_rows: int, inner_cols: int, group_size: int):
-        self.factors = factors
-        self.inner_rows = inner_rows
-        self.inner_cols = inner_cols
-        self.group_size = group_size
-
-    def __call__(self, data) -> CachedPartition:
-        inner_words = self.factors.value[2]
-        inner = BitMatrix(self.inner_rows, self.inner_cols, inner_words)
-        return CachedPartition(data, RowSummationCache(inner, self.group_size))
+    return worker_state(
+        factors.scope, _CACHE_SLOT, (factors.content_id, rank, group_size),
+        build,
+    )
 
 
 class _ColumnErrorsDeltaTask:
@@ -207,28 +213,37 @@ class _ColumnErrorsDeltaTask:
     are O(n_rows/8) instead of O(n_rows·words).  Rebuilding from the base
     every column (rather than mutating worker-local state) keeps the
     computation a pure function of the payload, which is what makes results
-    bit-identical across serial, thread, and process backends.
+    bit-identical across serial, thread, and process backends.  The only
+    worker-local state is the shared row-summation cache, itself a pure
+    function of the factors broadcast and ``(rank, group_size)``.
 
     An empty ``deltas`` marks the first column evaluated in this update:
     it scans every block so the driver can seed the exact error, and every
     later column evaluates only its active blocks.
     """
 
-    __slots__ = ("factors", "column", "deltas", "n_rows")
+    __slots__ = ("factors", "column", "deltas", "rank", "group_size")
 
-    def __init__(self, factors, column: int, deltas: tuple, n_rows: int):
+    def __init__(
+        self, factors, column: int, deltas: tuple, rank: int, group_size: int
+    ):
         self.factors = factors
         self.column = column
         self.deltas = deltas
-        self.n_rows = n_rows
+        self.rank = rank
+        self.group_size = group_size
 
-    def __call__(self, cached: CachedPartition):
+    def __call__(self, data: PartitionData):
         target_words, outer_words, _ = self.factors.value
+        cached = CachedPartition(
+            data, _shared_cache(self.factors, self.rank, self.group_size)
+        )
         # Deltas only cover earlier columns, so clearing this column first
         # (which also copies the base words) commutes with applying them.
         masks = _masks_with_bit_cleared(target_words, self.column)
+        n_rows = target_words.shape[0]
         for applied_column, delta in self.deltas:
-            chosen = np.unpackbits(delta.value, count=self.n_rows)
+            chosen = np.unpackbits(delta.value, count=n_rows)
             packing.set_bit_column(masks, applied_column, chosen)
         return cached.column_errors(
             masks,
@@ -321,18 +336,11 @@ def update_factor(
     factors = runtime.broadcast(
         [target.words, outer.words, inner.words], name="updateFactor.broadcast"
     )
-    # Algorithm 5: build the row-summation cache tables inside each
-    # partition.  The cache depends only on `inner`, so every partition
-    # builds identical full tables plus its own block slices — exactly what
-    # each Spark executor would do locally.  Persisted because all R column
-    # stages of this update reuse it; the plan layer fuses the build into
-    # the first column's stage (tapping the persist point), so it costs no
-    # dedicated dispatch.
-    build_task = _BuildCachedPartitionFromHandle(
-        factors, inner.n_rows, inner.n_cols, config.cache_group_size
-    )
-    cached_rdd = data_rdd.map(build_task, name="cacheRowSummations").persist()
-
+    # Algorithm 5: the row-summation cache depends only on `inner`, so each
+    # worker builds it once from this broadcast, on its first column task,
+    # and every partition it holds shares it (`_shared_cache`).  The column
+    # stages map straight over the persisted partitions; nothing derived
+    # from the factors is persisted or spilled.
     updated = target.copy()
     error_after = None
     deltas: list[tuple] = []
@@ -348,9 +356,9 @@ def update_factor(
             skipped += 1
             continue
         task = _ColumnErrorsDeltaTask(
-            factors, column, tuple(deltas), updated.n_rows
+            factors, column, tuple(deltas), config.rank, config.cache_group_size
         )
-        per_partition = cached_rdd.map(task, name="columnErrors").collect(
+        per_partition = data_rdd.map(task, name="columnErrors").collect(
             name="collectColumnErrors"
         )
         error_if_zero = np.zeros(updated.n_rows, dtype=np.int64)
@@ -373,9 +381,6 @@ def update_factor(
         # deltas to rebuild the target state worker-side.
         delta = runtime.broadcast(np.packbits(chosen), name="columnUpdate")
         deltas.append((column, delta))
-    # The cache tables are stale the moment `inner` changes in the next
-    # mode's update; evict rather than letting them pile up until close().
-    cached_rdd.unpersist()
     if dirty is None:
         return updated, error_after
     runtime.metrics.counter("incremental_columns_swept_total").inc(evaluated)

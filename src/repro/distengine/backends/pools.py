@@ -185,14 +185,8 @@ def _fetch(store, _worker, keys, release):
     return ("ok", [take(key) for key in keys])
 
 
-def _release(store, _worker, scope, node_id):
-    doomed = [
-        key for key in store
-        if key[0] == scope and (node_id is None or key[1] == node_id)
-    ]
-    for key in doomed:
-        del store[key]
-    return ("ok", len(doomed))
+def _release(_store, _worker, scope, node_id):
+    return ("ok", broadcast.release_scope(scope, node_id))
 
 
 def _count(store, _worker):
@@ -321,9 +315,9 @@ class ProcessBackend(_PoolBackend):
     Task payloads and non-resident inputs cross the process boundary by
     pickle, so stage functions must be module-level callables carrying
     their broadcast handles as attributes (no captured locals); see
-    ``_BuildCachedPartitionFromHandle`` / ``_ColumnErrorsDeltaTask`` in
-    :mod:`repro.core.update` for the pattern.  Persisted outputs stay in
-    the workers (see the module docstring) until the runtime releases them.
+    ``_ColumnErrorsDeltaTask`` in :mod:`repro.core.update` for the
+    pattern.  Persisted outputs stay in the workers (see the module
+    docstring) until the runtime releases them.
     """
 
     name = "process"

@@ -22,15 +22,36 @@ difference would break the engine's backend-invariant trace structure.
 
 from __future__ import annotations
 
-from typing import Any
+import os
+import threading
+from typing import Any, Callable
 
-__all__ = ["Broadcast", "BroadcastHandle"]
+from ..observability.trace import untraced
 
-#: Process-local resident store of a process-backend worker: broadcast
+__all__ = ["Broadcast", "BroadcastHandle", "worker_state", "release_scope"]
+
+#: Process-local resident store.  A process-backend worker keeps broadcast
 #: values keyed ``(scope, content_id)`` and persisted partitions keyed
-#: ``(scope, node_id, partition_index)``, where ``scope`` identifies the
-#: owning runtime so one runtime's ``close()`` drops exactly its entries.
+#: ``(scope, node_id, partition_index)`` here; every process (the driver
+#: too, for the serial and thread backends) keeps :func:`worker_state`
+#: slots keyed ``(scope, name)``.  ``scope`` identifies the owning runtime,
+#: so one runtime's ``close()`` drops exactly its entries.
 _STORE: dict[tuple, Any] = {}
+
+#: Serializes :func:`worker_state` builds and :func:`release_scope` against
+#: the concurrent tasks of a thread backend.
+_STORE_LOCK = threading.Lock()
+
+
+def _fresh_lock_after_fork() -> None:
+    # A worker forked while another driver thread held the lock would
+    # otherwise block on its first worker_state call forever.
+    global _STORE_LOCK
+    _STORE_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_lock_after_fork)
 
 _MISSING = object()
 
@@ -38,6 +59,48 @@ _MISSING = object()
 def clear_store() -> None:
     """Drop every entry from this process's resident store."""
     _STORE.clear()
+
+
+def worker_state(scope: int, name: str, key: tuple, build: Callable[[], Any]):
+    """This process's value of one derived-state slot of a runtime scope.
+
+    The slot ``(scope, name)`` of the resident store holds ``(key,
+    value)``; a call with another ``key`` builds a replacement, so a
+    worker keeps one value per slot however many broadcasts pass through
+    it, and :func:`release_scope` drops it with the scope's other entries.
+
+    ``build()`` runs once per key and process, under a lock so a thread
+    pool's concurrent tasks share one build.  How many builds happen is a
+    property of the backend (one for a serial runtime, one per process
+    worker), so like broadcast resolution the build runs untraced: it
+    records no span and no metric.
+    """
+    slot = (scope, name)
+    held = _STORE.get(slot)
+    if held is None or held[0] != key:
+        with _STORE_LOCK:
+            held = _STORE.get(slot)
+            if held is None or held[0] != key:
+                with untraced():
+                    held = (key, build())
+                _STORE[slot] = held
+    return held[1]
+
+
+def release_scope(scope: int, node_id: "int | None" = None) -> int:
+    """Drop this process's resident entries of one runtime ``scope``.
+
+    Only the persisted partitions of ``node_id`` when given, else every
+    entry of the scope.  Returns how many entries were dropped.
+    """
+    with _STORE_LOCK:
+        doomed = [
+            key for key in _STORE
+            if key[0] == scope and (node_id is None or key[1] == node_id)
+        ]
+        for key in doomed:
+            del _STORE[key]
+    return len(doomed)
 
 
 class BroadcastHandle:

@@ -21,7 +21,7 @@ from ..observability import MetricsRegistry, SpanKind, Tracer
 from ..resilience import RetryPolicy, SpeculationConfig, plan_speculation
 from ..storage import MemoryBudget, PartitionSpillStore
 from .backends import Backend, ResidentPartition, make_backend
-from .broadcast import Broadcast
+from .broadcast import Broadcast, release_scope
 from .cluster import DEFAULT_CLUSTER, ClusterConfig
 from .faults import FaultInjector
 from .plan import FusedChainTask, LogicalPlan, PlanNode, PlanOptimizer
@@ -196,6 +196,8 @@ class SimulatedRuntime:
             self.backend.close()
         else:
             self.backend.release(self.scope)
+        # Worker state of in-process backends lives in the driver's store.
+        release_scope(self.scope)
 
     def __enter__(self) -> "SimulatedRuntime":
         return self

@@ -24,6 +24,7 @@ produces bit-identical ids under every backend.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -40,6 +41,7 @@ __all__ = [
     "kernel_span",
     "record_metric",
     "metrics_enabled",
+    "untraced",
 ]
 
 
@@ -278,6 +280,21 @@ def activate_task_context(context: TaskTraceContext) -> None:
 
 def deactivate_task_context() -> None:
     _ACTIVE.context = None
+
+
+@contextlib.contextmanager
+def untraced():
+    """Run a block outside any task context: it records no span or metric.
+
+    For work whose placement depends on the backend (state a worker builds
+    once and reuses), which must not show in the backend-invariant trace.
+    """
+    context = getattr(_ACTIVE, "context", None)
+    _ACTIVE.context = None
+    try:
+        yield
+    finally:
+        _ACTIVE.context = context
 
 
 class _NullSpan:

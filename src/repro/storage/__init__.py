@@ -24,7 +24,7 @@ single ``None`` check.
 
 from .budget import MemoryBudget, format_size, parse_memory_size
 from .mmap_store import MmapUnfoldingStore
-from .spill import PartitionSpillStore, SpilledPartitions
+from .spill import PartitionSpillStore, SpilledPartitions, SpillFileError
 from .stream import StreamingTensorBuilder, iter_coordinate_batches
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "MmapUnfoldingStore",
     "PartitionSpillStore",
     "SpilledPartitions",
+    "SpillFileError",
     "StreamingTensorBuilder",
     "iter_coordinate_batches",
 ]

@@ -13,10 +13,12 @@ truncated file is detected at load time.  The layout is a fixed 128-byte
 JSON header (magic, mode, n_rows, block_count, block_width) followed by
 the raw little-endian uint64 words in C order.
 
-Downstream consumers never notice the difference: packing reads
-``packed.words[:, block, :]`` slices, which numpy serves identically from
-a memmap — and copies into fresh arrays when partitions are built, so
-worker tasks never touch the mapping itself.
+Downstream consumers never notice the difference: each partition's slab
+is a zero-copy plain-ndarray view of the mapping
+(:func:`~repro.core.partition.build_partition_data`), which numpy reads
+like any array; a delta patch copies a slab before writing to it, and the
+spill store spills the views by reference to the file rather than by
+value (:mod:`repro.storage.spill`).
 """
 
 from __future__ import annotations

@@ -24,6 +24,9 @@ order, which is identical across the serial, thread, and process backends,
 so the spill/load sequence — and with it the SPILL bytes charged to the
 cost model — is backend-invariant.  Loads are pickle round-trips of the
 exact partition lists, so task inputs are bit-identical either way.
+A source node's arrays that view a memory-mapped file under the store's
+directory (the budgeted path's partition slabs) spill by reference to the
+file rather than by value, and reload as read-only views of it.
 
 This store is deliberately engine-agnostic: the runtime injects its byte
 measurer and transfer recorder, so this package never imports distengine.
@@ -42,7 +45,7 @@ import numpy as np
 
 from .budget import MemoryBudget
 
-__all__ = ["PartitionSpillStore", "SpilledPartitions"]
+__all__ = ["PartitionSpillStore", "SpilledPartitions", "SpillFileError"]
 
 #: Span name shared by spill and load events (the ``op`` attr disambiguates).
 STORAGE_SPAN = "storage"
@@ -74,14 +77,40 @@ class SpilledPartitions:
         )
 
 
-class _SpillPickler(pickle.Pickler):
-    """Pickles numeric arrays against their canonical dtype object.
+class SpillFileError(ValueError):
+    """A spill file, or an unfolding file it references, cannot be read."""
 
-    A pickle writes each distinct dtype *object* once.  Arrays that went
-    through an earlier unpickle (a loaded spill file, a worker fetch) carry
-    private dtype copies, so without this the same data would spill to a
-    size that depends on its history, not on the data.
+
+class _SpillPickler(pickle.Pickler):
+    """Pickles file-backed views by reference, other arrays by value.
+
+    Given a ``directory``, an array viewing a memory-mapped file under it
+    (the runtime's :class:`~repro.storage.MmapUnfoldingStore` files, or a
+    view the store loaded from one) is written as a reference: the file's
+    path relative to the directory, the byte offset, dtype, shape and
+    strides.  The files are content-addressed and immutable while the
+    store lives, so the reference reloads the same bits.  Relative paths
+    keep the spill bytes independent of where the directory is.
+
+    Numeric arrays pickled by value go against their canonical dtype
+    object.  A pickle writes each distinct dtype *object* once.  Arrays
+    that went through an earlier unpickle (a loaded spill file, a worker
+    fetch) carry private dtype copies, so without this the same data would
+    spill to a size that depends on its history, not on the data.
     """
+
+    def __init__(self, stream, directory: "str | None"):
+        super().__init__(stream, protocol=4)
+        self._directory = None if directory is None else os.path.abspath(directory)
+
+    def persistent_id(self, obj):
+        if (
+            self._directory is not None
+            and type(obj) is np.ndarray
+            and obj.base is not None
+        ):
+            return _file_reference(obj, self._directory)
+        return None
 
     def reducer_override(self, obj):
         if type(obj) is np.ndarray and obj.dtype.isnative and (
@@ -91,6 +120,47 @@ class _SpillPickler(pickle.Pickler):
             canonical = np.dtype(obj.dtype.str)
             return reconstruct, args, state[:2] + (canonical,) + state[3:]
         return NotImplemented
+
+
+def _file_reference(array: np.ndarray, directory: str) -> "tuple | None":
+    """``array``'s location in a memory-mapped file under ``directory``."""
+    root = array
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    if not isinstance(root, np.memmap) or root.filename is None:
+        return None
+    name = os.path.relpath(root.filename, directory)
+    if name.startswith(os.pardir):
+        return None
+    offset = root.offset + (
+        array.__array_interface__["data"][0]
+        - root.__array_interface__["data"][0]
+    )
+    return (name, offset, array.dtype.str, array.shape, array.strides)
+
+
+class _SpillUnpickler(pickle.Unpickler):
+    """Resolves file references through the store's read-only mappings."""
+
+    def __init__(self, stream, store: "PartitionSpillStore", path: str):
+        super().__init__(stream)
+        self._store = store
+        self._path = path
+
+    def persistent_load(self, reference):
+        name, offset, dtype, shape, strides = reference
+        mapping = self._store._mapping(name, self._path)
+        try:
+            return np.ndarray(
+                shape, dtype=dtype, buffer=mapping, offset=offset,
+                strides=strides,
+            )
+        except (TypeError, ValueError) as exc:
+            # numpy checks the view against the mapping's bounds.
+            raise SpillFileError(
+                f"spill file {self._path} references bytes of {name} "
+                f"({mapping.size} bytes) it does not have: {exc}"
+            ) from exc
 
 
 class _Entry:
@@ -154,6 +224,9 @@ class PartitionSpillStore:
         #: fine: entries leave via ``discard`` (runtime eviction) or
         #: ``close`` (runtime shutdown), both guaranteed paths.
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
+        #: Read-only mappings of the files spilled references point into,
+        #: keyed by their path relative to ``directory``.
+        self._mappings: dict[str, np.memmap] = {}
 
     # ------------------------------------------------------------------
     # Admission and access
@@ -214,6 +287,7 @@ class PartitionSpillStore:
         for entry in self._entries.values():
             self.budget.release(entry.nbytes)
         self._entries.clear()
+        self._mappings.clear()
         shutil.rmtree(self.directory, ignore_errors=True)
 
     # ------------------------------------------------------------------
@@ -221,6 +295,21 @@ class PartitionSpillStore:
     # ------------------------------------------------------------------
     def _path_for(self, node_id: int) -> str:
         return os.path.join(self.directory, f"node-{node_id:06d}.pkl")
+
+    def _mapping(self, name: str, spill_path: str) -> np.memmap:
+        """The read-only byte mapping of a referenced file, opened once."""
+        mapping = self._mappings.get(name)
+        if mapping is None:
+            path = os.path.join(self.directory, name)
+            try:
+                mapping = np.memmap(path, dtype=np.uint8, mode="r")
+            except (OSError, ValueError) as exc:
+                raise SpillFileError(
+                    f"spill file {spill_path} references {path}, which "
+                    f"cannot be mapped: {exc}"
+                ) from exc
+            self._mappings[name] = mapping
+        return mapping
 
     def _make_room(self, nbytes: int) -> None:
         """Spill coldest entries until ``nbytes`` more fits the budget."""
@@ -241,7 +330,12 @@ class PartitionSpillStore:
                 partitions = self._resolve(partitions)
             staging = entry.path + ".tmp"
             with open(staging, "wb") as stream:
-                _SpillPickler(stream, protocol=4).dump(partitions)
+                # Only sources spill by reference: their partitions are
+                # driver-side on every backend, while a derived node's come
+                # back from process workers as copies, so referencing its
+                # views would make the spill bytes depend on the backend.
+                by_reference = self.directory if entry.node.is_source else None
+                _SpillPickler(stream, by_reference).dump(partitions)
             os.replace(staging, entry.path)
         entry.file_bytes = os.path.getsize(entry.path)
         entry.node.cached = SpilledPartitions(
@@ -262,7 +356,12 @@ class PartitionSpillStore:
     def _load(self, node: Any, marker: SpilledPartitions) -> list:
         """Page a spilled entry back in, re-admitting it under the budget."""
         with open(marker.path, "rb") as stream:
-            partitions = pickle.load(stream)
+            try:
+                partitions = _SpillUnpickler(stream, self, marker.path).load()
+            except (pickle.UnpicklingError, EOFError) as exc:
+                raise SpillFileError(
+                    f"spill file {marker.path} is truncated or corrupt: {exc}"
+                ) from exc
         file_bytes = os.path.getsize(marker.path)
         self.budget.count_load()
         if self._record_io is not None:

@@ -103,7 +103,9 @@ class TestDbtfUnderFaults:
         clean_runtime = SimulatedRuntime()
         clean = dbtf(tensor, rank=2, seed=1, n_partitions=4, runtime=clean_runtime)
         faulty_runtime = SimulatedRuntime(
-            fault_injector=FaultInjector(failure_rate=0.15, max_retries=10, seed=5)
+            # Faults are drawn per stage name; seed 12 fires in both the
+            # first (fused) and the later column stages.
+            fault_injector=FaultInjector(failure_rate=0.15, max_retries=10, seed=12)
         )
         faulty = dbtf(tensor, rank=2, seed=1, n_partitions=4, runtime=faulty_runtime)
         assert clean.factors == faulty.factors

@@ -99,6 +99,21 @@ def _dbtf_print(tensor, backend, workers, fault_injector=None,
         runtime.close()
 
 
+def _deltas(tensor, n_epochs=3):
+    """Hole-punch/refill deltas of four cells each, drawn from seed 9."""
+    rng = np.random.default_rng(9)
+    present = np.ravel_multi_index(tensor.coords.T, tensor.shape)
+    absent = np.setdiff1d(np.arange(np.prod(tensor.shape)), present)
+    deltas = []
+    for _ in range(n_epochs):
+        removed = np.sort(rng.choice(present, 4, replace=False))
+        added = np.sort(rng.choice(absent, 4, replace=False))
+        present = np.union1d(np.setdiff1d(present, removed), added)
+        absent = np.union1d(np.setdiff1d(absent, added), removed)
+        deltas.append(TensorDelta(tensor.shape, added, removed))
+    return deltas
+
+
 def _assert_all_equal(prints):
     reference = prints[BACKENDS[0]]
     for key, value in prints.items():
@@ -146,16 +161,7 @@ class TestEquivalence:
         assert prints[BACKENDS[0]][2][1]["storage.spill"] > 0
 
     def test_session_delta_stream(self, tensor):
-        rng = np.random.default_rng(9)
-        present = np.ravel_multi_index(tensor.coords.T, tensor.shape)
-        absent = np.setdiff1d(np.arange(np.prod(tensor.shape)), present)
-        deltas = []
-        for _ in range(3):
-            removed = np.sort(rng.choice(present, 4, replace=False))
-            added = np.sort(rng.choice(absent, 4, replace=False))
-            present = np.union1d(np.setdiff1d(present, removed), added)
-            absent = np.union1d(np.setdiff1d(absent, added), removed)
-            deltas.append(TensorDelta(tensor.shape, added, removed))
+        deltas = _deltas(tensor)
 
         def run(backend, workers):
             config = DbtfConfig(
@@ -181,6 +187,38 @@ class TestEquivalence:
             name.startswith("patchPartitions")
             for name in prints[BACKENDS[0]][1][0]
         )
+
+    def test_budgeted_session_spills_identically(self, tensor, tmp_path):
+        # Patched generations are derived nodes a process worker holds and
+        # hands back by value on spill; the serial run must spill them to
+        # the same bytes although its untouched slabs are memmap views.
+        deltas = _deltas(tensor)
+
+        def run(backend, workers):
+            config = DbtfConfig(
+                rank=3, n_partitions=PARTITIONS, seed=0,
+                cluster=_cluster(
+                    backend, workers, memory_budget=3000,
+                    spill_dir=str(tmp_path / f"{backend}{workers}"),
+                ),
+            )
+            with FactorizationSession(tensor, config) as session:
+                epochs = [session.factorize()]
+                epochs += [session.advance(delta) for delta in deltas]
+                runtime = session.runtime
+                budget = runtime.storage.budget
+                return (
+                    tuple(
+                        _factor_bytes(epoch.result.factors) for epoch in epochs
+                    ),
+                    _engine_print(runtime),
+                    (budget.spill_events, budget.load_events,
+                     budget.spilled_bytes),
+                )
+
+        prints = {(b, w): run(b, w) for b, w in BACKENDS}
+        _assert_all_equal(prints)
+        assert prints[BACKENDS[0]][2][0] > 0
 
     def test_dbtf_tucker(self, tensor):
         from repro.tucker import BooleanTuckerConfig

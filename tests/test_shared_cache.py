@@ -1,0 +1,270 @@
+"""The per-worker row-summation cache of the column stages.
+
+Each worker builds one :class:`~repro.core.RowSummationCache` per factors
+broadcast and every partition it holds shares it.  That must stay
+invisible: the shared-cache path gives the same per-partition errors as
+partitions wrapped with private caches, on every backend, with and without
+a memory budget — including partitions whose edges cut PVM blocks, which
+the e2e shapes never do.  The cache must also never outlive its runtime.
+"""
+
+import gc
+import sys
+import time
+import weakref
+
+import numpy as np
+import pytest
+
+from repro.bitops import BitMatrix
+from repro.core import DbtfConfig, RowSummationCache, dbtf
+from repro.core.incremental import prepare_mode_partitions
+from repro.core import update as update_module
+from repro.core.update import (
+    _CACHE_SLOT,
+    CachedPartition,
+    _ColumnErrorsDeltaTask,
+    _choose_column,
+    _masks_with_bit_cleared,
+    update_factor,
+)
+from repro.distengine import ClusterConfig, RuntimeFactory, SimulatedRuntime
+from repro.distengine import broadcast
+from repro.incremental import FactorizationSession
+from repro.tensor import MODE_FACTOR_ROLES, TensorDelta, planted_tensor
+
+#: 5 partitions over the 13 x 14 = 182 unfolded columns of mode 0 cut
+#: PVM blocks (width 13) at every partition boundary.
+SHAPE = (12, 13, 14)
+PARTITIONS = 5
+RANK = 5
+#: Two cache groups, so lookups OR entries of several tables.
+GROUP_SIZE = 3
+
+BACKENDS = [("serial", None), ("thread", 3), ("process", 2), ("process", 3)]
+
+
+def _cluster(backend, workers, **overrides):
+    return ClusterConfig(
+        n_machines=2, cores_per_machine=2, backend=backend, n_workers=workers,
+        **overrides,
+    )
+
+
+@pytest.fixture(scope="module")
+def tensor():
+    return planted_tensor(
+        SHAPE, rank=3, factor_density=0.3, rng=np.random.default_rng(11),
+        additive_noise=0.05,
+    )[0]
+
+
+@pytest.fixture(scope="module")
+def factors():
+    rng = np.random.default_rng(4)
+    return [BitMatrix.random(dim, RANK, 0.4, rng) for dim in SHAPE]
+
+
+def _roles(factors, mode=0):
+    target, outer, inner = MODE_FACTOR_ROLES[mode]
+    return factors[target], factors[outer], factors[inner]
+
+
+def _config():
+    return DbtfConfig(
+        rank=RANK, n_partitions=PARTITIONS, cache_group_size=GROUP_SIZE
+    )
+
+
+def _shared_path(tensor, factors, backend, workers, budget):
+    """Per-partition errors of two column tasks, then one full update."""
+    runtime = SimulatedRuntime(
+        _cluster(backend, workers, memory_budget=budget)
+    )
+    try:
+        rdd, plans = prepare_mode_partitions(tensor, 0, PARTITIONS, runtime)
+        rdd = rdd.persist()
+        target, outer, inner = _roles(factors)
+        handle = runtime.broadcast([target.words, outer.words, inner.words])
+        chosen = runtime.broadcast(np.packbits(target.column(0)))
+        per_partition = [
+            rdd.map(_ColumnErrorsDeltaTask(
+                handle, column, deltas, RANK, GROUP_SIZE
+            )).collect()
+            for column, deltas in ((0, ()), (1, ((0, chosen),)))
+        ]
+        updated, error = update_factor(
+            rdd, target, outer, inner, _config(), runtime
+        )
+        return plans, per_partition, (updated.words.tobytes(), error)
+    finally:
+        runtime.close()
+
+
+def _private_path(tensor, factors):
+    """The same update over partitions wrapped with private caches."""
+    with SimulatedRuntime(_cluster("serial", None)) as runtime:
+        rdd, _ = prepare_mode_partitions(tensor, 0, PARTITIONS, runtime)
+        partitions = rdd.collect()
+    target, outer, inner = _roles(factors)
+    cached = [
+        CachedPartition(data, RowSummationCache(inner, GROUP_SIZE))
+        for data in partitions
+    ]
+    columns = inner.transpose().words
+
+    def errors(masks, column, all_blocks):
+        return [
+            cp.column_errors(
+                masks, outer.words, outer.column(column), columns[column],
+                all_blocks=all_blocks,
+            )
+            for cp in cached
+        ]
+
+    # The two column tasks: column 0 first in its update (every block),
+    # column 1 after a delta that keeps column 0 (active blocks only).
+    yield errors(_masks_with_bit_cleared(target.words, 0), 0, True)
+    yield errors(_masks_with_bit_cleared(target.words, 1), 1, False)
+    updated = target.copy()
+    error = None
+    for column in range(RANK):
+        per_partition = errors(
+            _masks_with_bit_cleared(updated.words, column), column,
+            error is None,
+        )
+        chosen, error = _choose_column(
+            sum(zero for zero, _ in per_partition),
+            sum(one for _, one in per_partition),
+            updated.column(column), error,
+        )
+        updated.set_column(column, chosen)
+    yield updated.words.tobytes(), error
+
+
+def _assert_errors_equal(got, want):
+    assert len(got) == len(want)
+    for (got_zero, got_one), (want_zero, want_one) in zip(got, want):
+        np.testing.assert_array_equal(got_zero, want_zero)
+        np.testing.assert_array_equal(got_one, want_one)
+
+
+class TestEdgeBlocks:
+    @pytest.mark.parametrize("budget", [None, 4096])
+    def test_backends_match_private_caches(self, tensor, factors, budget):
+        runs = {
+            (backend, workers): _shared_path(
+                tensor, factors, backend, workers, budget
+            )
+            for backend, workers in BACKENDS
+        }
+        plans = runs[BACKENDS[0]][0]
+        edges = sum(not block.is_full for plan in plans for block in plan.blocks)
+        assert edges >= 2 * (PARTITIONS - 1)
+        *private_errors, private_update = _private_path(tensor, factors)
+        for key, (_, per_partition, update) in runs.items():
+            assert update == private_update, key
+            for got, want in zip(per_partition, private_errors):
+                _assert_errors_equal(got, want)
+
+    def test_thread_tasks_share_memoized_slices(
+        self, tensor, factors, monkeypatch
+    ):
+        seen = []
+        builds = []
+        wrap = CachedPartition.__init__
+        build = update_module.RowSummationCache
+
+        def recording_init(self, data, cache):
+            wrap(self, data, cache)
+            seen.extend((cache, block, tables) for block, tables, _ in self.edge_blocks)
+
+        def counting_build(*args):
+            builds.append(args)
+            time.sleep(0.01)  # widen the window for a racing second build
+            return build(*args)
+
+        monkeypatch.setattr(CachedPartition, "__init__", recording_init)
+        monkeypatch.setattr(update_module, "RowSummationCache", counting_build)
+        # More threads than cores and frequent switches, so a lost update
+        # of the shared slot or the slice memo would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        runtime = SimulatedRuntime(_cluster("thread", 8))
+        try:
+            rdd, _ = prepare_mode_partitions(tensor, 0, 3 * PARTITIONS, runtime)
+            target, outer, inner = _roles(factors)
+            update_factor(rdd.persist(), target, outer, inner, _config(), runtime)
+            _, cache = broadcast._STORE[(runtime.scope, _CACHE_SLOT)]
+        finally:
+            runtime.close()
+            sys.setswitchinterval(interval)
+        assert seen
+        # One cache for the whole update, and every task got the one
+        # memoized slice list of its edge block.
+        assert len(builds) == 1
+        assert all(held is cache for held, _, _ in seen)
+        for _, block, tables in seen:
+            assert tables is cache.tables_for(block.start, block.stop)
+
+
+def _cache_count(index, _items):
+    """Module-level task: the row-summation caches in this worker's store."""
+    caches = sum(
+        isinstance(value, tuple) and len(value) == 2
+        and isinstance(value[1], RowSummationCache)
+        for value in broadcast._STORE.values()
+    )
+    return [caches]
+
+
+def _caches_per_worker(runtime, n_workers):
+    probe = runtime.parallelize(list(range(n_workers)), n_partitions=n_workers)
+    return probe.map_partitions_with_index(_cache_count).collect()
+
+
+class TestLifecycle:
+    def test_leased_pool_returns_to_baseline(self, tensor):
+        with RuntimeFactory(_cluster("process", 2)) as factory:
+            warm = factory.lease()
+            _caches_per_worker(warm.runtime, 2)
+            warm.close()
+            baseline = factory.backend.resident_entries()
+            lease = factory.lease()
+            dbtf(tensor, config=DbtfConfig(
+                rank=3, max_iterations=2, seed=1, n_partitions=PARTITIONS
+            ), runtime=lease.runtime)
+            assert _caches_per_worker(lease.runtime, 2) == [1, 1]
+            lease.close()
+            assert factory.backend.resident_entries() == baseline
+
+    @pytest.mark.parametrize("backend, workers", [("serial", None), ("thread", 2)])
+    def test_closed_scope_keeps_no_cache(self, tensor, backend, workers):
+        runtime = SimulatedRuntime(_cluster(backend, workers))
+        dbtf(tensor, config=DbtfConfig(
+            rank=3, max_iterations=2, seed=1, n_partitions=PARTITIONS
+        ), runtime=runtime)
+        _, cache = broadcast._STORE[(runtime.scope, _CACHE_SLOT)]
+        alive = weakref.ref(cache)
+        del cache
+        runtime.close()
+        gc.collect()
+        assert alive() is None
+        assert not any(key[0] == runtime.scope for key in broadcast._STORE)
+
+    def test_long_process_session_holds_one_cache_per_worker(self, tensor):
+        rng = np.random.default_rng(3)
+        present = np.ravel_multi_index(tensor.coords.T, tensor.shape)
+        config = DbtfConfig(
+            rank=3, n_partitions=PARTITIONS, seed=0, max_iterations=2,
+            cluster=_cluster("process", 2),
+        )
+        with FactorizationSession(tensor, config) as session:
+            session.factorize()
+            for _ in range(20):
+                absent = np.setdiff1d(np.arange(np.prod(tensor.shape)), present)
+                removed = np.sort(rng.choice(present, 3, replace=False))
+                added = np.sort(rng.choice(absent, 3, replace=False))
+                present = np.union1d(np.setdiff1d(present, removed), added)
+                session.advance(TensorDelta(tensor.shape, added, removed))
+                assert max(_caches_per_worker(session.runtime, 2)) <= 1
