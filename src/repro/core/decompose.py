@@ -153,14 +153,17 @@ def _update_all_factors(
     factors: Factors,
     config: DbtfConfig,
     runtime: SimulatedRuntime,
+    error: "int | None" = None,
 ) -> tuple[Factors, int]:
     """One outer iteration: update A, then B, then C (Algorithm 2 lines 14-18).
 
-    Returns the new factors and the reconstruction error after the final
-    update, which equals ``|X ⊕ X̃|`` for the returned factors.
+    ``error`` is the exact reconstruction error of ``factors`` when known;
+    each update starts from the error the previous one returned, so only
+    an unknown starting error costs a seeding full-block scan.  Returns the
+    new factors and the reconstruction error after the final update, which
+    equals ``|X ⊕ X̃|`` for the returned factors.
     """
     current = list(factors)
-    error = 0
     for mode in range(3):
         target_index, outer_index, inner_index = MODE_FACTOR_ROLES[mode]
         current[target_index], error = update_factor(
@@ -170,6 +173,7 @@ def _update_all_factors(
             current[inner_index],
             config,
             runtime,
+            error_before=error,
         )
     return (current[0], current[1], current[2]), error
 
@@ -180,19 +184,20 @@ def _update_all_factors_scoped(
     config: DbtfConfig,
     runtime: SimulatedRuntime,
     dirty_columns: "list[set[int]]",
+    error: "int | None" = None,
 ) -> "tuple[Factors, int | None]":
     """One support-scoped outer iteration (the incremental warm restart).
 
     Each mode re-sweeps only its dirty columns — escalating to a full sweep
     of the remaining modes as soon as any evaluated column changes, because
     a changed column invalidates every later cached decision (its coverage
-    feeds their ``rec0``).  Returns ``(factors, error)`` where the error is
-    ``None`` when *no* column anywhere was evaluated (an all-clean delta:
-    the caller already knows the exact baseline error) and otherwise the
-    exact reconstruction error after the last evaluated column.
+    feeds their ``rec0``).  ``error`` is the exact error of ``factors`` when
+    known, and threads through the modes like the batch sweep's.  Returns
+    ``(factors, error)`` where the error is the given one when *no* column
+    anywhere was evaluated (an all-clean delta) and otherwise the exact
+    reconstruction error after the last evaluated column.
     """
     current = list(factors)
-    error: "int | None" = None
     escalated = False
     all_columns = set(range(config.rank))
     for mode in range(3):
@@ -200,7 +205,7 @@ def _update_all_factors_scoped(
         dirty = all_columns if escalated else dirty_columns[mode]
         if not dirty:
             continue
-        updated, mode_error, changed = update_factor(
+        current[target_index], error, changed = update_factor(
             mode_rdds[mode],
             current[target_index],
             current[outer_index],
@@ -208,10 +213,8 @@ def _update_all_factors_scoped(
             config,
             runtime,
             dirty_columns=dirty,
+            error_before=error,
         )
-        current[target_index] = updated
-        if mode_error is not None:
-            error = mode_error
         if changed:
             escalated = True
     return (current[0], current[1], current[2]), error
@@ -401,11 +404,20 @@ def dbtf_steps(
             scoped = (
                 dirty_columns is not None and warm_start is not None and step == 0
             )
+            # Step 0 of a warm epoch recorded the baseline error, which is
+            # exact only when the caller supplied it.
+            error_known = (
+                warm_start is None or step > 0 or baseline_error is not None
+            )
         elif warm_start is not None:
             factors = factors_from_state(warm_start["factors"])
             init_index = int(warm_start.get("init_index", 0))
             if "rng_state" in warm_start:
                 rng.bit_generator.state = warm_start["rng_state"]
+            # The warm state's last recorded error is exact only for an
+            # unchanged tensor, so without a caller's baseline the first
+            # sweep seeds the error with a full-block scan.
+            error_known = baseline_error is not None
             if baseline_error is None:
                 baseline_error = int(warm_start["errors"][-1])
             errors = [int(baseline_error)]
@@ -437,6 +449,7 @@ def dbtf_steps(
             factors = best_factors
 
             errors = [best_error]
+            error_known = True
             converged = False
             start_iteration = 1
             if manager is not None and manager.should_save(0):
@@ -449,9 +462,12 @@ def dbtf_steps(
         for iteration in range(start_iteration, config.max_iterations):
             if converged:
                 break
+            # Each sweep starts from the exact error the last one ended at.
+            error_before = errors[-1] if error_known else None
             if scoped and iteration == start_iteration:
                 factors, scoped_error = _update_all_factors_scoped(
-                    mode_rdds, factors, config, runtime, dirty_columns
+                    mode_rdds, factors, config, runtime, dirty_columns,
+                    error_before,
                 )
                 # None means nothing was evaluated anywhere — impossible
                 # here (an all-empty dirty set converged above), but the
@@ -459,8 +475,9 @@ def dbtf_steps(
                 error = errors[-1] if scoped_error is None else scoped_error
             else:
                 factors, error = _update_all_factors(
-                    mode_rdds, factors, config, runtime
+                    mode_rdds, factors, config, runtime, error_before
                 )
+            error_known = True
             improvement = errors[-1] - error
             errors.append(error)
             if improvement <= threshold:

@@ -5,14 +5,21 @@ every row r, the error of setting ``target[r, c]`` to 0 and to 1 is computed
 across all partitions: each partition fetches the cached Boolean row
 summation keyed by ``target_row_mask AND outer_row_mask`` per block, XORs it
 against its slice of the unfolded tensor, and popcounts.  The driver collects
-the per-row errors and keeps the value with the smaller error.
+each row's error change ``d = err1 - err0`` and sets the bit where ``d < 0``.
 
 The two candidates differ only inside PVM blocks ``j`` with
 ``outer[j, c] = 1`` (the *active* blocks); every other block adds the same
-error to both and cannot move a decision.  So only the first evaluated
-column of an update scans every block, to seed the exact error; later
-columns evaluate their active blocks alone and the driver carries the error
-forward by the per-row change (see :func:`_choose_column`).
+error to both and cannot move a decision.  So columns evaluate their active
+blocks alone and the driver carries the exact error forward by the per-row
+change (see :func:`_choose_column`).  The error it starts from is the
+caller's ``error_before`` — the previous update's ``error_after`` in a
+solve — and only when the caller does not know it does the first evaluated
+column scan every block to seed it.
+
+Workers keep what the tasks derive from the broadcasts: one row-summation
+cache (:func:`_shared_cache`) and the current column's target masks
+(:func:`_target_masks`), each a :func:`~repro.distengine.broadcast.worker_state`
+slot, so only the packed column deltas move per column.
 """
 
 from __future__ import annotations
@@ -50,11 +57,13 @@ class CachedPartition:
     def __init__(self, data: PartitionData, cache: RowSummationCache):
         self.data = data
         self.cache = cache
-        # (block, sliced tables, tensor words) for the <= 2 partial blocks.
+        # (block, sliced tables, tensor words) for the <= 2 partial blocks:
+        # only the first and the last block can be partial (Lemma 3).
+        blocks = data.plan.blocks
         self.edge_blocks = [
             (block, cache.tables_for(block.start, block.stop),
              data.block_words(block))
-            for block in data.plan.blocks
+            for block in blocks[:1] + blocks[1:][-1:]
             if not block.is_full
         ]
 
@@ -182,6 +191,9 @@ def _masks_with_bit_cleared(words: np.ndarray, column: int) -> np.ndarray:
 #: Worker-state slot of the shared row-summation cache (one per runtime).
 _CACHE_SLOT = "rowSummationCache"
 
+#: Worker-state slot of the current column task's target masks.
+_MASKS_SLOT = "targetMasks"
+
 
 def _shared_cache(factors, rank: int, group_size: int) -> RowSummationCache:
     """This worker's row-summation cache for one factors broadcast.
@@ -192,7 +204,7 @@ def _shared_cache(factors, rank: int, group_size: int) -> RowSummationCache:
     :func:`~repro.distengine.broadcast.worker_state`).
     """
 
-    def build() -> RowSummationCache:
+    def build(_previous) -> RowSummationCache:
         inner_words = factors.value[2]
         inner = BitMatrix(inner_words.shape[0], rank, inner_words)
         return RowSummationCache(inner, group_size)
@@ -203,80 +215,109 @@ def _shared_cache(factors, rank: int, group_size: int) -> RowSummationCache:
     )
 
 
+def _target_masks(factors, column: int, deltas: tuple) -> np.ndarray:
+    """This worker's target masks for one column task (read-only).
+
+    The base target words (``factors.value[0]``) with bit ``column``
+    cleared and each earlier ``(applied_column, delta)`` set from its
+    packed broadcast.  The slot key names the factors broadcast, the column
+    and every applied delta, so the masks are a pure function of the task
+    payload — bit-identical on every backend — and all partitions of a
+    stage on one worker share one build.  When the slot holds the masks of
+    this update's preceding evaluated column (same factors, the same deltas
+    but the newest), only that newest delta is applied, to a copy;
+    otherwise the masks are rebuilt from the base words.
+    """
+    applied = tuple((index, delta.content_id) for index, delta in deltas)
+    key = (factors.content_id, column, applied)
+
+    def build(previous) -> np.ndarray:
+        base, replay = factors.value[0], deltas
+        if deltas and previous is not None and previous[0] == (
+            factors.content_id, deltas[-1][0], applied[:-1]
+        ):
+            base, replay = previous[1], deltas[-1:]
+        # Deltas only cover earlier columns, so clearing this column first
+        # (which also copies the base) commutes with applying them.
+        masks = _masks_with_bit_cleared(base, column)
+        for applied_column, delta in replay:
+            chosen = np.unpackbits(delta.value, count=masks.shape[0])
+            packing.set_bit_column(masks, applied_column, chosen)
+        masks.setflags(write=False)
+        return masks
+
+    return worker_state(factors.scope, _MASKS_SLOT, key, build)
+
+
 class _ColumnErrorsDeltaTask:
-    """Stage payload: one column's error evaluation, delta-only traffic.
+    """Stage payload: one column's error change per row, delta-only traffic.
 
     Ships a broadcast handle plus the packed ~n_rows/8-byte column updates
-    already chosen this sweep.  The worker reconstructs the current target
-    masks itself — base factor words from the handle with this column
-    cleared, prior columns applied from the deltas — so per-column payloads
-    are O(n_rows/8) instead of O(n_rows·words).  Rebuilding from the base
-    every column (rather than mutating worker-local state) keeps the
-    computation a pure function of the payload, which is what makes results
-    bit-identical across serial, thread, and process backends.  The only
-    worker-local state is the shared row-summation cache, itself a pure
-    function of the factors broadcast and ``(rank, group_size)``.
+    already chosen this sweep, so per-column payloads are O(n_rows/8)
+    instead of O(n_rows·words).  The worker keeps the derived state: the
+    shared row-summation cache and the current target masks
+    (:func:`_target_masks`), both pure functions of the payload, which is
+    what makes results bit-identical across serial, thread, and process
+    backends.
 
-    An empty ``deltas`` marks the first column evaluated in this update:
-    it scans every block so the driver can seed the exact error, and every
-    later column evaluates only its active blocks.
+    Returns each row's ``error_if_one - error_if_zero`` over the active
+    blocks.  A ``seed`` task — the first evaluated column of an update
+    whose caller did not know the starting error — scans every block
+    instead and also returns its rows' total ``error_if_zero``, from which
+    the driver seeds the exact error.
     """
 
-    __slots__ = ("factors", "column", "deltas", "rank", "group_size")
+    __slots__ = ("factors", "column", "deltas", "rank", "group_size", "seed")
 
     def __init__(
-        self, factors, column: int, deltas: tuple, rank: int, group_size: int
+        self,
+        factors,
+        column: int,
+        deltas: tuple,
+        rank: int,
+        group_size: int,
+        seed: bool = False,
     ):
         self.factors = factors
         self.column = column
         self.deltas = deltas
         self.rank = rank
         self.group_size = group_size
+        self.seed = seed
 
     def __call__(self, data: PartitionData):
-        target_words, outer_words, _ = self.factors.value
+        outer_words = self.factors.value[1]
         cached = CachedPartition(
             data, _shared_cache(self.factors, self.rank, self.group_size)
         )
-        # Deltas only cover earlier columns, so clearing this column first
-        # (which also copies the base words) commutes with applying them.
-        masks = _masks_with_bit_cleared(target_words, self.column)
-        n_rows = target_words.shape[0]
-        for applied_column, delta in self.deltas:
-            chosen = np.unpackbits(delta.value, count=n_rows)
-            packing.set_bit_column(masks, applied_column, chosen)
-        return cached.column_errors(
-            masks,
+        error_if_zero, error_if_one = cached.column_errors(
+            _target_masks(self.factors, self.column, self.deltas),
             outer_words,
             packing.bit_column(outer_words, self.column),
             cached.cache.columns_packed[self.column],
-            all_blocks=not self.deltas,
+            all_blocks=self.seed,
         )
+        change = error_if_one - error_if_zero
+        if self.seed:
+            return change, int(error_if_zero.sum())
+        return change
 
 
 def _choose_column(
-    error_if_zero: np.ndarray,
-    error_if_one: np.ndarray,
-    current: np.ndarray,
-    error: "int | None",
+    change: np.ndarray, current: np.ndarray, error: int
 ) -> tuple[np.ndarray, int]:
     """One column's per-row choice and the reconstruction error after it.
 
-    ``error`` is the exact error of the factors before this column, or
-    ``None`` for the first evaluated column of an update, whose per-row
-    errors span every block and so are full errors.  Later columns' errors
-    span only their active blocks; the rest of the tensor contributes the
-    same to both candidates and to the current bits, so the exact error
-    moves by ``sum(min(err0, err1) - err_current)``.
+    ``change`` is each row's ``error_if_one - error_if_zero`` and ``error``
+    the exact error of the factors before this column.  Outside the active
+    blocks both candidates reconstruct the same cells, so a row's error
+    moves from its current value's by ``min(0, d) - current * d``.
     """
     # Strict inequality: ties keep 0, favouring sparser factors (the paper
     # does not specify a tie rule; see DESIGN.md).
-    chosen = (error_if_one < error_if_zero).astype(np.uint8)
-    best = int(np.minimum(error_if_zero, error_if_one).sum())
-    if error is None:
-        return chosen, best
-    kept = int(np.where(current != 0, error_if_one, error_if_zero).sum())
-    return chosen, error + best - kept
+    chosen = (change < 0).astype(np.uint8)
+    moved = int(np.minimum(change, 0).sum()) - int(change[current != 0].sum())
+    return chosen, error + moved
 
 
 def update_factor(
@@ -288,17 +329,21 @@ def update_factor(
     runtime: SimulatedRuntime,
     *,
     dirty_columns: "set[int] | None" = None,
+    error_before: "int | None" = None,
 ):
     """Update ``target`` to minimize ``|X_(n) ⊕ target ∘ (outer ⊙ inner)ᵀ|``.
+
+    ``error_before`` is the exact reconstruction error of the input
+    factors, when the caller knows it (a solve's previous update returned
+    it).  Every evaluated column then scans only the blocks where its outer
+    column is set and the error is carried forward from it
+    (:func:`_choose_column`).  With ``None`` the first evaluated column
+    scans every PVM block to seed it.
 
     With ``dirty_columns=None`` (the default and the only path the batch
     solver uses) every column is swept and the return value is
     ``(updated, error_after)`` — the reconstruction error after the last
     column update, which equals the full tensor error for the new factors.
-    The first evaluated column scans every PVM block and its errors are
-    full errors; later columns scan only the blocks where their outer
-    column is set, and ``error_after`` is carried forward exactly from the
-    first column's (:func:`_choose_column`).
 
     With a ``dirty_columns`` set (the incremental path,
     :mod:`repro.incremental`), only columns in the set are re-swept —
@@ -307,10 +352,9 @@ def update_factor(
     column of this update is evaluated too ("escalate on change"): a
     changed column alters ``rec0`` for its successors, so their cached
     decisions are no longer trustworthy.  The return value becomes
-    ``(updated, error_after_or_None, changed_columns)`` where the error is
-    ``None`` when no column was evaluated (empty dirty set) and otherwise
-    exact (the first evaluated column seeds it, skipped columns keep their
-    bits and so leave it unchanged).
+    ``(updated, error_after, changed_columns)``; skipped columns keep their
+    bits and so leave the error unchanged, and it is ``error_before`` when
+    no column was evaluated (``None`` if that is unknown too).
     """
     if target.n_cols != config.rank:
         raise ValueError(
@@ -327,7 +371,7 @@ def update_factor(
             runtime.metrics.counter("incremental_columns_skipped_total").inc(
                 config.rank
             )
-            return target.copy(), None, set()
+            return target.copy(), error_before, set()
     else:
         dirty = None
     # Ship the factor matrices to the workers (paper Sec. III-E: factor
@@ -342,7 +386,7 @@ def update_factor(
     # stages map straight over the persisted partitions; nothing derived
     # from the factors is persisted or spilled.
     updated = target.copy()
-    error_after = None
+    error = error_before
     deltas: list[tuple] = []
     changed: set[int] = set()
     escalated = False
@@ -355,21 +399,25 @@ def update_factor(
             # skip both error evaluations.
             skipped += 1
             continue
+        seed = error is None
         task = _ColumnErrorsDeltaTask(
-            factors, column, tuple(deltas), config.rank, config.cache_group_size
+            factors, column, tuple(deltas), config.rank,
+            config.cache_group_size, seed,
         )
         per_partition = data_rdd.map(task, name="columnErrors").collect(
             name="collectColumnErrors"
         )
-        error_if_zero = np.zeros(updated.n_rows, dtype=np.int64)
-        error_if_one = np.zeros(updated.n_rows, dtype=np.int64)
-        for partial_zero, partial_one in per_partition:
-            error_if_zero += partial_zero
-            error_if_one += partial_one
+        if seed:
+            per_partition, zero_errors = zip(*per_partition)
+        change = np.zeros(updated.n_rows, dtype=np.int64)
+        for partial in per_partition:
+            change += partial
         current = updated.column(column)
-        chosen, error_after = _choose_column(
-            error_if_zero, error_if_one, current, error_after
-        )
+        if seed:
+            # The seeding column's errors span every block, so the factors'
+            # exact error is every row's error at its current bit.
+            error = sum(zero_errors) + int(change[current != 0].sum())
+        chosen, error = _choose_column(change, current, error)
         if dirty is not None:
             evaluated += 1
             if not np.array_equal(chosen, current):
@@ -378,11 +426,11 @@ def update_factor(
         updated.set_column(column, chosen)
         # The workers need the freshly updated column for the next
         # column-iteration; later column tasks reference these packed
-        # deltas to rebuild the target state worker-side.
+        # deltas to derive the target masks worker-side.
         delta = runtime.broadcast(np.packbits(chosen), name="columnUpdate")
         deltas.append((column, delta))
     if dirty is None:
-        return updated, error_after
+        return updated, error
     runtime.metrics.counter("incremental_columns_swept_total").inc(evaluated)
     runtime.metrics.counter("incremental_columns_skipped_total").inc(skipped)
-    return updated, error_after, changed
+    return updated, error, changed

@@ -61,7 +61,9 @@ def clear_store() -> None:
     _STORE.clear()
 
 
-def worker_state(scope: int, name: str, key: tuple, build: Callable[[], Any]):
+def worker_state(
+    scope: int, name: str, key: tuple, build: Callable[[Any], Any]
+):
     """This process's value of one derived-state slot of a runtime scope.
 
     The slot ``(scope, name)`` of the resident store holds ``(key,
@@ -69,8 +71,10 @@ def worker_state(scope: int, name: str, key: tuple, build: Callable[[], Any]):
     worker keeps one value per slot however many broadcasts pass through
     it, and :func:`release_scope` drops it with the scope's other entries.
 
-    ``build()`` runs once per key and process, under a lock so a thread
-    pool's concurrent tasks share one build.  How many builds happen is a
+    ``build(previous)`` runs once per key and process, under a lock so a
+    thread pool's concurrent tasks share one build.  ``previous`` is the
+    ``(key, value)`` pair it replaces, or ``None``, so a build may derive
+    its value from the one before it.  How many builds happen is a
     property of the backend (one for a serial runtime, one per process
     worker), so like broadcast resolution the build runs untraced: it
     records no span and no metric.
@@ -82,7 +86,7 @@ def worker_state(scope: int, name: str, key: tuple, build: Callable[[], Any]):
             held = _STORE.get(slot)
             if held is None or held[0] != key:
                 with untraced():
-                    held = (key, build())
+                    held = (key, build(held))
                 _STORE[slot] = held
     return held[1]
 

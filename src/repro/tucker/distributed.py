@@ -34,7 +34,7 @@ from ..core.cache import RowSummationCache
 from ..observability.trace import kernel_span
 from ..core.decompose import prepare_partitioned_unfoldings
 from ..core.partition import PartitionData
-from ..core.update import _masks_with_bit_cleared
+from ..core.update import _target_masks
 from ..distengine import DEFAULT_CLUSTER, Distributed, SimulatedRuntime
 from ..tensor import SparseBoolTensor
 from .decompose import (
@@ -163,26 +163,24 @@ class _BuildTuckerCacheFromHandle:
 class _TuckerColumnErrorsDeltaTask:
     """Stage payload: one Tucker column's errors, delta-only traffic.
 
-    Same reconstruction discipline as the CP
-    :class:`~repro.core.update._ColumnErrorsDeltaTask`: base target words
-    from the handle with this column cleared, prior columns re-applied
-    from packed deltas — a pure function of the payload, so results stay
-    bit-identical across backends.
+    The target masks come from the same worker-side slot as the CP
+    :class:`~repro.core.update._ColumnErrorsDeltaTask`'s
+    (:func:`~repro.core.update._target_masks`): base target words from the
+    handle with this column cleared and prior columns set from packed
+    deltas — a pure function of the payload, so results stay bit-identical
+    across backends — derived from the previous column's masks with the
+    newest delta alone.
     """
 
-    __slots__ = ("factors", "column", "deltas", "n_rows")
+    __slots__ = ("factors", "column", "deltas")
 
-    def __init__(self, factors, column: int, deltas: tuple, n_rows: int):
+    def __init__(self, factors, column: int, deltas: tuple):
         self.factors = factors
         self.column = column
         self.deltas = deltas
-        self.n_rows = n_rows
 
     def __call__(self, cached: TuckerCachedPartition):
-        masks = _masks_with_bit_cleared(self.factors.value[0], self.column)
-        for applied_column, delta in self.deltas:
-            chosen = np.unpackbits(delta.value, count=self.n_rows)
-            packing.set_bit_column(masks, applied_column, chosen)
+        masks = _target_masks(self.factors, self.column, self.deltas)
         return cached.column_errors(masks, self.column)
 
 
@@ -211,9 +209,7 @@ def update_tucker_factor(
     error_after = 0
     deltas: list[tuple] = []
     for column in range(target.n_cols):
-        task = _TuckerColumnErrorsDeltaTask(
-            factors, column, tuple(deltas), updated.n_rows
-        )
+        task = _TuckerColumnErrorsDeltaTask(factors, column, tuple(deltas))
         per_partition = cached_rdd.map(
             task, name="tuckerColumnErrors"
         ).collect(name="collectTuckerColumnErrors")

@@ -172,8 +172,8 @@ def _recorded_column_choices():
     original = update_module._choose_column
     records = []
 
-    def spy(error_if_zero, error_if_one, current, error):
-        chosen, error_after = original(error_if_zero, error_if_one, current, error)
+    def spy(change, current, error):
+        chosen, error_after = original(change, current, error)
         records.append((chosen.copy(), error_after))
         return chosen, error_after
 

@@ -89,9 +89,9 @@ def _shared_path(tensor, factors, backend, workers, budget):
         chosen = runtime.broadcast(np.packbits(target.column(0)))
         per_partition = [
             rdd.map(_ColumnErrorsDeltaTask(
-                handle, column, deltas, RANK, GROUP_SIZE
+                handle, column, deltas, RANK, GROUP_SIZE, seed
             )).collect()
-            for column, deltas in ((0, ()), (1, ((0, chosen),)))
+            for column, deltas, seed in ((0, (), True), (1, ((0, chosen),), False))
         ]
         updated, error = update_factor(
             rdd, target, outer, inner, _config(), runtime
@@ -113,16 +113,19 @@ def _private_path(tensor, factors):
     ]
     columns = inner.transpose().words
 
-    def errors(masks, column, all_blocks):
-        return [
-            cp.column_errors(
+    def errors(masks, column, seed):
+        """Each partition's task result: the per-row error change, plus
+        the candidate-0 total when seeding (every block)."""
+        results = []
+        for cp in cached:
+            zero, one = cp.column_errors(
                 masks, outer.words, outer.column(column), columns[column],
-                all_blocks=all_blocks,
+                all_blocks=seed,
             )
-            for cp in cached
-        ]
+            results.append((one - zero, int(zero.sum())) if seed else one - zero)
+        return results
 
-    # The two column tasks: column 0 first in its update (every block),
+    # The two column tasks: column 0 seeds its update (every block),
     # column 1 after a delta that keeps column 0 (active blocks only).
     yield errors(_masks_with_bit_cleared(target.words, 0), 0, True)
     yield errors(_masks_with_bit_cleared(target.words, 1), 1, False)
@@ -133,20 +136,27 @@ def _private_path(tensor, factors):
             _masks_with_bit_cleared(updated.words, column), column,
             error is None,
         )
-        chosen, error = _choose_column(
-            sum(zero for zero, _ in per_partition),
-            sum(one for _, one in per_partition),
-            updated.column(column), error,
-        )
+        current = updated.column(column)
+        if error is None:
+            change = sum(partial for partial, _ in per_partition)
+            error = sum(total for _, total in per_partition)
+            error += int(change[current != 0].sum())
+        else:
+            change = sum(per_partition)
+        chosen, error = _choose_column(change, current, error)
         updated.set_column(column, chosen)
     yield updated.words.tobytes(), error
 
 
 def _assert_errors_equal(got, want):
     assert len(got) == len(want)
-    for (got_zero, got_one), (want_zero, want_one) in zip(got, want):
-        np.testing.assert_array_equal(got_zero, want_zero)
-        np.testing.assert_array_equal(got_one, want_one)
+    for got_result, want_result in zip(got, want):
+        if isinstance(want_result, tuple):
+            (got_result, got_total), (want_result, want_total) = (
+                got_result, want_result
+            )
+            assert got_total == want_total
+        np.testing.assert_array_equal(got_result, want_result)
 
 
 class TestEdgeBlocks:
