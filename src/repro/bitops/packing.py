@@ -23,6 +23,7 @@ __all__ = [
     "popcount",
     "popcount_rows",
     "slice_bits",
+    "cell_bits",
     "scatter_bits",
     "mask_from_indices",
     "indices_from_mask",
@@ -111,29 +112,28 @@ def slice_bits(packed: np.ndarray, start: int, stop: int) -> np.ndarray:
     return window
 
 
-def scatter_bits(
-    words: np.ndarray,
-    rows: np.ndarray,
-    blocks: np.ndarray,
-    offsets: np.ndarray,
-    value: bool = True,
-) -> None:
-    """Set (or clear) bit ``offsets[i]`` of ``words[rows[i], blocks[i]]``.
+def cell_bits(rows, blocks, offsets, n_blocks, n_words: int) -> np.ndarray:
+    """Flat bit index of cells ``(rows, blocks, offsets)`` in a C-contiguous
+    ``(n_rows, n_blocks, n_words)`` packed array (``n_blocks`` may vary per
+    cell): word ``bit // 64`` of the flat view, position ``bit % 64``."""
+    return ((rows * n_blocks + blocks) * n_words) * WORD_BITS + offsets
 
-    ``words`` is a C-contiguous ``(n_rows, n_blocks, n_words)`` array,
-    updated in place with one unbuffered scatter over its flat view, so
-    repeated cells are idempotent.
+
+def scatter_bits(words: np.ndarray, bits: np.ndarray, value: bool = True) -> None:
+    """Set (or clear) the :func:`cell_bits` indices ``bits`` of ``words``.
+
+    ``words`` is C-contiguous and updated in place with one unbuffered
+    scatter over its flat view, so repeated bits are idempotent.  Any
+    integer dtype works (uint32 for arrays of fewer than 2**32 bits).
     """
     if not words.flags.c_contiguous:
         raise ValueError("scatter_bits needs C-contiguous words")
-    _, n_blocks, n_words = words.shape
-    linear = (rows * n_blocks + blocks) * n_words + offsets // WORD_BITS
-    bits = _WORD_DTYPE(1) << (offsets % WORD_BITS).astype(_WORD_DTYPE)
+    masks = _WORD_DTYPE(1) << (bits % WORD_BITS).astype(_WORD_DTYPE)
     flat = words.reshape(-1)
     if value:
-        np.bitwise_or.at(flat, linear, bits)
+        np.bitwise_or.at(flat, bits // WORD_BITS, masks)
     else:
-        np.bitwise_and.at(flat, linear, ~bits)
+        np.bitwise_and.at(flat, bits // WORD_BITS, ~masks)
 
 
 def mask_from_indices(indices: np.ndarray | list[int]) -> int:

@@ -30,6 +30,7 @@ from ..tensor import MODE_FACTOR_ROLES, SparseBoolTensor, TensorDelta, unfold
 from ..tensor.matricize import _mode_axes
 from ..tensor.packed import PackedUnfolding
 from .partition import (
+    _COORDINATE_BYTES,
     PartitionData,
     PartitionPlan,
     build_partition_data,
@@ -44,12 +45,6 @@ __all__ = [
     "dirty_columns_for_delta",
     "baseline_error_after_delta",
 ]
-
-#: Bytes per shuffled unfolded nonzero: one int64 each for the matrix row,
-#: the PVM block id, and the within-block offset (see
-#: ``PartitionCoordinates.nbytes``).
-_COORDINATE_BYTES = 24
-
 
 def prepare_mode_partitions(
     tensor: SparseBoolTensor,
@@ -79,9 +74,6 @@ def prepare_mode_partitions(
     store = runtime.unfolding_storage()
     if store is None:
         coordinate_splits = split_unfolding_coordinates(unfolding, plans)
-        # The dense unfolded view is transient per mode: drop it before the
-        # next mode so the driver's peak holds one unfolding, not three.
-        del unfolding
         runtime.record_transfer(
             TransferKind.SHUFFLE,
             f"partitionUnfolding[{mode}]",
@@ -102,7 +94,6 @@ def prepare_mode_partitions(
     # its copy.
     shuffle_bytes = _COORDINATE_BYTES * unfolding.nnz
     flushed = store.flush(PackedUnfolding(unfolding))
-    del unfolding
     runtime.record_transfer(
         TransferKind.SHUFFLE, f"partitionUnfolding[{mode}]", shuffle_bytes
     )
@@ -133,21 +124,10 @@ class _PatchPartitionsTask:
         if payload is None:
             return data
         words = np.array(data.words, order="C", copy=True)
-        first = data.plan.pvm_span.start
-        # The payload is (added cells, removed cells): set, then clear.
-        for (rows, block_ids, offsets), value in zip(payload, (True, False)):
-            packing.scatter_bits(words, rows, block_ids - first, offsets, value)
+        # The payload is (added bits, removed bits): set, then clear.
+        for bits, value in zip(payload, (True, False)):
+            packing.scatter_bits(words, bits, value)
         return PartitionData(plan=data.plan, words=words)
-
-
-def _mode_cells(coords: np.ndarray, mode: int) -> "tuple[np.ndarray, ...]":
-    """(rows, block_ids, offsets) of delta cells in mode ``mode``'s layout."""
-    row_axis, block_axis, offset_axis = _mode_axes(mode)
-    return (
-        coords[:, row_axis],
-        coords[:, block_axis],
-        coords[:, offset_axis],
-    )
 
 
 class PartitionedUnfoldings:
@@ -201,41 +181,17 @@ class PartitionedUnfoldings:
         """The current generation's mode RDDs (shared with the solver)."""
         return list(self._rdds)
 
-    def _mode_payloads(self, delta: TensorDelta, mode: int) -> dict:
-        """Per-partition (added, removed) cell payloads for one mode."""
-        plans = self._plans[mode]
-        block_width = self.shape[_mode_axes(mode)[2]]
-        payloads: dict[int, tuple] = {}
-
-        def split(coords):
-            rows, block_ids, offsets = _mode_cells(coords, mode)
-            columns = block_ids * block_width + offsets
-            order = np.argsort(columns, kind="stable")
-            return (
-                rows[order],
-                block_ids[order],
-                offsets[order],
-                columns[order],
-            )
-
-        add_rows, add_blocks, add_offsets, add_columns = split(
-            delta.added_coords()
+    def _mode_payloads(self, changes: "list[SparseBoolTensor]", mode: int) -> dict:
+        """Per-partition (added, removed) slab-bit payloads for one mode."""
+        added, removed = (
+            split_unfolding_coordinates(unfold(cells, mode), self._plans[mode])
+            for cells in changes
         )
-        rem_rows, rem_blocks, rem_offsets, rem_columns = split(
-            delta.removed_coords()
-        )
-        for plan in plans:
-            a0 = np.searchsorted(add_columns, plan.col_start, side="left")
-            a1 = np.searchsorted(add_columns, plan.col_stop, side="left")
-            r0 = np.searchsorted(rem_columns, plan.col_start, side="left")
-            r1 = np.searchsorted(rem_columns, plan.col_stop, side="left")
-            if a0 == a1 and r0 == r1:
-                continue
-            payloads[plan.index] = (
-                (add_rows[a0:a1], add_blocks[a0:a1], add_offsets[a0:a1]),
-                (rem_rows[r0:r1], rem_blocks[r0:r1], rem_offsets[r0:r1]),
-            )
-        return payloads
+        return {
+            adds.plan.index: (adds.bits, removes.bits)
+            for adds, removes in zip(added, removed)
+            if adds.nnz or removes.nnz
+        }
 
     def patch(self, delta: TensorDelta) -> None:
         """Advance every cached partition to the delta'd tensor in place.
@@ -257,11 +213,14 @@ class PartitionedUnfoldings:
         self.epoch += 1
         if delta.is_empty:
             return
+        changes = [
+            SparseBoolTensor(self.shape, coords)
+            for coords in (delta.added_coords(), delta.removed_coords())
+        ]
         for mode in range(3):
-            payloads = self._mode_payloads(delta, mode)
-            payload_bytes = sum(
-                sum(int(array.nbytes) for cells in payload for array in cells)
-                for payload in payloads.values()
+            payloads = self._mode_payloads(changes, mode)
+            payload_bytes = _COORDINATE_BYTES * sum(
+                bits.shape[0] for payload in payloads.values() for bits in payload
             )
             self.runtime.record_transfer(
                 TransferKind.SHUFFLE, f"patchUnfolding[{mode}]", payload_bytes

@@ -31,6 +31,7 @@ __all__ = [
     "PartitionCoordinates",
     "make_partition_plans",
     "build_partition_data",
+    "slab_index_dtype",
     "split_unfolding_coordinates",
     "pack_partition",
 ]
@@ -221,6 +222,12 @@ def _blocks_for_range(col_start: int, col_stop: int, width: int) -> list[Block]:
     return blocks
 
 
+#: Bytes Lemma 6's ledger charges per shuffled nonzero: one int64 each for
+#: the matrix row, the PVM block id and the within-block offset.  The model
+#: prices the cell, not its wire encoding (one slab-bit index per nonzero).
+_COORDINATE_BYTES = 24
+
+
 @dataclass(frozen=True)
 class PartitionCoordinates:
     """One partition's share of the sparse unfolding — what Spark shuffles.
@@ -228,54 +235,77 @@ class PartitionCoordinates:
     The paper's Algorithm 3 shuffles the unfolded tensor's nonzeros so each
     machine holds a column range (O(|X|) bytes, Lemma 6); the machine then
     organizes its share into packed blocks locally (:func:`pack_partition`).
+
+    ``bits`` holds one slab-local bit index per nonzero,
+    ``((row * n_pvms + block - first_pvm) * n_words) * 64 + offset`` (see
+    :func:`~repro.bitops.packing.cell_bits`), as uint32 when every slab's
+    bit count fits (:func:`slab_index_dtype`), else int64.
     """
 
     plan: PartitionPlan
     n_rows: int
-    rows: np.ndarray
-    block_ids: np.ndarray
-    offsets: np.ndarray
+    bits: np.ndarray
 
     @property
     def nnz(self) -> int:
-        return self.rows.shape[0]
+        return self.bits.shape[0]
 
     @property
     def nbytes(self) -> int:
-        """Serialized size of the shuffled (row, block, offset) triples."""
-        return int(
-            self.rows.nbytes + self.block_ids.nbytes + self.offsets.nbytes
-        )
+        """Lemma 6's shuffle charge: a (row, block, offset) int64 triple
+        per nonzero, whatever :attr:`bits` occupies in memory."""
+        return _COORDINATE_BYTES * self.nnz
+
+
+def slab_index_dtype(n_rows: int, plans: list[PartitionPlan]) -> np.dtype:
+    """uint32 when the largest slab has fewer than 2**32 bits, else int64."""
+    row_words = max(
+        (
+            (plan.pvm_span.stop - plan.pvm_span.start)
+            * packing.words_for_bits(plan.blocks[0].width)
+            for plan in plans
+            if plan.blocks
+        ),
+        default=0,
+    )
+    n_bits = n_rows * row_words * packing.WORD_BITS
+    return np.dtype(np.uint32 if n_bits < 2**32 else np.int64)
 
 
 def split_unfolding_coordinates(
     unfolding: Unfolding, plans: list[PartitionPlan]
 ) -> list[PartitionCoordinates]:
-    """Assign each unfolded nonzero to its vertical partition."""
+    """Assign each unfolded nonzero to its vertical partition, in O(nnz).
+
+    ``plans`` come from :func:`make_partition_plans`, so a column's
+    partition follows from Algorithm 3's sizes: the first ``Q mod N``
+    partitions hold ``ceil(Q/N)`` columns and the rest ``floor(Q/N)``.
+    Nonzeros are grouped by that small key with a stable radix sort; no
+    sort over the columns remains.
+    """
+    base, extra = divmod(unfolding.n_cols, len(plans))
     columns = unfolding.columns()
-    order = np.argsort(columns, kind="stable")
-    sorted_columns = columns[order]
-    rows = unfolding.rows[order]
-    block_ids = unfolding.block_ids[order]
-    offsets = unfolding.offsets[order]
-    pieces = []
-    for plan in plans:
-        start = np.searchsorted(sorted_columns, plan.col_start, side="left")
-        stop = np.searchsorted(sorted_columns, plan.col_stop, side="left")
-        pieces.append(
-            PartitionCoordinates(
-                plan=plan,
-                n_rows=unfolding.n_rows,
-                rows=rows[start:stop].copy(),
-                block_ids=block_ids[start:stop].copy(),
-                offsets=offsets[start:stop].copy(),
-            )
-        )
-    return pieces
+    # The wide partitions end at column extra * (base + 1).  Below it the
+    # first quotient is the partition index and the second is no larger;
+    # beyond it the reverse.  With base == 0 every column lies below it.
+    part = np.maximum(columns // (base + 1), (columns - extra) // max(base, 1))
+    first, end = np.array([(p.pvm_span.start, p.pvm_span.stop) for p in plans]).T
+    bits = packing.cell_bits(
+        unfolding.rows, unfolding.block_ids - first[part], unfolding.offsets,
+        (end - first)[part], packing.words_for_bits(unfolding.block_width),
+    )
+    key = part.astype(np.min_scalar_type(len(plans) - 1))
+    order = np.argsort(key, kind="stable")  # a radix sort on 8/16-bit keys
+    bits = bits.astype(slab_index_dtype(unfolding.n_rows, plans))[order]
+    counts = np.bincount(part, minlength=len(plans))
+    return [
+        PartitionCoordinates(plan, unfolding.n_rows, bits[stop - count : stop])
+        for plan, stop, count in zip(plans, np.cumsum(counts), counts)
+    ]
 
 
 def pack_partition(coordinates: PartitionCoordinates) -> PartitionData:
-    """Pack a partition's nonzeros into its slab.
+    """Pack a partition's nonzeros into its slab with one bit scatter.
 
     This is the executor-local step of Algorithm 3 ("further split p into a
     set of blocks"); it runs as a distributed (timed) task.
@@ -286,12 +316,7 @@ def pack_partition(coordinates: PartitionCoordinates) -> PartitionData:
     words = packing.packed_zeros(
         (coordinates.n_rows, span.stop - span.start), width
     )
-    packing.scatter_bits(
-        words,
-        coordinates.rows,
-        coordinates.block_ids - span.start,
-        coordinates.offsets,
-    )
+    packing.scatter_bits(words, coordinates.bits)
     return PartitionData(plan=plan, words=words)
 
 

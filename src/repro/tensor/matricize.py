@@ -52,8 +52,9 @@ class Unfolding:
         Columns per PVM block = size of the "inner" Khatri-Rao mode.
     rows, block_ids, offsets:
         Parallel arrays over nonzeros: matrix row, PVM block index, and
-        column offset within the block.  The absolute matrix column is
-        ``block_ids * block_width + offsets``.
+        column offset within the block.  They are views of the tensor's
+        coordinate columns, not copies: do not write to them.  The absolute
+        matrix column is ``block_ids * block_width + offsets``.
     """
 
     mode: int
@@ -105,9 +106,9 @@ def unfold(tensor: SparseBoolTensor, mode: int) -> Unfolding:
         n_rows=tensor.shape[row_axis],
         block_count=tensor.shape[block_axis],
         block_width=tensor.shape[offset_axis],
-        rows=coords[:, row_axis].copy(),
-        block_ids=coords[:, block_axis].copy(),
-        offsets=coords[:, offset_axis].copy(),
+        rows=coords[:, row_axis],
+        block_ids=coords[:, block_axis],
+        offsets=coords[:, offset_axis],
     )
 
 

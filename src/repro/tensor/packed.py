@@ -31,9 +31,11 @@ class PackedUnfolding:
         self.words = np.zeros(
             (self.n_rows, self.block_count, self.n_words), dtype=np.uint64
         )
-        packing.scatter_bits(
-            self.words, unfolding.rows, unfolding.block_ids, unfolding.offsets
+        bits = packing.cell_bits(
+            unfolding.rows, unfolding.block_ids, unfolding.offsets,
+            self.block_count, self.n_words,
         )
+        packing.scatter_bits(self.words, bits)
 
     @classmethod
     def from_words(

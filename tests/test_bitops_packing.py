@@ -135,21 +135,28 @@ class TestScatterBits:
         rows = rng.integers(0, n_rows, 40)
         blocks = rng.integers(0, n_blocks, 40)
         offsets = rng.integers(0, n_bits, 40)
-        dense = np.zeros((n_rows, n_blocks, n_bits), dtype=np.uint8)
-        dense[rows, blocks, offsets] = 1
-        words = packing.packed_zeros((n_rows, n_blocks), n_bits)
-        # Repeated cells set their bit once.
-        packing.scatter_bits(words, rows, blocks, offsets)
-        np.testing.assert_array_equal(packing.unpack_bits(words, n_bits), dense)
-        dense[rows[:10], blocks[:10], offsets[:10]] = 0
-        packing.scatter_bits(words, rows[:10], blocks[:10], offsets[:10], False)
-        np.testing.assert_array_equal(packing.unpack_bits(words, n_bits), dense)
+        bits = packing.cell_bits(
+            rows, blocks, offsets, n_blocks, packing.words_for_bits(n_bits)
+        )
+        for dtype in (np.uint32, np.int64):
+            dense = np.zeros((n_rows, n_blocks, n_bits), dtype=np.uint8)
+            dense[rows, blocks, offsets] = 1
+            words = packing.packed_zeros((n_rows, n_blocks), n_bits)
+            # Repeated cells set their bit once.
+            packing.scatter_bits(words, bits.astype(dtype))
+            np.testing.assert_array_equal(
+                packing.unpack_bits(words, n_bits), dense
+            )
+            dense[rows[:10], blocks[:10], offsets[:10]] = 0
+            packing.scatter_bits(words, bits[:10].astype(dtype), False)
+            np.testing.assert_array_equal(
+                packing.unpack_bits(words, n_bits), dense
+            )
 
     def test_non_contiguous_rejected(self):
         words = packing.packed_zeros((4, 6), 10)[:, ::2]
-        cells = np.zeros(1, dtype=np.int64)
         with pytest.raises(ValueError, match="contiguous"):
-            packing.scatter_bits(words, cells, cells, cells)
+            packing.scatter_bits(words, np.zeros(1, dtype=np.int64))
 
 
 class TestMasks:

@@ -84,10 +84,13 @@ def _assert_blocks_equal(got, want):
                 np.testing.assert_array_equal(got_words, want_words)
 
 
-def _patched_vs_rebuilt(tensor, deltas, n_partitions=3, memory_budget=None):
+def _patched_vs_rebuilt(
+    tensor, deltas, n_partitions=3, memory_budget=None, backend="serial"
+):
     """Patch through ``deltas`` and compare against a rebuild per epoch."""
     cluster = ClusterConfig(
-        n_machines=2, cores_per_machine=1, memory_budget=memory_budget
+        n_machines=2, cores_per_machine=1, memory_budget=memory_budget,
+        backend=backend, n_workers=2 if backend == "process" else None,
     )
     runtime = SimulatedRuntime(cluster)
     try:
@@ -169,6 +172,16 @@ class TestPatchMatchesRebuild:
             deltas.append(delta)
             current = current.apply_delta(delta)
         _patched_vs_rebuilt(tensor, deltas, memory_budget=1)
+
+    @pytest.mark.parametrize("memory_budget", [None, 1])
+    def test_process_pool_matches_rebuild(self, memory_budget):
+        # The slab-bit payloads cross the pipes to two pool workers.
+        tensor = _random_tensor(seed=14)
+        deltas = [_random_delta(tensor, seed=15)]
+        deltas.append(_random_delta(tensor.apply_delta(deltas[0]), seed=16))
+        _patched_vs_rebuilt(
+            tensor, deltas, memory_budget=memory_budget, backend="process"
+        )
 
     @pytest.mark.parametrize("memory_budget", [None, 1 << 30])
     def test_patch_copies_touched_slabs_only(self, memory_budget):

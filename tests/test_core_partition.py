@@ -1,5 +1,7 @@
 """Unit tests for vertical partitioning and PVM-boundary blocks."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from repro.core import (
     pack_partition,
     split_unfolding_coordinates,
 )
+from repro.core.partition import slab_index_dtype
 from repro.core.incremental import prepare_mode_partitions
 from repro.distengine import ClusterConfig, SimulatedRuntime
 from repro.tensor import PackedUnfolding, SparseBoolTensor, unfold
@@ -181,6 +184,16 @@ class TestBuildPartitionData:
                 assert not part.words.flags.writeable
 
 
+def _decode(split, block_width):
+    """(rows, columns) of a partition's slab-local bit indices."""
+    span = split.plan.pvm_span
+    n_pvms = span.stop - span.start
+    row_bits = packing.words_for_bits(block_width) * packing.WORD_BITS
+    cell, offsets = np.divmod(split.bits.astype(np.int64), row_bits)
+    rows, blocks = np.divmod(cell, max(n_pvms, 1))
+    return rows, (blocks + span.start) * block_width + offsets
+
+
 class TestSparsePartitioning:
     """The shuffle-then-pack path of Algorithm 3 (what DBTF actually uses)."""
 
@@ -195,10 +208,13 @@ class TestSparsePartitioning:
         plans = make_partition_plans(unfolding.block_count, unfolding.block_width, 5)
         splits = split_unfolding_coordinates(unfolding, plans)
         assert sum(split.nnz for split in splits) == tensor.nnz
+        cells = set()
         for split in splits:
-            columns = split.block_ids * unfolding.block_width + split.offsets
+            rows, columns = _decode(split, unfolding.block_width)
             assert (columns >= split.plan.col_start).all()
             assert (columns < split.plan.col_stop).all()
+            cells |= set(zip(rows.tolist(), columns.tolist()))
+        assert cells == set(zip(unfolding.rows.tolist(), unfolding.columns().tolist()))
 
     def test_shuffle_bytes_proportional_to_nnz(self):
         # Lemma 6: the shuffled volume is O(|X|), not O(cells).
@@ -206,7 +222,9 @@ class TestSparsePartitioning:
         plans = make_partition_plans(unfolding.block_count, unfolding.block_width, 3)
         splits = split_unfolding_coordinates(unfolding, plans)
         total = sum(split.nbytes for split in splits)
-        assert total == tensor.nnz * 3 * 8  # three int64 per nonzero
+        # The ledger models a (row, block, offset) int64 triple per
+        # nonzero, though each one travels as a single slab-bit index.
+        assert total == tensor.nnz * 3 * 8
 
     @pytest.mark.parametrize("shape", [(6, 7, 8), (5, 70, 3), (9, 3, 11)])
     @pytest.mark.parametrize("n_partitions", [1, 4, 9])
@@ -236,3 +254,88 @@ class TestSparsePartitioning:
         assert empty
         for split in empty:
             assert pack_partition(split).words.shape[1] == 0
+
+
+class TestSplitProperty:
+    """The linear split against a brute-force reference (Algorithm 3)."""
+
+    @given(
+        shape=st.tuples(
+            st.integers(1, 6), st.integers(1, 9), st.integers(1, 9)
+        ),
+        mode=st.integers(0, 2),
+        density=st.sampled_from([0.0, 0.2, 0.7]),
+        extra_partitions=st.integers(0, 3),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_split_matches_brute_force(
+        self, shape, mode, density, extra_partitions, data
+    ):
+        rng = np.random.default_rng(sum(shape) * 7 + mode)
+        tensor = SparseBoolTensor.from_dense(
+            (rng.random(shape) < density).astype(np.uint8)
+        )
+        unfolding = unfold(tensor, mode)
+        n_partitions = data.draw(
+            st.integers(1, unfolding.n_cols + extra_partitions)
+        )
+        plans = make_partition_plans(
+            unfolding.block_count, unfolding.block_width, n_partitions
+        )
+        splits = split_unfolding_coordinates(unfolding, plans)
+        columns = unfolding.columns()
+        for plan, split in zip(plans, splits):
+            assert split.plan == plan
+            inside = (columns >= plan.col_start) & (columns < plan.col_stop)
+            rows, got = _decode(split, unfolding.block_width)
+            assert sorted(zip(rows.tolist(), got.tolist())) == sorted(
+                zip(unfolding.rows[inside].tolist(), columns[inside].tolist())
+            )
+        packed = build_partition_data(PackedUnfolding(unfolding), plans)
+        for expected, split in zip(packed, splits):
+            actual = pack_partition(split)
+            for block in expected.plan.blocks:
+                np.testing.assert_array_equal(
+                    expected.block_words(block), actual.block_words(block)
+                )
+
+
+class TestSlabIndexWidth:
+    """One slab-bit index per nonzero: uint32 while every slab fits."""
+
+    @pytest.mark.parametrize(
+        "block_count,width,n_partitions,row_bits",
+        [
+            (12, 64, 1, 12 * 64),
+            (12, 64, 3, 4 * 64),
+            # 5 columns per partition over 4-wide PVMs: every slab spans
+            # 2 PVMs, one word each at full width.
+            (5, 4, 4, 2 * 64),
+        ],
+    )
+    def test_dtype_switches_at_two_to_the_32_slab_bits(
+        self, block_count, width, n_partitions, row_bits
+    ):
+        # Plan arithmetic only: nothing of that size is allocated.
+        plans = make_partition_plans(block_count, width, n_partitions)
+        at_limit = -(-(2**32) // row_bits)  # fewest rows reaching 2**32 bits
+        assert slab_index_dtype(at_limit - 1, plans) == np.uint32
+        assert slab_index_dtype(at_limit, plans) == np.int64
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_pickled_source_payload_is_four_bytes_per_nonzero(self, mode):
+        # What the process backend pickles for a partitionAndPack[m] stage.
+        rng = np.random.default_rng(mode)
+        tensor = SparseBoolTensor.from_dense(
+            (rng.random((40, 50, 60)) < 0.2).astype(np.uint8)
+        )
+        with SimulatedRuntime(ClusterConfig(n_machines=2)) as runtime:
+            rdd, _ = prepare_mode_partitions(tensor, mode, 4, runtime)
+            source = rdd.node.parent
+            assert source.is_source
+            sources = [split for part in source.cached for split in part]
+        assert sum(split.nnz for split in sources) == tensor.nnz
+        assert all(split.bits.dtype == np.uint32 for split in sources)
+        payload = len(pickle.dumps(sources, protocol=pickle.HIGHEST_PROTOCOL))
+        assert payload <= 4 * tensor.nnz + 4096
