@@ -100,7 +100,7 @@ def _sampled_factors(
     shape = tensor.shape
     factors = tuple(BitMatrix.zeros(dimension, config.rank) for dimension in shape)
     coords = tensor.coords
-    flat = tensor._flat_indices()
+    flat = tensor.flat
     slab = shape[1] * shape[2]
     rows = np.arange(shape[0], dtype=np.int64) * slab
     covered = np.zeros(tensor.nnz, dtype=bool)

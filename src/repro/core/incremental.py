@@ -214,8 +214,8 @@ class PartitionedUnfoldings:
         if delta.is_empty:
             return
         changes = [
-            SparseBoolTensor(self.shape, coords)
-            for coords in (delta.added_coords(), delta.removed_coords())
+            SparseBoolTensor.from_flat(self.shape, cells)
+            for cells in (delta.added, delta.removed)
         ]
         for mode in range(3):
             payloads = self._mode_payloads(changes, mode)

@@ -118,6 +118,7 @@ class SimulatedRuntime:
         self.config = config
         self.ledger = ShuffleLedger()
         self.stages: list[StageReport] = []
+        self._reset_totals()
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy
         # An explicit speculation config overrides the cluster config's.
@@ -535,12 +536,38 @@ class SimulatedRuntime:
         retry_waits: "list[float] | tuple[float, ...]" = (),
         failure_counts: "list[int] | tuple[int, ...]" = (),
     ) -> None:
-        self.stages.append(
-            StageReport(
-                name, tuple(durations), tuple(retry_waits),
-                tuple(failure_counts),
-            )
+        stage = StageReport(
+            name, tuple(durations), tuple(retry_waits), tuple(failure_counts)
         )
+        self.stages.append(stage)
+        # Fold the stage into the running totals at the configured M, adding
+        # in the order a full replay does, so the floats are bit-identical
+        # and the default-M report never replays history.
+        self._compute_total = self._fold_compute(
+            self._compute_total, stage, self._default_slots
+        )
+        self._cpu_total += stage.total_cpu_time
+        self._retry_wait_total += stage.total_retry_wait
+
+    def _reset_totals(self) -> None:
+        """Zero the running totals :meth:`record_stage` folds stages into."""
+        self._default_slots = self.config.n_machines * self.config.cores_per_machine
+        # ``sum`` starts from int 0; so do these, for identical results.
+        self._compute_total = 0.0
+        self._cpu_total = 0
+        self._retry_wait_total = 0
+
+    def _fold_compute(
+        self, compute: float, stage: StageReport, slots: int
+    ) -> float:
+        """``compute`` plus one stage's simulated compute on ``slots`` slots."""
+        if not stage.durations:
+            return compute
+        waves = -(-stage.n_tasks // slots)  # ceil division
+        compute += makespan(self._effective_durations(stage), slots)
+        compute += waves * self.config.task_launch_overhead_sec
+        compute += self.config.driver_latency_sec
+        return compute
 
     # ------------------------------------------------------------------
     # Failure accounting (registry-backed facade)
@@ -584,6 +611,7 @@ class SimulatedRuntime:
     def reset(self) -> None:
         self.ledger.reset()
         self.stages.clear()
+        self._reset_totals()
         self.blacklisted_partitions.clear()
         self._broadcast_base_bytes = 0
         # Persist caches are measurement state too: evict silently (the
@@ -613,19 +641,21 @@ class SimulatedRuntime:
         time (:func:`~repro.resilience.plan_speculation`) — so
         ``ExecutionReport`` charges what a real cluster would have paid for
         retries and recovered through speculation.
+
+        At the configured ``n_machines`` the compute term is the running
+        total :meth:`record_stage` keeps, so this costs O(1) however long
+        the runtime has run; any other M replays every recorded stage.
         """
         machines = n_machines if n_machines is not None else self.config.n_machines
         if machines <= 0:
             raise ValueError(f"n_machines must be positive, got {machines}")
         slots = machines * self.config.cores_per_machine
-        compute = 0.0
-        for stage in self.stages:
-            if not stage.durations:
-                continue
-            waves = -(-stage.n_tasks // slots)  # ceil division
-            compute += makespan(self._effective_durations(stage), slots)
-            compute += waves * self.config.task_launch_overhead_sec
-            compute += self.config.driver_latency_sec
+        if slots == self._default_slots:
+            compute = self._compute_total
+        else:
+            compute = 0.0
+            for stage in self.stages:
+                compute = self._fold_compute(compute, stage, slots)
         shuffle_bytes = self.ledger.bytes_of_kind(TransferKind.SHUFFLE)
         collect_bytes = self.ledger.bytes_of_kind(TransferKind.COLLECT)
         task_bytes = self.ledger.bytes_of_kind(TransferKind.TASK)
@@ -689,15 +719,13 @@ class SimulatedRuntime:
         wins = sum(counters.get("speculative_wins_total", {}).values())
         return ExecutionReport(
             n_stages=len(self.stages),
-            total_cpu_time=sum(stage.total_cpu_time for stage in self.stages),
+            total_cpu_time=self._cpu_total,
             shuffle_bytes=self.ledger.bytes_of_kind(TransferKind.SHUFFLE),
             broadcast_bytes=self._broadcast_base_bytes * machines,
             collect_bytes=self.ledger.bytes_of_kind(TransferKind.COLLECT),
             simulated_time=self.simulated_time(machines),
             n_machines=machines,
-            total_retry_wait=sum(
-                stage.total_retry_wait for stage in self.stages
-            ),
+            total_retry_wait=self._retry_wait_total,
             tasks_speculated=int(speculated),
             speculative_wins=int(wins),
             task_bytes=self.ledger.bytes_of_kind(TransferKind.TASK),

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..bitops import BitMatrix
 from ..tensor import SparseBoolTensor
+from ..tensor.sparse import locate
 
 __all__ = ["ErrorEstimate", "estimate_reconstruction_error"]
 
@@ -74,14 +75,8 @@ def estimate_reconstruction_error(
     flat = rng.integers(0, n_cells, size=n_samples)
     cells = np.stack(np.unravel_index(flat, tensor.shape), axis=1)
 
-    # Membership in the tensor, via sorted flat indices.
-    tensor_flats = np.ravel_multi_index(tensor.coords.T, tensor.shape)
-    positions = np.searchsorted(tensor_flats, flat)
-    positions = np.clip(positions, 0, max(tensor_flats.shape[0] - 1, 0))
-    if tensor_flats.shape[0]:
-        in_tensor = tensor_flats[positions] == flat
-    else:
-        in_tensor = np.zeros(n_samples, dtype=bool)
+    # Membership in the tensor, via its sorted flat indices.
+    in_tensor = locate(tensor.flat, flat)[1]
 
     in_reconstruction = _covered(factors, cells)
     disagreements = int((in_tensor != in_reconstruction).sum())

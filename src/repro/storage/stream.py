@@ -23,7 +23,6 @@ import numpy as np
 from ..tensor.sparse import (
     SparseBoolTensor,
     check_flat_shape,
-    coords_from_flat,
     merge_sorted,
     sorted_unique,
 )
@@ -86,9 +85,7 @@ class StreamingTensorBuilder:
 
     def build(self):
         """The accumulated :class:`~repro.tensor.SparseBoolTensor`."""
-        return SparseBoolTensor(
-            self.shape, coords_from_flat(self._flat, self.shape)
-        )
+        return SparseBoolTensor.from_flat(self.shape, self._flat)
 
     def packed_unfolding(self, mode: int, store=None):
         """The mode-``mode`` :class:`~repro.tensor.PackedUnfolding`.

@@ -21,31 +21,13 @@ import numpy as np
 
 from .sparse import (
     SparseBoolTensor,
+    canonical_flat,
     check_flat_shape,
     coords_from_flat,
     locate,
-    sorted_unique,
 )
 
 __all__ = ["TensorDelta", "save_delta", "load_delta"]
-
-
-def _canonical_flat(
-    values, shape: tuple[int, ...], what: str
-) -> np.ndarray:
-    """Validate, deduplicate, and sort one flat-index set."""
-    flat = np.asarray(
-        [] if values is None else values, dtype=np.int64
-    ).reshape(-1)
-    if flat.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    n_cells = int(np.prod(np.asarray(shape, dtype=np.int64)))
-    if (flat < 0).any() or (flat >= n_cells).any():
-        raise ValueError(
-            f"{what} flat indices out of bounds for shape {shape} "
-            f"({n_cells} cells)"
-        )
-    return sorted_unique(flat)
 
 
 class TensorDelta:
@@ -59,9 +41,9 @@ class TensorDelta:
             raise ValueError(f"invalid tensor shape {shape}")
         check_flat_shape(shape)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "added", _canonical_flat(added, shape, "added"))
+        object.__setattr__(self, "added", canonical_flat(added, shape, "added"))
         object.__setattr__(
-            self, "removed", _canonical_flat(removed, shape, "removed")
+            self, "removed", canonical_flat(removed, shape, "removed")
         )
         if locate(self.added, self.removed)[1].any():
             raise ValueError("a cell cannot be both added and removed")
@@ -99,10 +81,9 @@ class TensorDelta:
         """The delta that advances ``old`` to ``new`` (same shape required)."""
         if old.shape != new.shape:
             raise ValueError(f"shape mismatch: {old.shape} vs {new.shape}")
-        old_flat = old._flat_indices()
-        new_flat = new._flat_indices()
-        added = new_flat[~np.isin(new_flat, old_flat, assume_unique=True)]
-        removed = old_flat[~np.isin(old_flat, new_flat, assume_unique=True)]
+        old_flat, new_flat = old.flat, new.flat
+        added = new_flat[~locate(old_flat, new_flat)[1]]
+        removed = old_flat[~locate(new_flat, old_flat)[1]]
         return cls(old.shape, added, removed)
 
     @classmethod

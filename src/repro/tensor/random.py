@@ -101,7 +101,7 @@ def add_additive_noise(
     if target == 0:
         return tensor.copy()
     n_cells = tensor.n_cells
-    existing = set(np.ravel_multi_index(tensor.coords.T, tensor.shape).tolist())
+    existing = set(tensor.flat.tolist())
     free_cells = n_cells - len(existing)
     if target > free_cells:
         raise ValueError(

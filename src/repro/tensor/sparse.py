@@ -1,22 +1,30 @@
-"""Sparse Boolean tensors in coordinate (COO) form.
+"""Sparse Boolean tensors: one sorted set of nonzero cells.
 
-A Boolean tensor is a set of nonzero coordinates; all set-algebraic
-operations (Boolean sum, difference, XOR) are set operations on coordinate
-rows.  The class is N-way, although the paper — and therefore the rest of
-this package — works with three-way tensors.
+A Boolean tensor is a set of nonzero cells; all set-algebraic operations
+(Boolean sum, difference, XOR) are set operations on it.  The class is
+N-way, although the paper — and therefore the rest of this package —
+works with three-way tensors.
 
-The canonical form is sorted row-major flat indices: ``coords`` rows are
+The canonical order is sorted row-major flat indices: ``coords`` rows are
 ordered and deduplicated exactly as their ``np.ravel_multi_index`` values
-are, so every set operation, ``__contains__`` and
+(``flat``) are, so every set operation, ``__contains__`` and
 :class:`~repro.tensor.delta.TensorDelta` work on one sorted int64 array.
 A shape whose cell count does not fit in int64 therefore has no flat
 indices and is rejected at construction.
 
+A tensor stores exactly one form, the one it was built from: coordinate
+rows for the public constructor, flat indices for the results of
+:meth:`~SparseBoolTensor.apply_delta` and the set algebra, which are
+already sorted and validated.  The other form is derived when asked for
+and never cached, so a tensor costs one array.  Both forms pickle, hash
+and size identically (as coordinate rows).
+
 Canonicalization is sort-based (``np.sort`` plus an adjacent-difference
 mask, :func:`sorted_unique`), and sorted inputs are combined by binary
 search (:func:`locate`, :func:`merge_sorted`) rather than re-sorted, so
-advancing a tensor by a delta costs O(|Δ| log |X|) searches plus one
-linear merge.
+advancing a tensor by a delta costs O(|Δ| log |X|) searches plus a
+linear splice of the flat array — no re-sort, no re-validation and no
+coordinate conversion.
 """
 
 from __future__ import annotations
@@ -79,6 +87,34 @@ def coords_from_flat(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     )
 
 
+def _checked_shape(shape) -> tuple[int, ...]:
+    """``shape`` as a tuple of ints, rejected if no tensor can have it."""
+    shape = tuple(int(s) for s in shape)
+    if any(s < 0 for s in shape):
+        raise ValueError(f"negative dimension in shape {shape}")
+    if not shape:
+        raise ValueError("tensor must have at least one mode")
+    check_flat_shape(shape)
+    return shape
+
+
+def canonical_flat(values, shape: tuple[int, ...], what: str = "flat") -> np.ndarray:
+    """Validate, deduplicate, and sort one set of flat indices into a new array."""
+    flat = np.asarray([] if values is None else values, dtype=np.int64).reshape(-1)
+    if flat.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    n_cells = math.prod(shape)
+    if (flat < 0).any() or (flat >= n_cells).any():
+        raise ValueError(
+            f"{what} flat indices out of bounds for shape {shape} "
+            f"({n_cells} cells)"
+        )
+    if (flat[1:] > flat[:-1]).all():
+        # Already canonical; copy so the result never aliases the caller.
+        return flat.copy()
+    return sorted_unique(flat)
+
+
 def _canonical_coords(coords: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Validate, deduplicate, and sort coordinate rows into a new array."""
     coords = np.asarray(coords, dtype=np.int64)
@@ -101,21 +137,33 @@ def _canonical_coords(coords: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class SparseBoolTensor:
-    """An N-way Boolean tensor stored as sorted, deduplicated coordinates."""
+    """An N-way Boolean tensor stored as one sorted, deduplicated cell set.
 
-    __slots__ = ("shape", "coords")
+    Exactly one of ``_coords`` (coordinate rows) and ``_flat`` (row-major
+    flat indices) is set; :attr:`coords` and :attr:`flat` derive the other.
+    """
+
+    __slots__ = ("shape", "_coords", "_flat")
 
     def __init__(self, shape: tuple[int, ...], coords: np.ndarray | None = None):
-        shape = tuple(int(s) for s in shape)
-        if any(s < 0 for s in shape):
-            raise ValueError(f"negative dimension in shape {shape}")
-        if not shape:
-            raise ValueError("tensor must have at least one mode")
-        check_flat_shape(shape)
+        shape = _checked_shape(shape)
         self.shape = shape
         if coords is None:
             coords = np.zeros((0, len(shape)), dtype=np.int64)
-        self.coords = _canonical_coords(coords, shape)
+        self._coords = _canonical_coords(coords, shape)
+        self._flat = None
+
+    @classmethod
+    def _of_flat(cls, shape: tuple[int, ...], flat: np.ndarray) -> "SparseBoolTensor":
+        """A tensor over already sorted, deduplicated, in-bounds flat indices.
+
+        Trusts and keeps ``flat`` as is: callers pass a fresh array.
+        """
+        tensor = cls.__new__(cls)
+        tensor.shape = shape
+        tensor._coords = None
+        tensor._flat = flat
+        return tensor
 
     # ------------------------------------------------------------------
     # Construction
@@ -137,12 +185,35 @@ class SparseBoolTensor:
         coords = np.array(list(nonzeros), dtype=np.int64).reshape(-1, len(shape))
         return cls(shape, coords)
 
+    @classmethod
+    def from_flat(cls, shape: tuple[int, ...], flat) -> "SparseBoolTensor":
+        """Build from row-major flat indices (validated, sorted, deduplicated)."""
+        shape = _checked_shape(shape)
+        return cls._of_flat(shape, canonical_flat(flat, shape))
+
     def copy(self) -> "SparseBoolTensor":
-        return SparseBoolTensor(self.shape, self.coords)
+        """An independent tensor over the same cells, in the same stored form."""
+        if self._flat is not None:
+            return self._of_flat(self.shape, self._flat.copy())
+        return SparseBoolTensor(self.shape, self._coords)
 
     # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------
+    @property
+    def coords(self) -> np.ndarray:
+        """``(nnz, ndim)`` int64 coordinate rows, in row-major order."""
+        if self._coords is not None:
+            return self._coords
+        return coords_from_flat(self._flat, self.shape)
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Sorted int64 row-major flat index of every nonzero."""
+        if self._flat is not None:
+            return self._flat
+        return np.ravel_multi_index(self._coords.T, self.shape)
+
     @property
     def ndim(self) -> int:
         return len(self.shape)
@@ -150,27 +221,26 @@ class SparseBoolTensor:
     @property
     def nnz(self) -> int:
         """Number of nonzero entries, |X| in the paper's notation."""
-        return self.coords.shape[0]
+        stored = self._coords if self._flat is None else self._flat
+        return stored.shape[0]
 
     @property
     def n_cells(self) -> int:
         return int(np.prod(np.asarray(self.shape, dtype=np.int64)))
 
+    @property
+    def nbytes(self) -> int:
+        """What :func:`~repro.distengine.shuffle.estimate_bytes` charges.
+
+        The coordinate form's size — 8 bytes per shape entry and per
+        coordinate, plus 8 per container (shape tuple, tensor) — whichever
+        form is stored, so traffic ledgers do not depend on how a tensor
+        was built.
+        """
+        return 8 * (self.ndim + 2 + self.nnz * self.ndim)
+
     def density(self) -> float:
         return self.nnz / self.n_cells if self.n_cells else 0.0
-
-    def frobenius_norm(self) -> float:
-        """For a Boolean tensor the Frobenius norm is sqrt(|X|)."""
-        return float(np.sqrt(self.nnz))
-
-    # ------------------------------------------------------------------
-    # Index helpers
-    # ------------------------------------------------------------------
-    def _flat_indices(self, coords: np.ndarray | None = None) -> np.ndarray:
-        """Row-major flat index per coordinate row (used for set algebra)."""
-        if coords is None:
-            coords = self.coords
-        return np.ravel_multi_index(coords.T, self.shape)
 
     def __contains__(self, coordinate: tuple[int, ...]) -> bool:
         coordinate = tuple(int(c) for c in coordinate)
@@ -179,7 +249,7 @@ class SparseBoolTensor:
         if any(not 0 <= c < s for c, s in zip(coordinate, self.shape)):
             raise IndexError(f"coordinate {coordinate} out of bounds for {self.shape}")
         flat = np.ravel_multi_index(coordinate, self.shape)
-        return bool(locate(self._flat_indices(), np.array([flat]))[1][0])
+        return bool(locate(self.flat, np.array([flat]))[1][0])
 
     # ------------------------------------------------------------------
     # Set algebra (Boolean tensor operations)
@@ -191,31 +261,30 @@ class SparseBoolTensor:
     def boolean_or(self, other: "SparseBoolTensor") -> "SparseBoolTensor":
         """Boolean sum X ⊕ Y (Eq. 5)."""
         self._check_same_shape(other)
-        coords = np.concatenate([self.coords, other.coords], axis=0)
-        return SparseBoolTensor(self.shape, coords)
+        return self._of_flat(self.shape, merge_sorted(self.flat, other.flat))
 
     def boolean_and(self, other: "SparseBoolTensor") -> "SparseBoolTensor":
         self._check_same_shape(other)
-        mask = np.isin(self._flat_indices(), other._flat_indices(), assume_unique=True)
-        return SparseBoolTensor(self.shape, self.coords[mask])
+        flat = self.flat
+        return self._of_flat(self.shape, flat[locate(other.flat, flat)[1]])
 
     def xor(self, other: "SparseBoolTensor") -> "SparseBoolTensor":
         self._check_same_shape(other)
-        in_other = np.isin(self._flat_indices(), other._flat_indices(), assume_unique=True)
-        in_self = np.isin(other._flat_indices(), self._flat_indices(), assume_unique=True)
-        coords = np.concatenate([self.coords[~in_other], other.coords[~in_self]], axis=0)
-        return SparseBoolTensor(self.shape, coords)
+        mine, theirs = self.flat, other.flat
+        only_mine = mine[~locate(theirs, mine)[1]]
+        only_theirs = theirs[~locate(mine, theirs)[1]]
+        return self._of_flat(self.shape, merge_sorted(only_mine, only_theirs))
 
     def minus(self, other: "SparseBoolTensor") -> "SparseBoolTensor":
         """Entries of self that are not in other."""
         self._check_same_shape(other)
-        mask = np.isin(self._flat_indices(), other._flat_indices(), assume_unique=True)
-        return SparseBoolTensor(self.shape, self.coords[~mask])
+        flat = self.flat
+        return self._of_flat(self.shape, flat[~locate(other.flat, flat)[1]])
 
     def hamming_distance(self, other: "SparseBoolTensor") -> int:
         """|X ⊕ Y| counting differing cells — the paper's error measure."""
         self._check_same_shape(other)
-        _, common = locate(self._flat_indices(), other._flat_indices())
+        _, common = locate(self.flat, other.flat)
         return self.nnz + other.nnz - 2 * int(common.sum())
 
     def apply_delta(self, delta) -> "SparseBoolTensor":
@@ -226,52 +295,45 @@ class SparseBoolTensor:
         incremental factorization advanced with it would silently diverge
         from the from-scratch result — so both raise instead of saturating.
 
-        Both sides are already sorted, so the delta's cells are found by
-        binary search and merged in: O(|Δ| log |X|) plus one linear copy,
-        with no re-sort of the tensor.
+        Both sides are already sorted and validated, so the delta's cells
+        are found by binary search and spliced in: O(|Δ| log |X|) searches
+        plus linear copies of the flat array (``np.delete``, ``np.insert``),
+        with no re-sort, re-validation or coordinate conversion.  The result
+        stores flat indices only.
         """
         if tuple(delta.shape) != self.shape:
             raise ValueError(
                 f"delta shape {tuple(delta.shape)} does not match tensor "
                 f"shape {self.shape}"
             )
-        flats = self._flat_indices()
-        removed_at, present = locate(flats, delta.removed)
+        flat = self.flat
+        removed_at, present = locate(flat, delta.removed)
         if not present.all():
             raise ValueError(
                 f"delta removes {int((~present).sum())} cell(s) not "
                 f"present in the tensor (delta built against a "
                 f"different base?)"
             )
-        _, duplicate = locate(flats, delta.added)
+        added_at, duplicate = locate(flat, delta.added)
         if duplicate.any():
             raise ValueError(
                 f"delta adds {int(duplicate.sum())} cell(s) already "
                 f"present in the tensor (delta built against a "
                 f"different base?)"
             )
-        new_flats = merge_sorted(np.delete(flats, removed_at), delta.added)
-        return SparseBoolTensor(self.shape, coords_from_flat(new_flats, self.shape))
+        kept = np.delete(flat, removed_at)
+        # An added cell's insertion point shifts left by the removed cells
+        # before it.
+        added_at -= np.searchsorted(removed_at, added_at)
+        return self._of_flat(self.shape, np.insert(kept, added_at, delta.added))
 
     # ------------------------------------------------------------------
     # Conversion / inspection
     # ------------------------------------------------------------------
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.shape, dtype=np.uint8)
-        if self.nnz:
-            dense[tuple(self.coords.T)] = 1
+        dense.reshape(-1)[self.flat] = 1
         return dense
-
-    def mode_slice(self, mode: int, index: int) -> "SparseBoolTensor":
-        """The sub-tensor with mode ``mode`` fixed at ``index`` (mode dropped)."""
-        if not 0 <= mode < self.ndim:
-            raise ValueError(f"mode {mode} out of range for {self.ndim}-way tensor")
-        if not 0 <= index < self.shape[mode]:
-            raise IndexError(f"index {index} out of bounds for mode {mode}")
-        keep = self.coords[:, mode] == index
-        remaining = [m for m in range(self.ndim) if m != mode]
-        new_shape = tuple(self.shape[m] for m in remaining)
-        return SparseBoolTensor(new_shape, self.coords[keep][:, remaining])
 
     def mode_indices(self, mode: int) -> np.ndarray:
         """Distinct indices along ``mode`` that carry at least one nonzero."""
@@ -282,10 +344,23 @@ class SparseBoolTensor:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseBoolTensor):
             return NotImplemented
-        return self.shape == other.shape and bool(np.array_equal(self.coords, other.coords))
+        return self.shape == other.shape and bool(np.array_equal(self.flat, other.flat))
 
     def __hash__(self):
         raise TypeError("SparseBoolTensor is mutable and unhashable")
 
+    # Both forms travel as coordinate rows — the state a slotted
+    # ``(shape, coords)`` tensor pickles to — so pickled bytes and content
+    # hashes depend only on the cells.
+    def __getstate__(self):
+        return None, {"shape": self.shape, "coords": self.coords}
+
+    def __setstate__(self, state) -> None:
+        _, slots = state
+        self.shape = slots["shape"]
+        self._coords = slots["coords"]
+        self._flat = None
+
     def __repr__(self) -> str:
         return f"SparseBoolTensor(shape={self.shape}, nnz={self.nnz})"
+

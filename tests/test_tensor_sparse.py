@@ -1,11 +1,15 @@
 """Unit tests for SparseBoolTensor."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tensor import SparseBoolTensor
+import repro.tensor.sparse as sparse_module
+from repro.distengine.shuffle import estimate_bytes, stable_hash
+from repro.tensor import SparseBoolTensor, TensorDelta
 
 
 def random_dense_tensor(shape, seed, density=0.3):
@@ -131,10 +135,6 @@ class TestProperties:
         tensor = SparseBoolTensor.from_nonzeros((2, 2, 2), [(0, 0, 0), (1, 1, 1)])
         assert tensor.density() == pytest.approx(2 / 8)
 
-    def test_frobenius_norm_is_sqrt_nnz(self):
-        tensor = SparseBoolTensor.from_nonzeros((3, 3, 3), [(0, 0, 0), (1, 1, 1), (2, 2, 2)])
-        assert tensor.frobenius_norm() == pytest.approx(np.sqrt(3))
-
     def test_contains_validates_arity(self):
         tensor = SparseBoolTensor.empty((2, 2, 2))
         with pytest.raises(ValueError):
@@ -218,22 +218,6 @@ class TestSetAlgebra:
 
 
 class TestSlicing:
-    def test_mode_slice(self):
-        dense = random_dense_tensor((3, 4, 5), seed=4)
-        tensor = SparseBoolTensor.from_dense(dense)
-        for mode, size in enumerate(tensor.shape):
-            for index in range(size):
-                fiber = tensor.mode_slice(mode, index)
-                expected = np.take(dense, index, axis=mode)
-                np.testing.assert_array_equal(fiber.to_dense(), expected)
-
-    def test_mode_slice_bounds(self):
-        tensor = SparseBoolTensor.empty((2, 2, 2))
-        with pytest.raises(ValueError):
-            tensor.mode_slice(3, 0)
-        with pytest.raises(IndexError):
-            tensor.mode_slice(0, 2)
-
     def test_mode_indices(self):
         tensor = SparseBoolTensor.from_nonzeros((5, 5, 5), [(0, 1, 2), (3, 1, 2)])
         np.testing.assert_array_equal(tensor.mode_indices(0), [0, 3])
@@ -264,3 +248,108 @@ class TestDunder:
         clone = tensor.copy()
         clone.coords[0, 0] = 1
         assert tensor.coords[0, 0] == 0
+
+
+class _CoordinateLayout:
+    """A tensor as it was laid out before flat-built tensors: two slots.
+
+    Named like ``SparseBoolTensor`` so that pickle records the same class.
+    """
+
+    __slots__ = ("shape", "coords")
+    __module__ = SparseBoolTensor.__module__
+    __qualname__ = SparseBoolTensor.__qualname__
+
+
+def _pre_change_fingerprint(shape, coords):
+    """``(pickle bytes, stable_hash, estimate_bytes)`` of the two-slot layout.
+
+    The stand-in is pickled under ``SparseBoolTensor``'s own name, so the
+    bytes are what a tensor over these cells pickled to before tensors could
+    store flat indices.
+    """
+    legacy = _CoordinateLayout()
+    legacy.shape, legacy.coords = shape, coords
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sparse_module, "SparseBoolTensor", _CoordinateLayout)
+        return (
+            pickle.dumps(legacy, protocol=4), stable_hash(legacy),
+            estimate_bytes(legacy),
+        )
+
+
+class TestFlatBuilt:
+    """Tensors advanced by ``apply_delta`` store flat indices only.
+
+    A chain of random deltas is checked against a set-of-cells reference
+    and against the coordinate-built tensor over the same cells.
+    """
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_delta_chain_matches_reference(self, data):
+        shape = data.draw(_shapes)
+        n_cells = int(np.prod(shape))
+        tensor = SparseBoolTensor(shape, _rows_array(data.draw(_coord_rows(shape)), shape))
+        cells = set(tensor.flat.tolist())
+        cell = st.integers(0, n_cells - 1)
+        for flips in data.draw(st.lists(st.lists(cell, max_size=6), min_size=1, max_size=4)):
+            flips = set(flips)
+            delta = TensorDelta(shape, sorted(flips - cells), sorted(flips & cells))
+            tensor = tensor.apply_delta(delta)
+            cells ^= flips
+            assert tensor._coords is None
+
+            flat = np.array(sorted(cells), dtype=np.int64)
+            coords = np.stack(np.unravel_index(flat, shape), axis=1).reshape(-1, len(shape))
+            built = SparseBoolTensor(shape, coords)
+            np.testing.assert_array_equal(tensor.flat, flat)
+            np.testing.assert_array_equal(tensor.coords, coords)
+            assert tensor.coords.dtype == np.int64
+            assert tensor.nnz == built.nnz == len(cells)
+            assert tensor == built and built == tensor
+            for flipped in flips:
+                coordinate = np.unravel_index(flipped, shape)
+                assert (coordinate in tensor) == (flipped in cells)
+            assert tensor.hamming_distance(built) == 0
+            assert built.hamming_distance(tensor) == 0
+            np.testing.assert_array_equal(tensor.to_dense(), built.to_dense())
+
+            clone = tensor.copy()
+            assert clone == tensor and clone._coords is None
+            if clone.nnz:
+                clone.flat[:] = clone.flat[0]
+                np.testing.assert_array_equal(tensor.flat, flat)
+
+            assert pickle.dumps(tensor, protocol=4) == pickle.dumps(built, protocol=4)
+            assert stable_hash(tensor) == stable_hash(built)
+            assert estimate_bytes(tensor) == estimate_bytes(built)
+            assert (
+                pickle.dumps(built, protocol=4), stable_hash(built), estimate_bytes(built)
+            ) == _pre_change_fingerprint(shape, built.coords)
+            assert pickle.loads(pickle.dumps(tensor)) == built
+
+    def test_set_algebra_builds_flat_tensors(self):
+        left = SparseBoolTensor.from_dense(random_dense_tensor((3, 4, 5), seed=8))
+        right = SparseBoolTensor.from_dense(random_dense_tensor((3, 4, 5), seed=9))
+        dense_left, dense_right = left.to_dense(), right.to_dense()
+        for result, expected in (
+            (left.boolean_or(right), dense_left | dense_right),
+            (left.boolean_and(right), dense_left & dense_right),
+            (left.xor(right), dense_left ^ dense_right),
+            (left.minus(right), dense_left & ~dense_right),
+        ):
+            assert result._coords is None
+            assert result == SparseBoolTensor.from_dense(expected)
+
+    def test_from_flat_validates(self):
+        tensor = SparseBoolTensor.from_flat((2, 3), [5, 0, 5, 3])
+        np.testing.assert_array_equal(tensor.coords, [[0, 0], [1, 0], [1, 2]])
+        with pytest.raises(ValueError, match="out of bounds"):
+            SparseBoolTensor.from_flat((2, 3), [6])
+        with pytest.raises(ValueError, match="negative dimension"):
+            SparseBoolTensor.from_flat((-1, 3), [])
+        source = np.array([0, 4], dtype=np.int64)
+        tensor = SparseBoolTensor.from_flat((2, 3), source)
+        source[0] = 1
+        np.testing.assert_array_equal(tensor.flat, [0, 4])
