@@ -8,8 +8,6 @@ are word-wise ORs and Hamming distances are XOR + popcount.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
 from ..observability.trace import kernel_span, record_metric
@@ -115,10 +113,6 @@ class BitMatrix:
             mask = (mask << packing.WORD_BITS) | int(self.words[row, word_index])
         return mask
 
-    def row_masks(self) -> list[int]:
-        """All rows as integer bitmasks."""
-        return [self.row_mask(r) for r in range(self.n_rows)]
-
     def column(self, col: int) -> np.ndarray:
         """One column as a dense 0/1 vector."""
         word, offset = divmod(col, packing.WORD_BITS)
@@ -174,17 +168,6 @@ class BitMatrix:
             raise ValueError(
                 f"shape mismatch: {self.shape} vs {other.shape}"
             )
-
-    def or_rows(self, rows: Iterable[int]) -> np.ndarray:
-        """Boolean sum (OR) of the selected rows, as packed words.
-
-        This is Lemma 1 of the paper: a Boolean vector-matrix product selects
-        and ORs the rows named by the vector's nonzeros.
-        """
-        rows = list(rows)
-        if not rows:
-            return np.zeros(self.words.shape[1], dtype=np.uint64)
-        return np.bitwise_or.reduce(self.words[rows], axis=0)
 
     def count_nonzeros(self) -> int:
         return packing.popcount(self.words)

@@ -22,7 +22,7 @@ from .partition import (
 )
 from .result import DecompositionResult
 from .steps import StepEvent, drive
-from .update import CachedPartition, update_factor
+from .update import update_factor
 
 __all__ = [
     "dbtf",
@@ -43,7 +43,6 @@ __all__ = [
     "split_unfolding_coordinates",
     "pack_partition",
     "update_factor",
-    "CachedPartition",
     "prepare_partitioned_unfoldings",
     "prepare_mode_partitions",
     "PartitionedUnfoldings",

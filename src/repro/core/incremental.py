@@ -259,7 +259,7 @@ def dirty_columns_for_delta(
     Component ``r``'s error contribution for mode ``n``'s update differs
     between the set-to-0 and set-to-1 candidates only on cells inside the
     component's Khatri-Rao support rectangle ``outer[:, r] × inner[:, r]``
-    (see ``CachedPartition.column_errors``: ``rec1 = rec0 | coverage`` and
+    (see :func:`~repro.core.update.column_errors`: ``rec1 = rec0 | coverage`` and
     the coverage of component r in block b is ``outer[b, r] & inner[:, r]``).
     A delta cell outside that rectangle shifts both candidate errors by the
     same ±1, so the argmin — the column's decision — cannot move.  Columns

@@ -8,9 +8,8 @@ bit-sliced copy of one (partial blocks).
 
 A partition's packed bits live in one *slab*: a ``(n_rows, n_pvms,
 n_words)`` array holding every PVM product the partition touches at full
-PVM width.  The full-width blocks are then one contiguous view and a
-partial block is a bit slice of its PVM's words; this module is the only
-one that knows that layout (:class:`PartitionData`).
+PVM width.  A block is its PVM's words, masked or bit-sliced to the
+block's columns when it is partial (:class:`PartitionData`).
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ class PartitionData:
 
     ``words[:, p]`` holds, for every matrix row, the packed bits of PVM
     product ``plan.blocks[0].pvm_index + p`` at full width — the data the
-    error kernel XORs against cached row summations.  Only the bits inside
+    error kernel compares with cached row summations.  Only the bits inside
     the partition's column range are ever read: they are zero outside it
     when packed from the partition's own nonzeros, and the neighbouring
     partitions' bits when the slab is a view of a shared unfolding.  Built
@@ -133,26 +132,6 @@ class PartitionData:
     @property
     def nbytes(self) -> int:
         return int(self.words.nbytes)
-
-    @property
-    def full_pvms(self) -> range:
-        """PVM indices of the full-width blocks, one contiguous run.
-
-        Only the first and the last block can be partial (Lemma 3).
-        """
-        blocks = self.plan.blocks
-        if not blocks:
-            return range(0)
-        start = blocks[0].pvm_index + (not blocks[0].is_full)
-        stop = blocks[-1].pvm_index + blocks[-1].is_full
-        return range(start, max(start, stop))
-
-    @property
-    def full_words(self) -> np.ndarray:
-        """The full-width blocks as one ``(n_rows, n_full, n_words)`` view,
-        in :attr:`full_pvms` order."""
-        full, first = self.full_pvms, self.plan.pvm_span.start
-        return self.words[:, full.start - first : full.stop - first]
 
     def block_words(self, block: Block) -> np.ndarray:
         """Packed ``(n_rows, n_words)`` bits of one of the plan's blocks.

@@ -1,11 +1,14 @@
 """The distributed factor-matrix update (paper Algorithm 4).
 
 One call updates one factor matrix column by column.  For every column c and
-every row r, the error of setting ``target[r, c]`` to 0 and to 1 is computed
-across all partitions: each partition fetches the cached Boolean row
-summation keyed by ``target_row_mask AND outer_row_mask`` per block, XORs it
-against its slice of the unfolded tensor, and popcounts.  The driver collects
-each row's error change ``d = err1 - err0`` and sets the bit where ``d < 0``.
+every row r, the errors of setting ``target[r, c]`` to 0 and to 1 are
+compared across all partitions: each partition fetches the cached Boolean
+row summation ``rec0`` keyed by ``target_row_mask AND outer_row_mask`` per
+block and counts, against its slice of the unfolded tensor ``X``, each
+row's error change ``d = err1 - err0``.  Candidate 1 adds component c's
+coverage, ``rec1 = rec0 | cover``, so ``d = popcount(cover & ~rec0) -
+2 * popcount(cover & ~rec0 & X)``.  The driver sums ``d`` over the
+partitions and sets the bit where ``d < 0``.
 
 The two candidates differ only inside PVM blocks ``j`` with
 ``outer[j, c] = 1`` (the *active* blocks); every other block adds the same
@@ -16,163 +19,210 @@ caller's ``error_before`` — the previous update's ``error_after`` in a
 solve — and only when the caller does not know it does the first evaluated
 column scan every block to seed it.
 
-Workers keep what the tasks derive from the broadcasts: one row-summation
-cache (:func:`_shared_cache`) and the current column's target masks
-(:func:`_target_masks`), each a :func:`~repro.distengine.broadcast.worker_state`
-slot, so only the packed column deltas move per column.
+:func:`column_errors` evaluates all of a partition's selected blocks,
+partial edge blocks included, in a fixed number of numpy passes: one
+gather per cache group from word-major tables into a rows-last array, a
+window mask over the edge PVMs' full-width words, and two popcounts.
+
+Workers keep what the tasks derive from the broadcasts, each in a
+:func:`~repro.distengine.broadcast.worker_state` slot: per factors
+broadcast, one row-summation cache (:func:`_shared_cache`) and the
+kernel's :class:`KernelTables` next to it; per column, the target masks
+(:func:`_target_masks`) and the kernel's :class:`ColumnKeys` next to them.
+Only the packed column deltas move per column.
 """
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
 from ..bitops import BitMatrix, packing
-from ..bitops.ops import xor_popcount_rows
 from ..distengine import Distributed, SimulatedRuntime
 from ..distengine.broadcast import worker_state
-from ..observability.trace import kernel_span
+from ..distengine.shuffle import HANDLE_WIRE_BYTES
+from ..observability.trace import kernel_span, metrics_enabled, record_metric
 from .cache import RowSummationCache
 from .config import DbtfConfig
-from .partition import PartitionData
+from .partition import Block, PartitionData
 
-__all__ = ["update_factor", "CachedPartition"]
+__all__ = [
+    "update_factor",
+    "column_errors",
+    "kernel_tables",
+    "column_keys",
+    "KernelTables",
+    "ColumnKeys",
+]
 
 
-class CachedPartition:
-    """A partition plus the row-summation cache tables its blocks use.
+class KernelTables(NamedTuple):
+    """What the column kernel reads of one factors broadcast.
 
-    A transient wrapper built by each column task around its partition and
-    the worker's shared cache (paper Algorithm 5: the tables are built
-    once per worker and factor update, see :func:`_shared_cache`); the
-    edge blocks' sliced tables are memoized in that cache, so wrapping
-    costs microseconds.  Full-width blocks — the overwhelming majority
-    (Lemma 3 allows at most two partial blocks per partition) — are
-    evaluated as one batched table gather over all the selected ones at
-    once, straight from the partition's slab, which is what keeps the
-    cached kernel ahead of recomputation.
+    Each worker builds it once per broadcast (:func:`_kernel_tables`), next
+    to the shared row-summation cache it derives from.
     """
 
-    __slots__ = ("data", "cache", "edge_blocks")
+    #: The shared cache (Algorithm 5); its groups split every key.
+    cache: RowSummationCache
+    #: Per cache group, the group's table word-major, ``(n_words,
+    #: 2**size)``, so one gather yields rows-last summations.
+    tables: list
+    #: Per cache group, every outer-factor row's key bits, ``(n_pvms,)``.
+    outer_keys: list
 
-    def __init__(self, data: PartitionData, cache: RowSummationCache):
-        self.data = data
-        self.cache = cache
-        # (block, sliced tables, tensor words) for the <= 2 partial blocks:
-        # only the first and the last block can be partial (Lemma 3).
-        blocks = data.plan.blocks
-        self.edge_blocks = [
-            (block, cache.tables_for(block.start, block.stop),
-             data.block_words(block))
-            for block in blocks[:1] + blocks[1:][-1:]
-            if not block.is_full
-        ]
 
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes, each buffer once: the slab, the cache (which
-        owns the edge blocks' sliced tables) and the edge blocks' words."""
-        return (
-            self.data.nbytes
-            + self.cache.nbytes
-            + sum(int(words.nbytes) for _, _, words in self.edge_blocks)
+class ColumnKeys(NamedTuple):
+    """What the column kernel reads of one column task.
+
+    Each worker builds it once per column (:func:`_column_keys`), next to
+    the target masks it derives from.
+    """
+
+    #: Per cache group, every target row's key bits with the column
+    #: cleared, ``(n_rows,)``.  Bit extraction commutes with AND, so PVM
+    #: block ``j``'s key is ``row_keys[g] & outer_keys[g][j]``.
+    row_keys: list
+    #: The outer factor's current column, one bool per PVM block.
+    outer_column: np.ndarray
+    #: The inner factor's current column packed over the PVM width:
+    #: component c's coverage inside every active block.
+    coverage: np.ndarray
+
+
+def kernel_tables(
+    cache: RowSummationCache, outer_words: np.ndarray
+) -> KernelTables:
+    """The kernel's view of ``cache`` for the outer factor ``outer_words``."""
+    return KernelTables(
+        cache,
+        [np.ascontiguousarray(table.T) for table in cache.full_tables],
+        cache.group_keys(outer_words),
+    )
+
+
+def column_keys(
+    tables: KernelTables,
+    masks_if_zero: np.ndarray,
+    outer_words: np.ndarray,
+    column: int,
+) -> ColumnKeys:
+    """The kernel's inputs for one column: ``masks_if_zero`` are the packed
+    target rows with ``column`` forced to 0."""
+    return ColumnKeys(
+        tables.cache.group_keys(masks_if_zero),
+        packing.bit_column(outer_words, column).astype(bool),
+        tables.cache.columns_packed[column],
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _pvm_window(first: Block, last: Block) -> tuple[np.ndarray, int]:
+    """``(window, n_edges)`` of a partition whose end blocks ``first`` and
+    ``last`` are not both full.
+
+    Only the end blocks can be partial (Lemma 3).  ``window`` is an
+    ``(n_words, n_pvms)`` mask of each PVM's full-width words down to the
+    partition's columns, which also hides the neighbour bits of a slab
+    that views a shared unfolding.
+    """
+    edges = {block for block in (first, last) if not block.is_full}
+    n_pvms = last.pvm_index - first.pvm_index + 1
+    bits = np.ones((n_pvms, first.width), dtype=np.uint8)
+    bits[0, : first.start] = 0
+    bits[-1, last.stop :] = 0
+    window = np.ascontiguousarray(packing.pack_bits(bits).T)
+    window.setflags(write=False)
+    return window, len(edges)
+
+
+def column_errors(
+    data: PartitionData,
+    tables: KernelTables,
+    keys: ColumnKeys,
+    *,
+    seed: bool = False,
+) -> "tuple[np.ndarray, np.ndarray | None]":
+    """One partition's per-row error change for one column.
+
+    Returns ``(change, error_if_zero)``.  ``change`` is each row's
+    ``error_if_one - error_if_zero`` over the *active* PVM blocks
+    (``outer_column[j] = 1``): outside them both candidates reconstruct the
+    same cells, so it is also the change over the whole partition.  With
+    ``seed=True`` every block is evaluated and ``error_if_zero`` is each
+    row's full reconstruction error with the column at 0; otherwise it is
+    ``None``.
+    """
+    blocks = data.plan.blocks
+    window, n_edges = None, 0
+    if blocks and not (blocks[0].is_full and blocks[-1].is_full):
+        window, n_edges = _pvm_window(blocks[0], blocks[-1])
+    with kernel_span(
+        "cp.columnErrors",
+        rows=data.n_rows,
+        full_blocks=len(blocks) - n_edges,
+        edge_blocks=n_edges,
+    ):
+        return _column_errors(data, tables, keys, window, seed)
+
+
+def _column_errors(data, tables, keys, window, seed):
+    """All selected PVM blocks in one batched pass, rows last.
+
+    Only candidate 0 needs a cache gather: setting the entry to 1
+    Boolean-adds component c's coverage, ``rec1 = rec0 | cover``, which
+    flips exactly the cells of ``newly = cover & ~rec0`` — a gain where the
+    tensor is 0 and a loss where it is 1 — so the change is
+    ``popcount(newly) - 2 * popcount(newly & X)``.
+    """
+    n_rows = data.n_rows
+    span = data.plan.pvm_span
+    active = keys.outer_column[span]
+    selected = np.arange(active.size) if seed else active.nonzero()[0]
+    if not selected.size:
+        change = np.zeros(n_rows, dtype=np.int64)
+        return change, (change.copy() if seed else None)
+    if metrics_enabled():
+        record_metric("cache_fetches_total")
+    pvms = span.start + selected
+    # buffer[0] gathers rec0 and becomes `newly`; buffer[1] is scratch for
+    # further groups and then holds `newly & X`.
+    buffer = np.empty(
+        (2, len(keys.coverage), selected.size, n_rows), dtype=np.uint64
+    )
+    rec_zero, scratch = buffer
+    for group, (table, outer_keys, row_keys) in enumerate(
+        zip(tables.tables, tables.outer_keys, keys.row_keys)
+    ):
+        # One gather per group, rows last: (n_words, blocks, rows).
+        np.take(
+            table, outer_keys[pvms, None] & row_keys, axis=1,
+            out=scratch if group else rec_zero, mode="clip",
         )
-
-    def column_errors(
-        self,
-        masks_if_zero: np.ndarray,
-        outer_words: np.ndarray,
-        outer_column: np.ndarray,
-        inner_column_words: np.ndarray,
-        *,
-        all_blocks: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Partition-local errors for both candidate values of one column.
-
-        ``masks_if_zero`` are the packed row masks of the target factor with
-        the current column forced to 0; ``outer_words``/``outer_column`` are
-        the outer factor's packed row masks and its current column as a 0/1
-        vector; ``inner_column_words`` is the inner factor's current column,
-        packed over the PVM width.
-
-        Returns per-row ``(error_if_zero, error_if_one)``.  By default they
-        cover only the *active* blocks (``outer_column[pvm] = 1``): outside
-        them both candidates reconstruct the same cells, so the errors there
-        are equal, and ``error_if_one - error_if_zero`` — hence every row's
-        decision — is exactly that of the full errors.  With
-        ``all_blocks=True`` every block is evaluated and both are full
-        per-row reconstruction errors.
-
-        Only the candidate-0 reconstruction needs a cache gather: setting
-        the entry to 1 Boolean-adds component c's coverage, which inside PVM
-        block j is ``outer[j, c] * inner[:, c]`` — independent of the row —
-        so ``rec1 = rec0 | column_coverage``.
-        """
-        with kernel_span(
-            "cp.columnErrors",
-            rows=masks_if_zero.shape[0],
-            full_blocks=len(self.data.full_pvms),
-            edge_blocks=len(self.edge_blocks),
-        ):
-            return self._column_errors(
-                masks_if_zero, outer_words, outer_column, inner_column_words,
-                all_blocks,
-            )
-
-    def _column_errors(
-        self,
-        masks_if_zero: np.ndarray,
-        outer_words: np.ndarray,
-        outer_column: np.ndarray,
-        inner_column_words: np.ndarray,
-        all_blocks: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        n_rows = masks_if_zero.shape[0]
-        error_if_zero = np.zeros(n_rows, dtype=np.int64)
-        error_if_one = np.zeros(n_rows, dtype=np.int64)
-        full_pvms = self.data.full_pvms
-        selected = (
-            np.arange(len(full_pvms))
-            if all_blocks
-            else np.flatnonzero(outer_column[full_pvms.start : full_pvms.stop])
-        )
-        if selected.size:
-            pvms = full_pvms.start + selected
-            # Rows of (blocks x words), so one popcount sums a whole row.
-            tensor_words = self.data.full_words[:, selected].reshape(n_rows, -1)
-            # Batched over the selected full-width blocks: keys (rows, blocks).
-            anded = masks_if_zero[:, None, :] & outer_words[pvms][None, :, :]
-            keys = self.cache.group_keys(anded)
-            rec_zero = self.cache.fetch(self.cache.full_tables, keys)
-            # Component c's coverage in PVM block j is outer[j, c] *
-            # inner[:, c]: nothing in an inactive block.
-            addition = np.where(
-                outer_column[pvms, None] != 0,
-                inner_column_words[None, :],
-                np.uint64(0),
-            )
-            error_if_zero += xor_popcount_rows(
-                rec_zero.reshape(n_rows, -1), tensor_words
-            )
-            error_if_one += xor_popcount_rows(
-                (rec_zero | addition).reshape(n_rows, -1), tensor_words
-            )
-        for block, tables, tensor_words in self.edge_blocks:
-            active = bool(outer_column[block.pvm_index])
-            if not (active or all_blocks):
-                continue
-            anded = masks_if_zero & outer_words[block.pvm_index]
-            keys = self.cache.group_keys(anded)
-            rec_zero = self.cache.fetch(tables, keys)
-            addition = (
-                packing.slice_bits(
-                    inner_column_words[None, :], block.start, block.stop
-                )[0]
-                if active
-                else np.uint64(0)
-            )
-            error_if_zero += xor_popcount_rows(rec_zero, tensor_words)
-            error_if_one += xor_popcount_rows(rec_zero | addition, tensor_words)
-        return error_if_zero, error_if_one
+        if group:
+            rec_zero |= scratch
+    tensor = data.words[:, selected].T  # (n_words, blocks, rows)
+    cover = keys.coverage[:, None]
+    if seed:
+        cover = np.where(active, cover, np.uint64(0))
+    if window is not None:
+        window = window[:, selected]
+        cover = cover & window
+    error_if_zero = None
+    if seed:
+        wrong = rec_zero ^ tensor
+        if window is not None:
+            wrong &= window[..., None]
+        error_if_zero = np.bitwise_count(wrong).sum(axis=(0, 1), dtype=np.int64)
+    newly = np.invert(rec_zero, out=rec_zero)
+    newly &= cover[..., None]
+    np.bitwise_and(newly, tensor, out=scratch)
+    flipped, flipped_ones = np.bitwise_count(buffer).sum(
+        axis=(1, 2), dtype=np.int64
+    )
+    return flipped - 2 * flipped_ones, error_if_zero
 
 
 def _masks_with_bit_cleared(words: np.ndarray, column: int) -> np.ndarray:
@@ -191,8 +241,15 @@ def _masks_with_bit_cleared(words: np.ndarray, column: int) -> np.ndarray:
 #: Worker-state slot of the shared row-summation cache (one per runtime).
 _CACHE_SLOT = "rowSummationCache"
 
+#: Worker-state slot of the kernel's view of that cache (:class:`KernelTables`).
+_TABLES_SLOT = "kernelTables"
+
 #: Worker-state slot of the current column task's target masks.
 _MASKS_SLOT = "targetMasks"
+
+#: Worker-state slot of the current column task's kernel keys
+#: (:class:`ColumnKeys`).
+_KEYS_SLOT = "columnKeys"
 
 
 def _shared_cache(factors, rank: int, group_size: int) -> RowSummationCache:
@@ -215,6 +272,39 @@ def _shared_cache(factors, rank: int, group_size: int) -> RowSummationCache:
     )
 
 
+def _kernel_tables(factors, rank: int, group_size: int) -> KernelTables:
+    """This worker's :class:`KernelTables` for one factors broadcast: the
+    shared cache's tables word-major and the outer factor's keys, built
+    once next to the cache."""
+    cache = _shared_cache(factors, rank, group_size)
+    return worker_state(
+        factors.scope, _TABLES_SLOT, (factors.content_id, rank, group_size),
+        lambda _previous: kernel_tables(cache, factors.value[1]),
+    )
+
+
+def _applied(deltas: tuple) -> tuple:
+    """The slot-key form of a column task's applied deltas."""
+    return tuple((index, delta.content_id) for index, delta in deltas)
+
+
+def _column_keys(
+    factors, column: int, deltas: tuple, tables: KernelTables
+) -> ColumnKeys:
+    """This worker's :class:`ColumnKeys` for one column task, built once
+    per column from the target masks (:func:`_target_masks`)."""
+    masks = _target_masks(factors, column, deltas)
+    cache = tables.cache
+    key = (
+        factors.content_id, column, _applied(deltas), cache.rank,
+        cache.group_size,
+    )
+    return worker_state(
+        factors.scope, _KEYS_SLOT, key,
+        lambda _previous: column_keys(tables, masks, factors.value[1], column),
+    )
+
+
 def _target_masks(factors, column: int, deltas: tuple) -> np.ndarray:
     """This worker's target masks for one column task (read-only).
 
@@ -228,7 +318,7 @@ def _target_masks(factors, column: int, deltas: tuple) -> np.ndarray:
     but the newest), only that newest delta is applied, to a copy;
     otherwise the masks are rebuilt from the base words.
     """
-    applied = tuple((index, delta.content_id) for index, delta in deltas)
+    applied = _applied(deltas)
     key = (factors.content_id, column, applied)
 
     def build(previous) -> np.ndarray:
@@ -255,10 +345,10 @@ class _ColumnErrorsDeltaTask:
     Ships a broadcast handle plus the packed ~n_rows/8-byte column updates
     already chosen this sweep, so per-column payloads are O(n_rows/8)
     instead of O(n_rows·words).  The worker keeps the derived state: the
-    shared row-summation cache and the current target masks
-    (:func:`_target_masks`), both pure functions of the payload, which is
-    what makes results bit-identical across serial, thread, and process
-    backends.
+    shared row-summation cache with its :class:`KernelTables`, and the
+    current target masks with their :class:`ColumnKeys`, all pure functions
+    of the payload, which is what makes results bit-identical across
+    serial, thread, and process backends.
 
     Returns each row's ``error_if_one - error_if_zero`` over the active
     blocks.  A ``seed`` task — the first evaluated column of an update
@@ -285,19 +375,19 @@ class _ColumnErrorsDeltaTask:
         self.group_size = group_size
         self.seed = seed
 
+    @property
+    def nbytes(self) -> int:
+        """The payload's ledger size in O(1): what
+        :func:`~repro.distengine.shuffle.estimate_bytes`' walk over the
+        slots gives — each handle at its wire size, 8 bytes per number,
+        flag, tuple and the payload object itself."""
+        per_delta = HANDLE_WIRE_BYTES + 2 * 8  # (column, handle) tuple
+        return HANDLE_WIRE_BYTES + 6 * 8 + per_delta * len(self.deltas)
+
     def __call__(self, data: PartitionData):
-        outer_words = self.factors.value[1]
-        cached = CachedPartition(
-            data, _shared_cache(self.factors, self.rank, self.group_size)
-        )
-        error_if_zero, error_if_one = cached.column_errors(
-            _target_masks(self.factors, self.column, self.deltas),
-            outer_words,
-            packing.bit_column(outer_words, self.column),
-            cached.cache.columns_packed[self.column],
-            all_blocks=self.seed,
-        )
-        change = error_if_one - error_if_zero
+        tables = _kernel_tables(self.factors, self.rank, self.group_size)
+        keys = _column_keys(self.factors, self.column, self.deltas, tables)
+        change, error_if_zero = column_errors(data, tables, keys, seed=self.seed)
         if self.seed:
             return change, int(error_if_zero.sum())
         return change

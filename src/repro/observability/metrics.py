@@ -14,7 +14,9 @@ SimulatedRuntime`:
 * cache tables (reported from inside workers via
   :func:`~repro.observability.trace.record_metric` and merged after the
   stage): ``cache_tables_built_total``, ``cache_entries_total``,
-  ``cache_fetches_total``, ``bitmatrix_ops_total{op}``;
+  ``cache_fetches_total`` (one per table gather: a DBTF column-kernel
+  evaluation gathers all its selected blocks at once),
+  ``bitmatrix_ops_total{op}``;
 * the packed-Boolean kernels (:mod:`repro.bitops.ops`):
   ``kernel_dispatch_total{kernel, impl}`` — one increment per kernel call
   inside a traced task, labelling the implementation that ran.

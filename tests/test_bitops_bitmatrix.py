@@ -119,10 +119,6 @@ class TestElementAccess:
         matrix = BitMatrix.from_dense(dense)
         assert matrix.row_mask(0) == (1 << 69) | 1
 
-    def test_row_masks(self):
-        dense = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)
-        assert BitMatrix.from_dense(dense).row_masks() == [1, 2, 3]
-
 
 class TestBooleanOps:
     def test_or_and_xor(self):
@@ -141,19 +137,6 @@ class TestBooleanOps:
         right = BitMatrix.from_dense(random_dense(5, 33, seed=5))
         expected = int((left.to_dense() != right.to_dense()).sum())
         assert left.hamming_distance(right) == expected
-
-    def test_or_rows_matches_dense(self):
-        dense = random_dense(6, 100, seed=6)
-        matrix = BitMatrix.from_dense(dense)
-        combined = matrix.or_rows([0, 2, 5])
-        expected = (dense[[0, 2, 5]].sum(axis=0) > 0).astype(np.uint8)
-        from repro.bitops import packing
-
-        np.testing.assert_array_equal(packing.unpack_bits(combined, 100), expected)
-
-    def test_or_rows_empty_selection(self):
-        matrix = BitMatrix.from_dense(random_dense(3, 10, seed=7))
-        assert matrix.or_rows([]).sum() == 0
 
     def test_transpose(self):
         dense = random_dense(4, 9, seed=8)

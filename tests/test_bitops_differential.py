@@ -6,8 +6,8 @@ family, to a dense ``unpackbits`` oracle — on the shapes packed-bit
 kernels get wrong: 0-row/0-column operands, multi-word rows, ``(1, W)``
 operands broadcast against ``(N, W)``, and the small row counts the
 batched matmul now handles.  It also holds the kernels' observability
-contract across backends, and checks end to end that swapping the error
-kernel for the oracle leaves DBTF's factors and errors unchanged.
+contract across backends, and checks end to end that swapping DBTF's
+column kernel for a dense oracle leaves its factors and errors unchanged.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.bitops import (
     boolean_matmul,
     khatri_rao,
     ops,
+    packing,
     pointwise_vector_matrix,
     xor_popcount,
     xor_popcount_rows,
@@ -229,12 +230,45 @@ class TestKernelObservability:
 # ----------------------------------------------------------------------
 # End to end: the error kernel's implementation never changes results
 # ----------------------------------------------------------------------
+def _oracle_column_errors(data, tables, keys, *, seed=False):
+    """``update.column_errors`` re-derived densely from the same inputs.
+
+    Every PVM block of the partition is unpacked bit by bit: its tensor
+    columns, its cached row summation (one table entry per group, keyed by
+    ``row_key & outer_key``) and the coverage a 1 would add.  Both
+    candidates' errors are counted in full, so the change needs no
+    ``cover & ~rec0`` shortcut and the block edges no window mask.
+    """
+    plan = data.plan
+    change = np.zeros(data.n_rows, dtype=np.int64)
+    error_if_zero = np.zeros(data.n_rows, dtype=np.int64)
+    for block in plan.blocks:
+        pvm, columns = block.pvm_index, slice(block.start, block.stop)
+        words = data.words[:, pvm - plan.pvm_span.start]
+        tensor = packing.unpack_bits(words, block.width)[:, columns] != 0
+        rec_zero = np.zeros((data.n_rows, block.width), dtype=bool)
+        for table, outer_keys, row_keys in zip(
+            tables.tables, tables.outer_keys, keys.row_keys
+        ):
+            entries = packing.unpack_bits(table.T, block.width) != 0
+            rec_zero |= entries[row_keys & outer_keys[pvm]]
+        rec_zero = rec_zero[:, columns]
+        cover = packing.unpack_bits(keys.coverage, block.width)[columns] != 0
+        cover &= bool(keys.outer_column[pvm])
+        zero = (rec_zero ^ tensor).sum(axis=1)
+        one = ((rec_zero | cover) ^ tensor).sum(axis=1)
+        change += one - zero
+        error_if_zero += zero
+    return change, (error_if_zero if seed else None)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_dbtf_identical_with_oracle_error_kernel(backend, monkeypatch):
     """DBTF with the dense oracle as its error kernel gives the same solve.
 
     The process backend forks its workers at the first stage, after the
-    patch, so the workers run the oracle too.
+    patch, so the workers run the oracle too.  Edge blocks (5 partitions
+    over 16-wide PVMs) and the seed scan both go through the oracle.
     """
     from repro.core import dbtf, update
     from repro.tensor import planted_tensor
@@ -244,19 +278,22 @@ def test_dbtf_identical_with_oracle_error_kernel(backend, monkeypatch):
         rng=np.random.default_rng(5),
     )
     cluster = ClusterConfig(backend=backend)
-    baseline = dbtf(tensor, rank=3, seed=1, max_iterations=2, cluster=cluster)
+    options = dict(rank=3, seed=1, max_iterations=2, n_partitions=5,
+                    cluster=cluster)
+    baseline = dbtf(tensor, **options)
 
     calls = []
 
-    def oracle(a, b):
-        calls.append(1)
-        return _oracle_xor_popcount_rows(a, b)
+    def oracle(*args, seed=False):
+        calls.append(seed)
+        return _oracle_column_errors(*args, seed=seed)
 
-    monkeypatch.setattr(update, "xor_popcount_rows", oracle)
-    checked = dbtf(tensor, rank=3, seed=1, max_iterations=2, cluster=cluster)
+    monkeypatch.setattr(update, "column_errors", oracle)
+    checked = dbtf(tensor, **options)
 
     if backend != "process":
         assert calls, "the oracle error kernel never ran"
+        assert any(calls) and not all(calls)
     assert checked.error == baseline.error
     assert checked.errors_per_iteration == baseline.errors_per_iteration
     for ours, theirs in zip(checked.factors, baseline.factors):

@@ -18,7 +18,7 @@ from repro.core import DbtfConfig, dbtf, update_factor
 from repro.core.decompose import dbtf_steps
 from repro.core.incremental import prepare_mode_partitions
 from repro.core.steps import drive
-from repro.core.update import CachedPartition
+from repro.core import update as update_module
 from repro.distengine import ClusterConfig, SimulatedRuntime
 from repro.incremental import FactorizationSession
 from repro.metrics import reconstruction_error
@@ -59,13 +59,13 @@ def _config(**overrides):
 def full_scans(monkeypatch):
     """Counts partition evaluations that scan every block (serial only)."""
     calls = []
-    evaluate = CachedPartition.column_errors
+    evaluate = update_module.column_errors
 
-    def counting(self, *args, all_blocks=False):
-        calls.append(all_blocks)
-        return evaluate(self, *args, all_blocks=all_blocks)
+    def counting(*args, seed=False):
+        calls.append(seed)
+        return evaluate(*args, seed=seed)
 
-    monkeypatch.setattr(CachedPartition, "column_errors", counting)
+    monkeypatch.setattr(update_module, "column_errors", counting)
     return calls
 
 

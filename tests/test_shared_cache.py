@@ -3,7 +3,7 @@
 Each worker builds one :class:`~repro.core.RowSummationCache` per factors
 broadcast and every partition it holds shares it.  That must stay
 invisible: the shared-cache path gives the same per-partition errors as
-partitions wrapped with private caches, on every backend, with and without
+partitions evaluated against private caches, on every backend, with and without
 a memory budget — including partitions whose edges cut PVM blocks, which
 the e2e shapes never do.  The cache must also never outlive its runtime.
 """
@@ -22,10 +22,13 @@ from repro.core.incremental import prepare_mode_partitions
 from repro.core import update as update_module
 from repro.core.update import (
     _CACHE_SLOT,
-    CachedPartition,
+    _TABLES_SLOT,
     _ColumnErrorsDeltaTask,
     _choose_column,
     _masks_with_bit_cleared,
+    column_errors,
+    column_keys,
+    kernel_tables,
     update_factor,
 )
 from repro.distengine import ClusterConfig, RuntimeFactory, SimulatedRuntime
@@ -102,27 +105,24 @@ def _shared_path(tensor, factors, backend, workers, budget):
 
 
 def _private_path(tensor, factors):
-    """The same update over partitions wrapped with private caches."""
+    """The same update over partitions evaluated against private caches."""
     with SimulatedRuntime(_cluster("serial", None)) as runtime:
         rdd, _ = prepare_mode_partitions(tensor, 0, PARTITIONS, runtime)
         partitions = rdd.collect()
     target, outer, inner = _roles(factors)
-    cached = [
-        CachedPartition(data, RowSummationCache(inner, GROUP_SIZE))
-        for data in partitions
+    private = [
+        kernel_tables(RowSummationCache(inner, GROUP_SIZE), outer.words)
+        for _ in partitions
     ]
-    columns = inner.transpose().words
 
     def errors(masks, column, seed):
         """Each partition's task result: the per-row error change, plus
         the candidate-0 total when seeding (every block)."""
         results = []
-        for cp in cached:
-            zero, one = cp.column_errors(
-                masks, outer.words, outer.column(column), columns[column],
-                all_blocks=seed,
-            )
-            results.append((one - zero, int(zero.sum())) if seed else one - zero)
+        for data, tables in zip(partitions, private):
+            keys = column_keys(tables, masks, outer.words, column)
+            change, zero = column_errors(data, tables, keys, seed=seed)
+            results.append((change, int(zero.sum())) if seed else change)
         return results
 
     # The two column tasks: column 0 seeds its update (every block),
@@ -182,22 +182,30 @@ class TestEdgeBlocks:
     ):
         seen = []
         builds = []
-        wrap = CachedPartition.__init__
+        key_builds = []
+        evaluate = update_module.column_errors
         build = update_module.RowSummationCache
+        build_keys = update_module.column_keys
 
-        def recording_init(self, data, cache):
-            wrap(self, data, cache)
-            seen.extend((cache, block, tables) for block, tables, _ in self.edge_blocks)
+        def recording(data, tables, keys, *, seed=False):
+            seen.append((tables, keys))
+            return evaluate(data, tables, keys, seed=seed)
 
         def counting_build(*args):
             builds.append(args)
             time.sleep(0.01)  # widen the window for a racing second build
             return build(*args)
 
-        monkeypatch.setattr(CachedPartition, "__init__", recording_init)
+        def counting_keys(*args):
+            key_builds.append(args[-1])
+            time.sleep(0.001)
+            return build_keys(*args)
+
+        monkeypatch.setattr(update_module, "column_errors", recording)
         monkeypatch.setattr(update_module, "RowSummationCache", counting_build)
+        monkeypatch.setattr(update_module, "column_keys", counting_keys)
         # More threads than cores and frequent switches, so a lost update
-        # of the shared slot or the slice memo would show.
+        # of a shared slot would show.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         runtime = SimulatedRuntime(_cluster("thread", 8))
@@ -206,16 +214,18 @@ class TestEdgeBlocks:
             target, outer, inner = _roles(factors)
             update_factor(rdd.persist(), target, outer, inner, _config(), runtime)
             _, cache = broadcast._STORE[(runtime.scope, _CACHE_SLOT)]
+            _, tables = broadcast._STORE[(runtime.scope, _TABLES_SLOT)]
         finally:
             runtime.close()
             sys.setswitchinterval(interval)
-        assert seen
-        # One cache for the whole update, and every task got the one
-        # memoized slice list of its edge block.
+        assert len(seen) == RANK * 3 * PARTITIONS
+        # One cache and one word-major view of it for the whole update,
+        # one key build per column, and every task got the shared ones.
         assert len(builds) == 1
-        assert all(held is cache for held, _, _ in seen)
-        for _, block, tables in seen:
-            assert tables is cache.tables_for(block.start, block.stop)
+        assert tables.cache is cache
+        assert all(held is tables for held, _ in seen)
+        assert sorted(key_builds) == list(range(RANK))
+        assert len({id(keys) for _, keys in seen}) == RANK
 
 
 def _cache_count(index, _items):
