@@ -40,16 +40,23 @@ def test_boolean_tucker(benchmark, core_side):
 
 
 def test_distributed_tucker(benchmark):
+    from repro.distengine import DEFAULT_CLUSTER, SimulatedRuntime
     from repro.tucker import BooleanTuckerConfig, dbtf_tucker
 
     tensor = planted_tucker_tensor(24, 3, seed=2, core_density=0.5)
-    result = benchmark(
-        lambda: dbtf_tucker(
-            tensor,
-            config=BooleanTuckerConfig(core_shape=(3, 3, 3), max_iterations=5),
-            n_partitions=8,
-        )
-    )
+
+    def solve():
+        with SimulatedRuntime(DEFAULT_CLUSTER) as runtime:
+            return dbtf_tucker(
+                tensor,
+                config=BooleanTuckerConfig(
+                    core_shape=(3, 3, 3), max_iterations=5
+                ),
+                n_partitions=8,
+                runtime=runtime,
+            )
+
+    result = benchmark(solve)
     assert result.error <= tensor.nnz
 
 

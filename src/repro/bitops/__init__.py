@@ -1,9 +1,8 @@
 """Bit-packed Boolean linear algebra (the reproduction's low-level kernel).
 
 Public kernels (:func:`boolean_matmul`, :func:`khatri_rao`,
-:func:`pointwise_vector_matrix`, :func:`xor_popcount`,
-:func:`xor_popcount_rows`) each run one implementation (see
-:mod:`repro.bitops.ops`).
+:func:`pointwise_vector_matrix`, :func:`xor_popcount`) each run one
+implementation (see :mod:`repro.bitops.ops`).
 """
 
 from .bitmatrix import BitMatrix
@@ -13,7 +12,6 @@ from .ops import (
     or_accumulate_table,
     pointwise_vector_matrix,
     xor_popcount,
-    xor_popcount_rows,
 )
 from .packing import (
     WORD_BITS,
@@ -36,7 +34,6 @@ __all__ = [
     "or_accumulate_table",
     "pointwise_vector_matrix",
     "xor_popcount",
-    "xor_popcount_rows",
     "pack_bits",
     "unpack_bits",
     "packed_zeros",

@@ -26,7 +26,6 @@ __all__ = [
     "khatri_rao",
     "pointwise_vector_matrix",
     "xor_popcount",
-    "xor_popcount_rows",
     "or_accumulate_table",
 ]
 
@@ -174,17 +173,6 @@ def xor_popcount(a: np.ndarray, b: np.ndarray) -> int:
     xored = np.bitwise_xor(np.asarray(a, dtype=np.uint64),
                            np.asarray(b, dtype=np.uint64))
     return int(np.bitwise_count(xored).sum(dtype=np.int64))
-
-
-def xor_popcount_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row ``popcount(a ^ b)`` (sum over the trailing word axis).
-
-    Returns int64 sums with the operands' broadcast leading shape.
-    """
-    _record_dispatch("xor_popcount_rows", "twopass")
-    xored = np.bitwise_xor(np.asarray(a, dtype=np.uint64),
-                           np.asarray(b, dtype=np.uint64))
-    return np.bitwise_count(xored).sum(axis=-1, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------

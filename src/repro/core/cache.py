@@ -15,7 +15,7 @@ import numpy as np
 from ..bitops import BitMatrix, or_accumulate_table, packing
 from ..observability.trace import kernel_span, metrics_enabled, record_metric
 
-__all__ = ["split_groups", "RowSummationCache"]
+__all__ = ["split_groups", "group_keys", "RowSummationCache"]
 
 
 def split_groups(rank: int, group_size: int) -> list[tuple[int, int]]:
@@ -37,6 +37,29 @@ def split_groups(rank: int, group_size: int) -> list[tuple[int, int]]:
         groups.append((start, size))
         start += size
     return groups
+
+
+def group_keys(
+    groups: "list[tuple[int, int]]", anded_words: np.ndarray
+) -> list[np.ndarray]:
+    """Per-group integer cache keys from packed AND-ed row masks.
+
+    ``anded_words`` packs R-bit masks (``a_i: AND c_j:``) along its last
+    axis; the key for group ``(start, size)`` is that mask's bits
+    ``[start, start+size)`` as one integer.
+    """
+    keys = []
+    for start, size in groups:
+        word_index, offset = divmod(start, packing.WORD_BITS)
+        if offset + size <= packing.WORD_BITS:
+            # Fast path: the group lives inside one word.
+            word = anded_words[..., word_index] >> np.uint64(offset)
+            mask = np.uint64((1 << size) - 1)
+            keys.append((word & mask).astype(np.int64))
+        else:
+            sliced = packing.slice_bits(anded_words, start, start + size)
+            keys.append(sliced[..., 0].astype(np.int64))
+    return keys
 
 
 class RowSummationCache:
@@ -67,14 +90,10 @@ class RowSummationCache:
                 for start, size in self.groups
             ]
         #: Row r is the inner factor's column r packed over ``width`` bits —
-        #: the per-column coverage the delta update path reads worker-side.
+        #: component r's coverage inside a PVM block.
         self.columns_packed = columns_packed
         record_metric("cache_tables_built_total", len(self.full_tables))
         record_metric("cache_entries_total", self.n_entries)
-        full_range = (0, self.width)
-        self._sliced: dict[tuple[int, int], list[np.ndarray]] = {
-            full_range: self.full_tables
-        }
 
     @property
     def n_tables(self) -> int:
@@ -82,67 +101,12 @@ class RowSummationCache:
 
     @property
     def n_entries(self) -> int:
-        """Total cached row summations across all (full-width) tables."""
+        """Total cached row summations across all tables."""
         return sum(table.shape[0] for table in self.full_tables)
 
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of this cache, for storage-tier accounting.
-
-        The full-width slice entry aliases ``full_tables``, so sliced
-        tables are deduplicated by identity to avoid double counting.
-        """
-        total = int(self.columns_packed.nbytes)
-        seen = {id(table) for table in self.full_tables}
-        total += sum(int(table.nbytes) for table in self.full_tables)
-        for tables in self._sliced.values():
-            for table in tables:
-                if id(table) not in seen:
-                    seen.add(id(table))
-                    total += int(table.nbytes)
-        return total
-
-    def tables_for(self, start: int, stop: int) -> list[np.ndarray]:
-        """Cache tables restricted to bit columns ``[start, stop)``.
-
-        Full-width requests return the master tables; narrower requests
-        (Lemma 3 block types 1/2/4) are bit-sliced once and memoized — the
-        paper builds these "smaller tables ... with a single pass over the
-        full-size cache".
-        """
-        if not 0 <= start < stop <= self.width:
-            raise ValueError(
-                f"invalid column range [{start}, {stop}) for width {self.width}"
-            )
-        key = (start, stop)
-        tables = self._sliced.get(key)
-        if tables is None:
-            # setdefault keeps the first insert, so the concurrent tasks of
-            # a thread backend all get the same memoized slices.
-            tables = self._sliced.setdefault(key, [
-                packing.slice_bits(table, start, stop) for table in self.full_tables
-            ])
-        return tables
-
     def group_keys(self, anded_words: np.ndarray) -> list[np.ndarray]:
-        """Per-group integer cache keys from packed AND-ed row masks.
-
-        ``anded_words`` packs R-bit masks (``a_i: AND c_j:``) along its last
-        axis; the key for group g is that mask's bits ``[start, start+size)``
-        as one integer.
-        """
-        keys = []
-        for start, size in self.groups:
-            word_index, offset = divmod(start, packing.WORD_BITS)
-            if offset + size <= packing.WORD_BITS:
-                # Fast path: the group lives inside one word.
-                word = anded_words[..., word_index] >> np.uint64(offset)
-                mask = np.uint64((1 << size) - 1)
-                keys.append((word & mask).astype(np.int64))
-            else:
-                sliced = packing.slice_bits(anded_words, start, start + size)
-                keys.append(sliced[..., 0].astype(np.int64))
-        return keys
+        """Per-group integer cache keys (:func:`group_keys`)."""
+        return group_keys(self.groups, anded_words)
 
     def fetch(self, tables: list[np.ndarray], keys: list[np.ndarray]) -> np.ndarray:
         """OR together one entry per group table — the cached row summation."""
@@ -150,9 +114,8 @@ class RowSummationCache:
             raise ValueError(
                 f"got {len(tables)} tables but {len(keys)} key arrays"
             )
-        # Guarded: fetch runs per column and partition on every update,
-        # and with observability off the counter must cost one attribute
-        # read.
+        # Guarded: with observability off the counter must cost one
+        # attribute read.
         if metrics_enabled():
             record_metric("cache_fetches_total")
         summation = tables[0][keys[0]]

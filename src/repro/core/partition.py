@@ -3,13 +3,12 @@
 A partition is a contiguous range of unfolded-tensor columns; it is further
 divided into *blocks* at the boundaries of the pointwise vector-matrix (PVM)
 products ``(c_j: ∗ B)ᵀ`` so that every block can fetch its Boolean row
-summations straight from a cache table (full-width blocks) or from a
-bit-sliced copy of one (partial blocks).
+summations straight from a cache table.
 
 A partition's packed bits live in one *slab*: a ``(n_rows, n_pvms,
 n_words)`` array holding every PVM product the partition touches at full
-PVM width.  A block is its PVM's words, masked or bit-sliced to the
-block's columns when it is partial (:class:`PartitionData`).
+PVM width.  A block is its PVM's words, masked to the block's columns when
+it is partial (:class:`PartitionData`).
 """
 
 from __future__ import annotations
@@ -132,17 +131,6 @@ class PartitionData:
     @property
     def nbytes(self) -> int:
         return int(self.words.nbytes)
-
-    def block_words(self, block: Block) -> np.ndarray:
-        """Packed ``(n_rows, n_words)`` bits of one of the plan's blocks.
-
-        A view for a full-width block; a partial block's columns are
-        bit-sliced out of its PVM's words, so they start at bit 0.
-        """
-        pvm_words = self.words[:, block.pvm_index - self.plan.pvm_span.start]
-        if block.is_full:
-            return pvm_words
-        return packing.slice_bits(pvm_words, block.start, block.stop)
 
 
 def make_partition_plans(

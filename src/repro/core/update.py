@@ -10,11 +10,11 @@ coverage, ``rec1 = rec0 | cover``, so ``d = popcount(cover & ~rec0) -
 2 * popcount(cover & ~rec0 & X)``.  The driver sums ``d`` over the
 partitions and sets the bit where ``d < 0``.
 
-The two candidates differ only inside PVM blocks ``j`` with
-``outer[j, c] = 1`` (the *active* blocks); every other block adds the same
-error to both and cannot move a decision.  So columns evaluate their active
-blocks alone and the driver carries the exact error forward by the per-row
-change (see :func:`_choose_column`).  The error it starts from is the
+The two candidates differ only inside the PVM blocks that component c
+covers (the *active* blocks: for CP, those with ``outer[j, c] = 1``);
+every other block adds the same error to both and cannot move a decision.
+So columns evaluate their active blocks alone and the driver carries the
+exact error forward by the per-row change (see :func:`_choose_column`).  The error it starts from is the
 caller's ``error_before`` — the previous update's ``error_after`` in a
 solve — and only when the caller does not know it does the first evaluated
 column scan every block to seed it.
@@ -24,12 +24,21 @@ partial edge blocks included, in a fixed number of numpy passes: one
 gather per cache group from word-major tables into a rows-last array, a
 window mask over the edge PVMs' full-width words, and two popcounts.
 
+Boolean Tucker (:func:`~repro.tucker.dbtf_tucker`) runs the same
+update, task and kernel.  With a core ``G``, block ``k``'s coverage is the
+effective basis ``S_u ∘ innerᵀ`` of its outer row ``u = outer[k]``, where
+``S_u[t, i] = OR_o g_tio AND u_o``; CP is the superdiagonal core, where
+``S_u = diag(u)``.  Only the worker-side :class:`KernelTables` build
+differs: CP shares one table per cache group keyed by ``row & outer``
+(:func:`kernel_tables`), Tucker stacks one table per distinct outer-row
+pattern and encodes the pattern into the keys
+(:func:`tucker_kernel_tables`).
+
 Workers keep what the tasks derive from the broadcasts, each in a
 :func:`~repro.distengine.broadcast.worker_state` slot: per factors
-broadcast, one row-summation cache (:func:`_shared_cache`) and the
-kernel's :class:`KernelTables` next to it; per column, the target masks
-(:func:`_target_masks`) and the kernel's :class:`ColumnKeys` next to them.
-Only the packed column deltas move per column.
+broadcast, the kernel's :class:`KernelTables`; per column, the target
+masks (:func:`_target_masks`) and the kernel's :class:`ColumnKeys` next to
+them.  Only the packed column deltas move per column.
 """
 
 from __future__ import annotations
@@ -39,12 +48,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..bitops import BitMatrix, packing
+from ..bitops import BitMatrix, or_accumulate_table, packing
 from ..distengine import Distributed, SimulatedRuntime
 from ..distengine.broadcast import worker_state
 from ..distengine.shuffle import HANDLE_WIRE_BYTES
 from ..observability.trace import kernel_span, metrics_enabled, record_metric
-from .cache import RowSummationCache
+from .cache import RowSummationCache, group_keys, split_groups
 from .config import DbtfConfig
 from .partition import Block, PartitionData
 
@@ -52,6 +61,7 @@ __all__ = [
     "update_factor",
     "column_errors",
     "kernel_tables",
+    "tucker_kernel_tables",
     "column_keys",
     "KernelTables",
     "ColumnKeys",
@@ -61,17 +71,24 @@ __all__ = [
 class KernelTables(NamedTuple):
     """What the column kernel reads of one factors broadcast.
 
-    Each worker builds it once per broadcast (:func:`_kernel_tables`), next
-    to the shared row-summation cache it derives from.
+    Each worker builds it once per broadcast (:func:`_kernel_tables`) and
+    every partition it holds shares it.
     """
 
-    #: The shared cache (Algorithm 5); its groups split every key.
-    cache: RowSummationCache
-    #: Per cache group, the group's table word-major, ``(n_words,
-    #: 2**size)``, so one gather yields rows-last summations.
+    #: The cache groups, ``(start, size)`` over the target's columns; they
+    #: split every key (Algorithm 5).
+    groups: tuple
+    #: Per cache group, the group's tables word-major, ``(n_words,
+    #: n_entries)``, so one gather yields rows-last summations.
     tables: list
-    #: Per cache group, every outer-factor row's key bits, ``(n_pvms,)``.
+    #: Per cache group, every PVM block's key bits, ``(n_pvms,)``.  A
+    #: block's key is ``row_key & outer_key``, and target row keys carry
+    #: every bit above the group's ``size`` (:func:`column_keys`), so the
+    #: high bits of an outer key select the block's table.
     outer_keys: list
+    #: ``(rank, n_words, n_pvms)``: component c's coverage inside every PVM
+    #: block, zero where it covers nothing.
+    coverage: np.ndarray
 
 
 class ColumnKeys(NamedTuple):
@@ -82,39 +99,86 @@ class ColumnKeys(NamedTuple):
     """
 
     #: Per cache group, every target row's key bits with the column
-    #: cleared, ``(n_rows,)``.  Bit extraction commutes with AND, so PVM
-    #: block ``j``'s key is ``row_keys[g] & outer_keys[g][j]``.
+    #: cleared, ``(n_rows,)``, with every bit above the group set.  Bit
+    #: extraction commutes with AND, so PVM block ``j``'s key is
+    #: ``row_keys[g] & outer_keys[g][j]``.
     row_keys: list
-    #: The outer factor's current column, one bool per PVM block.
-    outer_column: np.ndarray
-    #: The inner factor's current column packed over the PVM width:
-    #: component c's coverage inside every active block.
+    #: The blocks the column covers, one bool per PVM block: only there
+    #: do the two candidates differ.
+    active: np.ndarray
+    #: ``(n_words, n_pvms)``: the column's coverage inside every block.
     coverage: np.ndarray
 
 
 def kernel_tables(
     cache: RowSummationCache, outer_words: np.ndarray
 ) -> KernelTables:
-    """The kernel's view of ``cache`` for the outer factor ``outer_words``."""
+    """CP's kernel tables: ``cache`` over the inner factor, whose tables
+    every block shares, and the outer factor ``outer_words``.
+
+    Component c covers the inner factor's column c inside the blocks whose
+    outer row has bit c set.
+    """
+    outer = packing.unpack_bits(outer_words, cache.rank).T.astype(bool)
     return KernelTables(
-        cache,
+        tuple(cache.groups),
         [np.ascontiguousarray(table.T) for table in cache.full_tables],
         cache.group_keys(outer_words),
+        np.where(outer[:, None], cache.columns_packed[..., None], np.uint64(0)),
+    )
+
+
+def tucker_kernel_tables(
+    outer: BitMatrix, inner: BitMatrix, core: np.ndarray, group_size: int
+) -> KernelTables:
+    """Boolean Tucker's kernel tables for a ``(rank, inner, outer)`` core.
+
+    Blocks whose outer rows share a pattern ``u`` share the effective
+    basis ``S_u ∘ innerᵀ``.  Per cache group the table holds one
+    ``2**size`` slice per distinct pattern, and a block's outer key is
+    ``(pattern << size) | (2**size - 1)``, so ``row_key & outer_key``
+    lands in its pattern's slice.
+    """
+    patterns, pattern = np.unique(
+        outer.to_dense(), axis=0, return_inverse=True
+    )
+    pattern = pattern.reshape(-1)
+    basis = np.einsum("tio,po->pti", core, patterns, dtype=np.int64) > 0
+    covered = np.einsum("pti,wi->ptw", basis, inner.to_dense(), dtype=np.int64)
+    coverage = packing.pack_bits(covered > 0)  # (patterns, rank, n_words)
+    n_patterns, _, n_words = coverage.shape
+    groups = split_groups(core.shape[0], group_size)
+    tables = []
+    for start, size in groups:
+        # All patterns in one doubling pass, with patterns x words as the
+        # table's words; then word-major with pattern-major entries.
+        rows = coverage[:, start : start + size].transpose(1, 0, 2)
+        table = or_accumulate_table(rows.reshape(size, -1), size)
+        table = table.reshape(1 << size, n_patterns, n_words).transpose(2, 1, 0)
+        tables.append(np.ascontiguousarray(table).reshape(n_words, -1))
+    return KernelTables(
+        tuple(groups),
+        tables,
+        [(pattern << size) | ((1 << size) - 1) for _, size in groups],
+        np.ascontiguousarray(coverage[pattern].transpose(1, 2, 0)),
     )
 
 
 def column_keys(
-    tables: KernelTables,
-    masks_if_zero: np.ndarray,
-    outer_words: np.ndarray,
-    column: int,
+    tables: KernelTables, masks_if_zero: np.ndarray, column: int
 ) -> ColumnKeys:
     """The kernel's inputs for one column: ``masks_if_zero`` are the packed
     target rows with ``column`` forced to 0."""
+    coverage = tables.coverage[column]
     return ColumnKeys(
-        tables.cache.group_keys(masks_if_zero),
-        packing.bit_column(outer_words, column).astype(bool),
-        tables.cache.columns_packed[column],
+        [
+            keys | -(1 << size)  # every bit above the group: ~(2**size - 1)
+            for keys, (_, size) in zip(
+                group_keys(tables.groups, masks_if_zero), tables.groups
+            )
+        ],
+        coverage.any(axis=0),
+        coverage,
     )
 
 
@@ -149,7 +213,7 @@ def column_errors(
 
     Returns ``(change, error_if_zero)``.  ``change`` is each row's
     ``error_if_one - error_if_zero`` over the *active* PVM blocks
-    (``outer_column[j] = 1``): outside them both candidates reconstruct the
+    (``keys.active``): outside them both candidates reconstruct the
     same cells, so it is also the change over the whole partition.  With
     ``seed=True`` every block is evaluated and ``error_if_zero`` is each
     row's full reconstruction error with the column at 0; otherwise it is
@@ -179,7 +243,7 @@ def _column_errors(data, tables, keys, window, seed):
     """
     n_rows = data.n_rows
     span = data.plan.pvm_span
-    active = keys.outer_column[span]
+    active = keys.active[span]
     selected = np.arange(active.size) if seed else active.nonzero()[0]
     if not selected.size:
         change = np.zeros(n_rows, dtype=np.int64)
@@ -204,12 +268,10 @@ def _column_errors(data, tables, keys, window, seed):
         if group:
             rec_zero |= scratch
     tensor = data.words[:, selected].T  # (n_words, blocks, rows)
-    cover = keys.coverage[:, None]
-    if seed:
-        cover = np.where(active, cover, np.uint64(0))
+    cover = keys.coverage[:, pvms]
     if window is not None:
         window = window[:, selected]
-        cover = cover & window
+        cover &= window
     error_if_zero = None
     if seed:
         wrong = rec_zero ^ tensor
@@ -238,10 +300,7 @@ def _masks_with_bit_cleared(words: np.ndarray, column: int) -> np.ndarray:
     return words & keep
 
 
-#: Worker-state slot of the shared row-summation cache (one per runtime).
-_CACHE_SLOT = "rowSummationCache"
-
-#: Worker-state slot of the kernel's view of that cache (:class:`KernelTables`).
+#: Worker-state slot of the kernel's tables (:class:`KernelTables`).
 _TABLES_SLOT = "kernelTables"
 
 #: Worker-state slot of the current column task's target masks.
@@ -252,34 +311,31 @@ _MASKS_SLOT = "targetMasks"
 _KEYS_SLOT = "columnKeys"
 
 
-def _shared_cache(factors, rank: int, group_size: int) -> RowSummationCache:
-    """This worker's row-summation cache for one factors broadcast.
+def _kernel_tables(factors, rank: int, group_size: int) -> KernelTables:
+    """This worker's :class:`KernelTables` for one factors broadcast.
 
-    Algorithm 5's tables depend only on the inner factor, so every
-    partition on a worker shares one cache, built on the worker's first
-    task of the update and replaced by the next update's (see
-    :func:`~repro.distengine.broadcast.worker_state`).
+    Algorithm 5's tables depend only on the broadcast, so every partition
+    on a worker shares them, built on the worker's first task of the
+    update and replaced by the next update's (see
+    :func:`~repro.distengine.broadcast.worker_state`).  A broadcast that
+    carries a core builds Tucker's tables.
     """
 
-    def build(_previous) -> RowSummationCache:
-        inner_words = factors.value[2]
+    def build(_previous) -> KernelTables:
+        _, outer_words, inner_words, *core = factors.value
+        if core:
+            _, n_inner, n_outer = core[0].shape
+            return tucker_kernel_tables(
+                BitMatrix(outer_words.shape[0], n_outer, outer_words),
+                BitMatrix(inner_words.shape[0], n_inner, inner_words),
+                core[0], group_size,
+            )
         inner = BitMatrix(inner_words.shape[0], rank, inner_words)
-        return RowSummationCache(inner, group_size)
+        return kernel_tables(RowSummationCache(inner, group_size), outer_words)
 
-    return worker_state(
-        factors.scope, _CACHE_SLOT, (factors.content_id, rank, group_size),
-        build,
-    )
-
-
-def _kernel_tables(factors, rank: int, group_size: int) -> KernelTables:
-    """This worker's :class:`KernelTables` for one factors broadcast: the
-    shared cache's tables word-major and the outer factor's keys, built
-    once next to the cache."""
-    cache = _shared_cache(factors, rank, group_size)
     return worker_state(
         factors.scope, _TABLES_SLOT, (factors.content_id, rank, group_size),
-        lambda _previous: kernel_tables(cache, factors.value[1]),
+        build,
     )
 
 
@@ -294,14 +350,10 @@ def _column_keys(
     """This worker's :class:`ColumnKeys` for one column task, built once
     per column from the target masks (:func:`_target_masks`)."""
     masks = _target_masks(factors, column, deltas)
-    cache = tables.cache
-    key = (
-        factors.content_id, column, _applied(deltas), cache.rank,
-        cache.group_size,
-    )
+    key = (factors.content_id, column, _applied(deltas), tables.groups)
     return worker_state(
         factors.scope, _KEYS_SLOT, key,
-        lambda _previous: column_keys(tables, masks, factors.value[1], column),
+        lambda _previous: column_keys(tables, masks, column),
     )
 
 
@@ -345,10 +397,10 @@ class _ColumnErrorsDeltaTask:
     Ships a broadcast handle plus the packed ~n_rows/8-byte column updates
     already chosen this sweep, so per-column payloads are O(n_rows/8)
     instead of O(n_rows·words).  The worker keeps the derived state: the
-    shared row-summation cache with its :class:`KernelTables`, and the
-    current target masks with their :class:`ColumnKeys`, all pure functions
-    of the payload, which is what makes results bit-identical across
-    serial, thread, and process backends.
+    shared :class:`KernelTables`, and the current target masks with their
+    :class:`ColumnKeys`, all pure functions of the payload, which is what
+    makes results bit-identical across serial, thread, and process
+    backends.
 
     Returns each row's ``error_if_one - error_if_zero`` over the active
     blocks.  A ``seed`` task — the first evaluated column of an update
@@ -420,13 +472,18 @@ def update_factor(
     *,
     dirty_columns: "set[int] | None" = None,
     error_before: "int | None" = None,
+    core: "np.ndarray | None" = None,
 ):
     """Update ``target`` to minimize ``|X_(n) ⊕ target ∘ (outer ⊙ inner)ᵀ|``.
 
+    With a Boolean Tucker ``core`` — permuted to ``(target, inner, outer)``
+    modes — the model is ``target ∘ [G_(1) (outer ⊗ inner)ᵀ]`` instead,
+    and ``config.rank`` is the core's first size.  ``None`` is CP.
+
     ``error_before`` is the exact reconstruction error of the input
     factors, when the caller knows it (a solve's previous update returned
-    it).  Every evaluated column then scans only the blocks where its outer
-    column is set and the error is carried forward from it
+    it).  Every evaluated column then scans only its active blocks and
+    the error is carried forward from it
     (:func:`_choose_column`).  With ``None`` the first evaluated column
     scans every PVM block to seed it.
 
@@ -468,11 +525,13 @@ def update_factor(
     # matrices are broadcast each iteration); the column tasks reference
     # this broadcast by id instead of embedding the arrays.
     factors = runtime.broadcast(
-        [target.words, outer.words, inner.words], name="updateFactor.broadcast"
+        [target.words, outer.words, inner.words]
+        + ([] if core is None else [core]),
+        name="updateFactor.broadcast",
     )
-    # Algorithm 5: the row-summation cache depends only on `inner`, so each
-    # worker builds it once from this broadcast, on its first column task,
-    # and every partition it holds shares it (`_shared_cache`).  The column
+    # Algorithm 5: the kernel's tables depend only on this broadcast, so
+    # each worker builds them once, on its first column task, and every
+    # partition it holds shares them (`_kernel_tables`).  The column
     # stages map straight over the persisted partitions; nothing derived
     # from the factors is persisted or spilled.
     updated = target.copy()

@@ -125,10 +125,6 @@ class ClusterConfig:
         """Number of tasks that can run concurrently across the cluster."""
         return self.n_machines * self.cores_per_machine
 
-    def with_machines(self, n_machines: int) -> "ClusterConfig":
-        """The same cluster with a different machine count."""
-        return replace(self, n_machines=n_machines)
-
     def with_backend(
         self, backend: str, n_workers: int | None = None
     ) -> "ClusterConfig":
@@ -138,12 +134,6 @@ class ClusterConfig:
     def with_tracing(self, tracing: bool = True) -> "ClusterConfig":
         """The same cluster with span tracing switched on (or off)."""
         return replace(self, tracing=tracing)
-
-    def with_speculation(
-        self, speculation: "SpeculationConfig | None"
-    ) -> "ClusterConfig":
-        """The same cluster with speculative execution (re)configured."""
-        return replace(self, speculation=speculation)
 
     def with_memory_budget(
         self, memory_budget: int | None, spill_dir: str | None = None

@@ -33,11 +33,6 @@ class ErrorEstimate:
     n_samples: int
     disagreements: int
 
-    def confidence_interval(self, z: float = 1.96) -> tuple[float, float]:
-        """Normal-approximation confidence interval (default 95%)."""
-        margin = z * self.std_error
-        return (max(0.0, self.estimate - margin), self.estimate + margin)
-
 
 def _covered(factors: Factors, cells: np.ndarray) -> np.ndarray:
     """Whether the Boolean CP reconstruction covers each sampled cell."""

@@ -124,13 +124,6 @@ class RetryPolicy:
         )
         return base * self._jitter_factor(stage, partition, attempt)
 
-    def total_backoff(self, stage: str, partition: int, retries: int) -> float:
-        """Sum of the first ``retries`` backoff intervals for one task."""
-        return sum(
-            self.backoff_delay(stage, partition, attempt)
-            for attempt in range(1, retries + 1)
-        )
-
     def should_blacklist(self, failures: int) -> bool:
         """Whether ``failures`` faults on one partition trip the blacklist."""
         return self.blacklist_after is not None and failures >= self.blacklist_after

@@ -120,10 +120,6 @@ class MemoryBudget:
         self.load_events = 0
         self.metrics = metrics
 
-    @property
-    def available_bytes(self) -> int:
-        return max(self.limit_bytes - self.resident_bytes, 0)
-
     def fits(self, n_bytes: int) -> bool:
         """Whether charging ``n_bytes`` more would stay within the limit."""
         return self.resident_bytes + n_bytes <= self.limit_bytes

@@ -7,13 +7,12 @@ from .decompose import (
     boolean_tucker_steps,
     tucker_reconstruct,
 )
-from .distributed import dbtf_tucker, update_tucker_factor
+from .distributed import dbtf_tucker
 
 __all__ = [
     "boolean_tucker",
     "boolean_tucker_steps",
     "dbtf_tucker",
-    "update_tucker_factor",
     "tucker_reconstruct",
     "BooleanTuckerConfig",
     "BooleanTuckerResult",

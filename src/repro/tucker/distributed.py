@@ -13,10 +13,10 @@ the coverage of component p inside PVM block k is
 
 and ``u = c_k:``.  The *effective basis matrix* ``S_u ∘ Bᵀ`` therefore only
 depends on the outer row's bit pattern ``u`` — there are at most
-``min(K, 2**R3)`` distinct patterns — so each partition builds one
-row-summation cache table per distinct pattern and the CP update kernel
-carries over: key = the target row's bitmask, candidate-1 evaluated as a
-delta over newly covered cells.
+``min(K, 2**R3)`` distinct patterns — so the factor updates run DBTF's own
+column update (:func:`~repro.core.update.update_factor` with the permuted
+core), whose workers stack one cache table per distinct pattern
+(:func:`~repro.core.update.tucker_kernel_tables`).
 
 The binary core is updated on the driver (entry-wise greedy against
 coverage counts, as in :mod:`repro.tucker.decompose`); in the journal
@@ -28,14 +28,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..bitops import BitMatrix, packing
-from ..bitops.ops import xor_popcount_rows
-from ..core.cache import RowSummationCache
-from ..observability.trace import kernel_span
+from ..bitops import BitMatrix
+from ..core.config import DbtfConfig
 from ..core.decompose import prepare_partitioned_unfoldings
-from ..core.partition import PartitionData
-from ..core.update import _target_masks
-from ..distengine import DEFAULT_CLUSTER, Distributed, SimulatedRuntime
+from ..core.update import update_factor
+from ..distengine import Distributed, SimulatedRuntime
 from ..tensor import SparseBoolTensor
 from .decompose import (
     BooleanTuckerConfig,
@@ -44,187 +41,7 @@ from .decompose import (
     _update_core,
 )
 
-__all__ = ["dbtf_tucker", "TuckerCachedPartition", "update_tucker_factor"]
-
-
-class TuckerCachedPartition:
-    """A partition plus per-pattern effective-basis caches.
-
-    Blocks are grouped by the bit pattern of their PVM's outer-factor row;
-    each distinct pattern gets the effective basis ``S_u ∘ innerᵀ`` and a
-    full row-summation cache over its ``R_target`` rows.
-    """
-
-    __slots__ = ("data", "entries", "n_rows")
-
-    def __init__(
-        self,
-        data: PartitionData,
-        outer: BitMatrix,
-        inner: BitMatrix,
-        core_perm: np.ndarray,
-        group_size: int,
-    ):
-        self.data = data
-        self.n_rows = data.n_rows
-        inner_dense = inner.to_dense().astype(np.int64)
-        caches: dict[int, tuple[RowSummationCache, np.ndarray]] = {}
-        # (block, cache, sliced tables, coverage rows sliced, tensor words)
-        self.entries: list[tuple] = []
-        build_span = kernel_span(
-            "tucker.cacheBuild", n_blocks=len(data.plan.blocks)
-        )
-        with build_span:
-            self._build(data, outer, inner, inner_dense, caches,
-                        core_perm, group_size)
-            build_span.set(n_patterns=len(caches))
-
-    def _build(self, data, outer, inner, inner_dense, caches,
-               core_perm, group_size) -> None:
-        for block in data.plan.blocks:
-            pattern = outer.row_mask(block.pvm_index)
-            if pattern not in caches:
-                bits = np.array(
-                    [(pattern >> r) & 1 for r in range(outer.n_cols)],
-                    dtype=np.int64,
-                )
-                selector = (core_perm.astype(np.int64) @ bits) > 0  # (Rt, Ri)
-                coverage_dense = ((selector.astype(np.int64) @ inner_dense.T) > 0)
-                coverage = BitMatrix.from_dense(coverage_dense.astype(np.uint8))
-                cache = RowSummationCache(coverage.transpose(), group_size)
-                caches[pattern] = (cache, coverage.words)
-            cache, coverage_words = caches[pattern]
-            tables = cache.tables_for(block.start, block.stop)
-            if block.is_full:
-                coverage_sliced = coverage_words
-            else:
-                coverage_sliced = packing.slice_bits(
-                    coverage_words, block.start, block.stop
-                )
-            self.entries.append(
-                (block, cache, tables, coverage_sliced,
-                 data.block_words(block))
-            )
-
-    def column_errors(
-        self, masks_if_zero: np.ndarray, column: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Partition-local errors for both values of ``target[:, column]``.
-
-        Unlike CP, the cache key is the target row's mask alone — the outer
-        factor's influence is baked into each block's pattern table.
-        """
-        with kernel_span("tucker.columnErrors", rows=self.n_rows,
-                         column=column, n_blocks=len(self.entries)):
-            return self._column_errors(masks_if_zero, column)
-
-    def _column_errors(
-        self, masks_if_zero: np.ndarray, column: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        error_if_zero = np.zeros(self.n_rows, dtype=np.int64)
-        delta_if_one = np.zeros(self.n_rows, dtype=np.int64)
-        keys = None
-        for block, cache, tables, coverage_sliced, tensor_words in self.entries:
-            if keys is None:
-                keys = cache.group_keys(masks_if_zero)
-            rec_zero = cache.fetch(tables, keys)
-            error_if_zero += xor_popcount_rows(rec_zero, tensor_words)
-            addition = coverage_sliced[column]
-            newly = addition[None, :] & ~rec_zero
-            delta_if_one += packing.popcount_rows(newly)
-            delta_if_one -= 2 * packing.popcount_rows(newly & tensor_words)
-        return error_if_zero, error_if_zero + delta_if_one
-
-
-class _BuildTuckerCacheFromHandle:
-    """Stage payload: build the Tucker caches from a broadcast handle.
-
-    The handle resolves to ``[target_words, outer_words, inner_words,
-    core_perm]`` worker-side; only matrix dimensions ride in the payload.
-    """
-
-    __slots__ = ("factors", "outer_shape", "inner_shape", "group_size")
-
-    def __init__(self, factors, outer_shape, inner_shape, group_size):
-        self.factors = factors
-        self.outer_shape = outer_shape
-        self.inner_shape = inner_shape
-        self.group_size = group_size
-
-    def __call__(self, data) -> TuckerCachedPartition:
-        _, outer_words, inner_words, core_perm = self.factors.value
-        outer = BitMatrix(*self.outer_shape, outer_words)
-        inner = BitMatrix(*self.inner_shape, inner_words)
-        return TuckerCachedPartition(
-            data, outer, inner, core_perm, self.group_size
-        )
-
-
-class _TuckerColumnErrorsDeltaTask:
-    """Stage payload: one Tucker column's errors, delta-only traffic.
-
-    The target masks come from the same worker-side slot as the CP
-    :class:`~repro.core.update._ColumnErrorsDeltaTask`'s
-    (:func:`~repro.core.update._target_masks`): base target words from the
-    handle with this column cleared and prior columns set from packed
-    deltas — a pure function of the payload, so results stay bit-identical
-    across backends — derived from the previous column's masks with the
-    newest delta alone.
-    """
-
-    __slots__ = ("factors", "column", "deltas")
-
-    def __init__(self, factors, column: int, deltas: tuple):
-        self.factors = factors
-        self.column = column
-        self.deltas = deltas
-
-    def __call__(self, cached: TuckerCachedPartition):
-        masks = _target_masks(self.factors, self.column, self.deltas)
-        return cached.column_errors(masks, self.column)
-
-
-def update_tucker_factor(
-    data_rdd: Distributed,
-    target: BitMatrix,
-    outer: BitMatrix,
-    inner: BitMatrix,
-    core_perm: np.ndarray,
-    group_size: int,
-    runtime: SimulatedRuntime,
-) -> tuple[BitMatrix, int]:
-    """Distributed greedy column update of one Tucker factor."""
-    factors = runtime.broadcast(
-        [target.words, outer.words, inner.words, core_perm],
-        name="updateTuckerFactor.broadcast",
-    )
-    # Persisted for the same reason as the CP update: every column stage
-    # reuses the per-pattern caches, and the plan layer fuses the build
-    # into the first column's stage via a persist tap.
-    build_task = _BuildTuckerCacheFromHandle(
-        factors, outer.shape, inner.shape, group_size
-    )
-    cached_rdd = data_rdd.map(build_task, name="cacheTuckerSummations").persist()
-    updated = target.copy()
-    error_after = 0
-    deltas: list[tuple] = []
-    for column in range(target.n_cols):
-        task = _TuckerColumnErrorsDeltaTask(factors, column, tuple(deltas))
-        per_partition = cached_rdd.map(
-            task, name="tuckerColumnErrors"
-        ).collect(name="collectTuckerColumnErrors")
-        error_if_zero = np.zeros(updated.n_rows, dtype=np.int64)
-        error_if_one = np.zeros(updated.n_rows, dtype=np.int64)
-        for partial_zero, partial_one in per_partition:
-            error_if_zero += partial_zero
-            error_if_one += partial_one
-        chosen = (error_if_one < error_if_zero).astype(np.uint8)
-        updated.set_column(column, chosen)
-        error_after = int(np.minimum(error_if_zero, error_if_one).sum())
-        delta = runtime.broadcast(np.packbits(chosen), name="tuckerColumnUpdate")
-        deltas.append((column, delta))
-    cached_rdd.unpersist()
-    return updated, error_after
+__all__ = ["dbtf_tucker"]
 
 
 # Per mode: (outer factor index, inner factor index, core permutation) such
@@ -243,17 +60,16 @@ def dbtf_tucker(
     n_partitions: int = 16,
     cache_group_size: int = 15,
     runtime: SimulatedRuntime | None = None,
-    backend: str = "serial",
-    n_workers: int | None = None,
 ) -> BooleanTuckerResult:
     """Distributed Boolean Tucker decomposition (journal-style DBTF).
 
-    Factor updates run through the simulated engine with per-pattern
-    effective-basis caches; core updates run on the driver.  Results match
-    :func:`repro.tucker.boolean_tucker` for the same initialization because
-    both implement the same greedy updates.  ``backend``/``n_workers``
-    select the host-side stage executor when no ``runtime`` is supplied;
-    results and metered costs are backend-invariant.
+    Factor updates run through the simulated engine on DBTF's column
+    kernel with per-pattern effective-basis tables; core updates run on
+    the driver.  Results match :func:`repro.tucker.boolean_tucker` for the
+    same initialization because both implement the same greedy updates.
+    Without a ``runtime`` the solve runs on a serial runtime of the
+    default cluster; pass ``runtime=SimulatedRuntime(cluster)`` to choose
+    the backend.  Results and metered costs are backend-invariant.
     """
     if tensor.ndim != 3:
         raise ValueError(
@@ -267,9 +83,7 @@ def dbtf_tucker(
         raise ValueError(f"n_partitions must be positive, got {n_partitions}")
     owns_runtime = runtime is None
     if runtime is None:
-        runtime = SimulatedRuntime(
-            DEFAULT_CLUSTER.with_backend(backend, n_workers)
-        )
+        runtime = SimulatedRuntime()
 
     mode_rdds: list[Distributed] = []
     try:
@@ -301,7 +115,10 @@ def _solve_once_distributed(
     runtime: SimulatedRuntime,
     rng: np.random.Generator,
 ) -> BooleanTuckerResult:
-    factors_dense = list(_sampled_tucker_factors(tensor, config, rng))
+    factors = [
+        BitMatrix.from_dense(factor)
+        for factor in _sampled_tucker_factors(tensor, config, rng)
+    ]
     core = np.zeros(config.core_shape, dtype=np.uint8)
     for r in range(min(config.core_shape)):
         core[r, r, r] = 1
@@ -309,20 +126,29 @@ def _solve_once_distributed(
     errors: list[int] = []
     converged = False
     threshold = config.tolerance * max(tensor.nnz, 1)
+    # The exact error of the current factors and core, carried from each
+    # update into the next as in `dbtf`: only the first update scans every
+    # block to seed it.
+    error = None
     for _ in range(config.max_iterations):
         for mode in range(3):
             outer_index, inner_index, permutation = _TUCKER_MODE_ROLES[mode]
-            updated, _ = update_tucker_factor(
+            factors[mode], error = update_factor(
                 mode_rdds[mode],
-                BitMatrix.from_dense(factors_dense[mode]),
-                BitMatrix.from_dense(factors_dense[outer_index]),
-                BitMatrix.from_dense(factors_dense[inner_index]),
-                core.transpose(permutation),
-                cache_group_size,
+                factors[mode],
+                factors[outer_index],
+                factors[inner_index],
+                DbtfConfig(
+                    rank=config.core_shape[mode],
+                    cache_group_size=cache_group_size,
+                ),
                 runtime,
+                error_before=error,
+                core=core.transpose(permutation),
             )
-            factors_dense[mode] = updated.to_dense()
-        core, error = _update_core(dense, core, tuple(factors_dense))
+        core, error = _update_core(
+            dense, core, tuple(factor.to_dense() for factor in factors)
+        )
         if errors and errors[-1] - error <= threshold:
             errors.append(error)
             converged = True
@@ -331,7 +157,7 @@ def _solve_once_distributed(
 
     return BooleanTuckerResult(
         core=SparseBoolTensor.from_dense(core),
-        factors=tuple(BitMatrix.from_dense(factor) for factor in factors_dense),
+        factors=tuple(factors),
         error=errors[-1],
         input_nnz=tensor.nnz,
         errors_per_iteration=tuple(errors),

@@ -27,7 +27,6 @@ from repro.bitops import (
     packing,
     pointwise_vector_matrix,
     xor_popcount,
-    xor_popcount_rows,
 )
 from repro.distengine import ClusterConfig, SimulatedRuntime
 
@@ -39,7 +38,7 @@ dims = st.sampled_from(EDGE_DIMS) | st.integers(min_value=0, max_value=140)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def _oracle_xor_popcount_rows(a, b):
+def _oracle_xor_popcount(a, b):
     """Per-row ``popcount(a ^ b)`` by unpacking every bit densely."""
     a, b = np.broadcast_arrays(
         np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
@@ -129,44 +128,28 @@ class TestPointwiseDifferential:
 class TestXorPopcountDifferential:
     @settings(max_examples=40, deadline=None)
     @given(rows=dims, words=st.sampled_from([0, 1, 2, 3, 9]), seed=seeds)
-    def test_rows_impls_identical(self, rows, words, seed):
-        rng = np.random.default_rng(seed)
-        a = _random_words(rng, (rows, words))
-        b = _random_words(rng, (rows, words))
-        out = xor_popcount_rows(a, b)
-        expected = _oracle_xor_popcount_rows(a, b)
-        assert out.shape == expected.shape == (rows,)
-        assert out.dtype == np.int64
-        assert np.array_equal(out, expected)
-
-    @settings(max_examples=40, deadline=None)
-    @given(rows=dims, words=st.sampled_from([0, 1, 2, 3, 9]), seed=seeds)
     def test_total_impls_identical(self, rows, words, seed):
         rng = np.random.default_rng(seed)
         a = _random_words(rng, (rows, words))
         b = _random_words(rng, (rows, words))
         total = xor_popcount(a, b)
         assert type(total) is int
-        assert total == int(_oracle_xor_popcount_rows(a, b).sum())
+        assert total == int(_oracle_xor_popcount(a, b).sum())
 
     def test_three_dimensional_operands(self):
-        """The CP hot path calls the rows kernel on (rows, blocks, words)."""
+        """Operands of any rank: (rows, blocks, words) counts every word."""
         rng = np.random.default_rng(3)
         a = _random_words(rng, (11, 4, 3))
         b = _random_words(rng, (11, 4, 3))
-        out = xor_popcount_rows(a, b)
-        assert out.shape == (11, 4)
-        assert np.array_equal(out, _oracle_xor_popcount_rows(a, b))
+        assert xor_popcount(a, b) == int(_oracle_xor_popcount(a, b).sum())
 
     def test_broadcast_operands(self):
         """Broadcasting (1, W) against (N, W) must match materialized inputs."""
         rng = np.random.default_rng(4)
         a = _random_words(rng, (1, 5))
         b = _random_words(rng, (24, 5))
-        expected = _oracle_xor_popcount_rows(np.broadcast_to(a, b.shape), b)
-        assert np.array_equal(xor_popcount_rows(a, b), expected)
-        assert np.array_equal(xor_popcount_rows(b, a), expected)
-        assert xor_popcount(a, b) == int(expected.sum())
+        expected = _oracle_xor_popcount(np.broadcast_to(a, b.shape), b)
+        assert xor_popcount(a, b) == xor_popcount(b, a) == int(expected.sum())
 
 
 # ----------------------------------------------------------------------
@@ -182,8 +165,8 @@ def _kernel_probe_task(index, items):
     left = BitMatrix.random(12, 12, 0.4, rng)
     right = BitMatrix.random(12, 9, 0.4, rng)
     product = boolean_matmul(left, right)
-    totals = xor_popcount_rows(left.words, left.words)
-    return [int(product.words.sum() % 1000003) + int(totals.sum())]
+    total = xor_popcount(left.words, left.words)
+    return [int(product.words.sum() % 1000003) + total]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -209,7 +192,7 @@ class TestKernelObservability:
             "kernel_dispatch_total", kernel="boolean_matmul", impl="batched",
         ) == 2.0
         assert runtime.metrics.value(
-            "kernel_dispatch_total", kernel="xor_popcount_rows", impl="twopass",
+            "kernel_dispatch_total", kernel="xor_popcount", impl="twopass",
         ) == 2.0
 
     def test_counter_totals_repeatable(self, backend):
@@ -253,8 +236,8 @@ def _oracle_column_errors(data, tables, keys, *, seed=False):
             entries = packing.unpack_bits(table.T, block.width) != 0
             rec_zero |= entries[row_keys & outer_keys[pvm]]
         rec_zero = rec_zero[:, columns]
-        cover = packing.unpack_bits(keys.coverage, block.width)[columns] != 0
-        cover &= bool(keys.outer_column[pvm])
+        cover = packing.unpack_bits(keys.coverage[:, pvm], block.width)
+        cover = cover[columns] != 0
         zero = (rec_zero ^ tensor).sum(axis=1)
         one = ((rec_zero | cover) ^ tensor).sum(axis=1)
         change += one - zero

@@ -19,7 +19,6 @@ from repro.bitops import (
     khatri_rao,
     packing,
     xor_popcount,
-    xor_popcount_rows,
 )
 from repro.bitops.ops import _boolean_matmul_batched, _boolean_matmul_rowloop
 
@@ -95,15 +94,12 @@ class TestXorPopcount:
         rng = np.random.default_rng(seed)
         a = rng.integers(0, 2**63, size=(n_rows, n_words)).astype(np.uint64)
         b = rng.integers(0, 2**63, size=(n_rows, n_words)).astype(np.uint64)
-        np.testing.assert_array_equal(
-            xor_popcount_rows(a, b), packing.popcount_rows(a ^ b)
-        )
         assert xor_popcount(a, b) == packing.popcount(a ^ b)
 
     def test_inputs_not_mutated(self):
         a = np.array([[np.uint64(0b1010)]])
         b = np.array([[np.uint64(0b0110)]])
-        xor_popcount_rows(a, b)
+        assert xor_popcount(a, b) == 2
         assert a[0, 0] == 0b1010 and b[0, 0] == 0b0110
 
 

@@ -18,6 +18,12 @@ exactly, over:
   shared unfolding, so their edge PVMs carry the neighbours' bits;
 * outer columns with no active block in the partition;
 * the seed (every block) and the active-only paths.
+
+Boolean Tucker runs the same kernel on stacked per-pattern tables
+(:func:`~repro.core.update.tucker_kernel_tables`).  Its cases draw a random
+core (or one whose evaluated slice is empty, or a dense one) and outer rows
+from a few repeated patterns that include the all-zero one, and rebuild the
+reconstruction densely from ``x = OR g_tio AND a_rt AND b_wi AND c_jo``.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from repro.core.update import (
     column_errors,
     column_keys,
     kernel_tables,
+    tucker_kernel_tables,
 )
 
 #: (rank, group size V): one group, two groups, and seven groups of 10
@@ -73,7 +80,7 @@ def _case(rng, n_rows, n_pvms, width, grouping, n_partitions, index, *,
 
     tables = kernel_tables(RowSummationCache(inner, group_size), outer.words)
     masks = _masks_with_bit_cleared(target.words, column)
-    keys = column_keys(tables, masks, outer.words, column)
+    keys = column_keys(tables, masks, column)
 
     # Dense reference: reconstruct both candidates from the factors.
     a_zero = target.to_dense().astype(bool)
@@ -86,6 +93,63 @@ def _case(rng, n_rows, n_pvms, width, grouping, n_partitions, index, *,
     ) > 0
     cover = c_dense[:, column][:, None] & b_dense[:, column][None, :]
     rec_one = rec_zero | cover[None]
+    tensor = unfolded.reshape(n_rows, n_pvms, width).astype(bool)
+    columns = slice(plan.col_start, plan.col_stop)
+    zero = (rec_zero ^ tensor).reshape(n_rows, -1)[:, columns].sum(axis=1)
+    one = (rec_one ^ tensor).reshape(n_rows, -1)[:, columns].sum(axis=1)
+    return data, tables, keys, zero, one
+
+
+def _tucker_case(rng, n_rows, n_pvms, width, grouping, n_partitions, index,
+                 *, view, core, density=0.3):
+    """One kernel evaluation on Tucker's stacked tables, and its reference.
+
+    ``core`` is ``"random"``, ``"empty"`` (the evaluated column's slice is
+    zero, so no block is active) or ``"dense"``.
+    """
+    rank, group_size = grouping
+    n_inner, n_outer = (int(n) for n in rng.integers(1, 5, size=2))
+    column = int(rng.integers(rank))
+    g = (rng.random((rank, n_inner, n_outer)) < 0.3).astype(np.uint8)
+    if core == "empty":
+        g[column] = 0
+    elif core == "dense":
+        g[:] = 1
+    target = BitMatrix.random(n_rows, rank, 0.4, rng)
+    inner = BitMatrix.random(width, n_inner, 0.4, rng)
+    # A few patterns, each repeated, one of them all zero.
+    pool = (rng.random((3, n_outer)) < 0.5).astype(np.uint8)
+    pool[0] = 0
+    outer = BitMatrix.from_dense(pool[rng.integers(len(pool), size=n_pvms)])
+    plan = make_partition_plans(n_pvms, width, n_partitions)[index]
+    span = plan.pvm_span
+    unfolded = (rng.random((n_rows, n_pvms * width)) < density).astype(np.uint8)
+    if view:
+        words = packing.pack_bits(unfolded.reshape(n_rows, n_pvms, width))[:, span]
+    else:
+        own = np.zeros_like(unfolded)
+        own[:, plan.col_start : plan.col_stop] = (
+            unfolded[:, plan.col_start : plan.col_stop]
+        )
+        words = packing.pack_bits(own.reshape(n_rows, n_pvms, width)[:, span])
+    data = PartitionData(plan=plan, words=words)
+
+    tables = tucker_kernel_tables(outer, inner, g, group_size)
+    n_patterns = len(np.unique(outer.to_dense(), axis=0))
+    for table, (_, size) in zip(tables.tables, tables.groups):
+        assert table.shape == (packing.words_for_bits(width), n_patterns << size)
+    masks = _masks_with_bit_cleared(target.words, column)
+    keys = column_keys(tables, masks, column)
+
+    # Dense reference: cover[t, j, w] = OR_io g[t, i, o] & c[j, o] & b[w, i].
+    a_zero = target.to_dense().astype(np.int64)
+    a_zero[:, column] = 0
+    cover = np.einsum(
+        "tio,jo,wi->tjw", g, outer.to_dense(), inner.to_dense(),
+        dtype=np.int64,
+    ) > 0
+    rec_zero = np.einsum("rt,tjw->rjw", a_zero, cover, dtype=np.int64) > 0
+    rec_one = rec_zero | cover[column][None]
     tensor = unfolded.reshape(n_rows, n_pvms, width).astype(bool)
     columns = slice(plan.col_start, plan.col_stop)
     zero = (rec_zero ^ tensor).reshape(n_rows, -1)[:, columns].sum(axis=1)
@@ -169,6 +233,47 @@ def test_edge_shapes(n_pvms, width, n_partitions, index, types, grouping,
         outside = ~inside.reshape(5, n_pvms, width)[:, span]
         assert (dense & outside).any()
     if active == 0 and not seed:
+        # No active block: nothing to gather, and no row can gain.
+        unreadable = tables._replace(tables=[None] * len(tables.tables))
+        _check(data, unreadable, keys, zero, one, seed)
+    else:
+        _check(data, tables, keys, zero, one, seed)
+
+
+@st.composite
+def tucker_cases(draw):
+    case = draw(cases())
+    del case["active"]
+    case["core"] = draw(st.sampled_from(["random", "random", "empty", "dense"]))
+    return case
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tucker_cases(), seed=st.booleans(),
+       rng_seed=st.integers(0, 2**32 - 1))
+def test_tucker_kernel_matches_dense_recomputation(case, seed, rng_seed):
+    rng = np.random.default_rng(rng_seed)
+    _check(*_tucker_case(rng, **case), seed)
+
+
+@pytest.mark.parametrize("n_pvms, width, n_partitions, index, types", SHAPES)
+@pytest.mark.parametrize("grouping", GROUPINGS)
+@pytest.mark.parametrize("view", [False, True])
+@pytest.mark.parametrize("core", ["random", "empty", "dense"])
+@pytest.mark.parametrize("seed", [False, True])
+def test_tucker_edge_shapes(n_pvms, width, n_partitions, index, types,
+                            grouping, view, core, seed):
+    rng = np.random.default_rng(
+        [n_pvms, width, index, grouping[0], int(view), len(core)]
+    )
+    data, tables, keys, zero, one = _tucker_case(
+        rng, 5, n_pvms, width, grouping, n_partitions, index,
+        view=view, core=core,
+    )
+    assert data.plan.block_types() == types
+    if core == "empty":
+        assert not keys.active.any()
+    if core == "empty" and not seed:
         # No active block: nothing to gather, and no row can gain.
         unreadable = tables._replace(tables=[None] * len(tables.tables))
         _check(data, unreadable, keys, zero, one, seed)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.bitops import BitMatrix, packing
 from repro.core import RowSummationCache, split_groups
+from repro.core.update import kernel_tables
 
 
 class TestSplitGroups:
@@ -66,7 +67,7 @@ class TestRowSummationCache:
         inner = self._inner(width=20, rank=4, seed=1)
         cache = RowSummationCache(inner, group_size=15)
         assert cache.n_tables == 1
-        tables = cache.tables_for(0, 20)
+        tables = cache.full_tables
         dense = inner.to_dense()
         for mask in range(16):
             anded = packing.pack_bits(
@@ -89,44 +90,32 @@ class TestRowSummationCache:
             [[int(bool(m & (1 << r))) for r in range(9)] for m in masks], dtype=np.uint8
         )
         anded = packing.pack_bits(dense_masks)
-        single_result = single.fetch(single.tables_for(0, 30), single.group_keys(anded))
-        split_result = split.fetch(split.tables_for(0, 30), split.group_keys(anded))
+        single_result = single.fetch(single.full_tables, single.group_keys(anded))
+        split_result = split.fetch(split.full_tables, split.group_keys(anded))
         np.testing.assert_array_equal(single_result, split_result)
 
     def test_sliced_tables_match_full(self):
+        # A partial block reads the full-width entry and keeps its columns.
         inner = self._inner(width=50, rank=5, seed=4)
         cache = RowSummationCache(inner, group_size=15)
         dense = inner.to_dense()
-        sliced = cache.tables_for(10, 37)
         for mask in (0, 1, 7, 31):
             anded = packing.pack_bits(
                 np.array([[int(bool(mask & (1 << r))) for r in range(5)]], dtype=np.uint8)
             )
-            fetched = cache.fetch(sliced, cache.group_keys(anded))[0]
+            fetched = cache.fetch(cache.full_tables, cache.group_keys(anded))[0]
             np.testing.assert_array_equal(
-                packing.unpack_bits(fetched, 27),
+                packing.unpack_bits(fetched, 50)[10:37],
                 reference_row_summation(dense, mask)[10:37],
             )
 
-    def test_sliced_tables_memoized(self):
-        inner = self._inner(width=16, rank=3, seed=5)
-        cache = RowSummationCache(inner, group_size=15)
-        first = cache.tables_for(2, 9)
-        second = cache.tables_for(2, 9)
-        assert first[0] is second[0]
-
     def test_full_width_returns_master_tables(self):
+        # The column kernel reads the master tables word-major.
         inner = self._inner(width=16, rank=3, seed=6)
         cache = RowSummationCache(inner, group_size=15)
-        assert cache.tables_for(0, 16)[0] is cache.full_tables[0]
-
-    def test_invalid_range(self):
-        inner = self._inner(width=16, rank=3, seed=7)
-        cache = RowSummationCache(inner, group_size=15)
-        with pytest.raises(ValueError):
-            cache.tables_for(5, 5)
-        with pytest.raises(ValueError):
-            cache.tables_for(0, 17)
+        outer = BitMatrix.random(4, 3, 0.5, np.random.default_rng(6))
+        tables = kernel_tables(cache, outer.words)
+        np.testing.assert_array_equal(tables.tables[0], cache.full_tables[0].T)
 
     def test_fetch_table_key_mismatch(self):
         inner = self._inner(width=16, rank=3, seed=8)
@@ -161,7 +150,7 @@ class TestRowSummationCache:
             [[int(bool(mask & (1 << r))) for r in range(rank)]], dtype=np.uint8
         )
         anded = packing.pack_bits(dense_mask)
-        fetched = cache.fetch(cache.tables_for(0, width), cache.group_keys(anded))[0]
+        fetched = cache.fetch(cache.full_tables, cache.group_keys(anded))[0]
         np.testing.assert_array_equal(
             packing.unpack_bits(fetched, width),
             reference_row_summation(inner.to_dense(), mask),

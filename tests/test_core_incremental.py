@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitops import packing
 from repro.core import (
     PartitionedUnfoldings,
     baseline_error_after_delta,
@@ -63,11 +64,17 @@ def _random_delta(tensor, seed, n_adds=4, n_removes=4):
     )
 
 
+def _block_bits(data, block):
+    """One of the plan's blocks as dense 0/1 columns of its PVM's words."""
+    words = data.words[:, block.pvm_index - data.plan.pvm_span.start]
+    return packing.unpack_bits(words, block.width)[:, block.start : block.stop]
+
+
 def _materialize(unfoldings):
-    """Every partition's packed block words, per mode."""
+    """Every partition's blocks as dense bits, per mode."""
     return [
         [
-            [np.array(data.block_words(block)) for block in data.plan.blocks]
+            [_block_bits(data, block) for block in data.plan.blocks]
             for data in rdd.collect()
         ]
         for rdd in unfoldings.rdds

@@ -115,6 +115,12 @@ class TestMakePartitionPlans:
             assert sum(block.n_cols for block in plan.blocks) == plan.n_cols
 
 
+def _block_bits(data, block):
+    """One of the plan's blocks as dense 0/1 columns of its PVM's words."""
+    words = data.words[:, block.pvm_index - data.plan.pvm_span.start]
+    return packing.unpack_bits(words, block.width)[:, block.start : block.stop]
+
+
 class TestBuildPartitionData:
     def _packed(self, shape, seed, mode=0):
         rng = np.random.default_rng(seed)
@@ -129,11 +135,10 @@ class TestBuildPartitionData:
         unfolded = packed.to_dense()
         for part in data:
             for block in part.plan.blocks:
-                words = part.block_words(block)
                 lo = block.pvm_index * block.width + block.start
                 hi = block.pvm_index * block.width + block.stop
                 np.testing.assert_array_equal(
-                    packing.unpack_bits(words, block.n_cols), unfolded[:, lo:hi]
+                    _block_bits(part, block), unfolded[:, lo:hi]
                 )
 
     def test_total_nonzeros_preserved(self):
@@ -141,7 +146,7 @@ class TestBuildPartitionData:
         plans = make_partition_plans(packed.block_count, packed.block_width, 3)
         data = build_partition_data(packed, plans)
         total = sum(
-            packing.popcount(part.block_words(block))
+            int(_block_bits(part, block).sum())
             for part in data
             for block in part.plan.blocks
         )
@@ -243,7 +248,7 @@ class TestSparsePartitioning:
             assert expected.plan == actual.plan
             for block in expected.plan.blocks:
                 np.testing.assert_array_equal(
-                    expected.block_words(block), actual.block_words(block)
+                    _block_bits(expected, block), _block_bits(actual, block)
                 )
 
     def test_empty_partition_packs_to_no_blocks(self):
@@ -297,7 +302,7 @@ class TestSplitProperty:
             actual = pack_partition(split)
             for block in expected.plan.blocks:
                 np.testing.assert_array_equal(
-                    expected.block_words(block), actual.block_words(block)
+                    _block_bits(expected, block), _block_bits(actual, block)
                 )
 
 

@@ -74,7 +74,7 @@ class TestCachedPartition:
     @staticmethod
     def _keys(tables, target, outer, column):
         masks = _masks_with_bit_cleared(target.words, column)
-        return column_keys(tables, masks, outer.words, column)
+        return column_keys(tables, masks, column)
 
     def test_full_and_edge_blocks_partition_the_plan(self):
         tensor, _, parts, _ = self._build((6, 7, 9), 3, 4, seed=0)
@@ -230,7 +230,9 @@ class TestCachedPartition:
         a_matrix, b_matrix, c_matrix = factors
         outer = c_matrix.copy()
         outer.set_column(1, np.zeros(outer.n_rows, dtype=np.uint8))
-        tables = kernel_tables(tables.cache, outer.words)
+        tables = kernel_tables(
+            RowSummationCache(b_matrix, group_size=15), outer.words
+        )
         keys = self._keys(tables, a_matrix, outer, 1)
         # Nothing is active: the active-only path gathers from no table.
         unreadable = tables._replace(tables=[None] * len(tables.tables))

@@ -256,8 +256,10 @@ class TestExtensionsUnderBackends:
         config = BooleanTuckerConfig(core_shape=(2, 2, 2), max_iterations=2)
 
         def run(name):
-            result = dbtf_tucker(tensor, config=config, n_partitions=3,
-                                 backend=name, n_workers=2)
+            cluster = ClusterConfig(backend=name, n_workers=2)
+            with SimulatedRuntime(cluster) as runtime:
+                result = dbtf_tucker(tensor, config=config, n_partitions=3,
+                                     runtime=runtime)
             return (
                 tuple(f.words.tobytes() for f in result.factors),
                 result.core.coords.tobytes(),

@@ -155,11 +155,6 @@ class TestClusterConfig:
     def test_total_slots(self):
         assert ClusterConfig(n_machines=3, cores_per_machine=4).total_slots == 12
 
-    def test_with_machines(self):
-        config = ClusterConfig(n_machines=16).with_machines(4)
-        assert config.n_machines == 4
-        assert config.cores_per_machine == ClusterConfig().cores_per_machine
-
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -25,7 +25,9 @@ from repro.distengine import (
     RuntimeFactory,
     SimulatedRuntime,
     TaskFailedError,
+    TransferKind,
 )
+from repro.distengine import broadcast
 from repro.distengine.backends import ResidentPartition
 from repro.incremental import FactorizationSession
 from repro.tensor import TensorDelta, planted_tensor
@@ -241,6 +243,72 @@ class TestEquivalence:
                 )
 
         _assert_all_equal({(b, w): run(b, w) for b, w in BACKENDS})
+
+    def test_budgeted_tucker_matches_unbudgeted(self, tensor, tmp_path):
+        # Tucker keeps nothing derived from the factors in the plan: under
+        # half its working set only the packed unfoldings page, and the
+        # solve stays bit-identical to the unbudgeted one.
+        from repro.tucker import BooleanTuckerConfig
+        from repro.tucker.distributed import dbtf_tucker
+
+        config = BooleanTuckerConfig(core_shape=(2, 3, 2), max_iterations=2)
+
+        def solve(runtime):
+            result = dbtf_tucker(
+                tensor, config=config, n_partitions=PARTITIONS,
+                runtime=runtime,
+            )
+            # Stage counts and shuffle, broadcast and collect bytes do not
+            # depend on the prepare path; stage names and task payloads do
+            # (views vs. coordinates).
+            ledger = runtime.ledger
+            return (
+                _factor_bytes(result.factors),
+                result.core.coords.tobytes(),
+                tuple(result.errors_per_iteration),
+                len(runtime.stages),
+                tuple(ledger.bytes_of_kind(kind) for kind in (
+                    TransferKind.SHUFFLE, TransferKind.BROADCAST,
+                    TransferKind.COLLECT,
+                )),
+            )
+
+        with SimulatedRuntime(_cluster("serial", None)) as runtime:
+            unbudgeted = solve(runtime)
+        probe = SimulatedRuntime(
+            _cluster("serial", None, memory_budget=1 << 40,
+                     spill_dir=str(tmp_path / "probe"))
+        )
+        with probe:
+            solve(probe)
+            working_set = probe.storage.budget.peak_resident
+
+        budgeted = {}
+        for backend, workers in BACKENDS:
+            spill_dir = tmp_path / f"{backend}{workers}"
+            with RuntimeFactory(_cluster(
+                backend, workers, memory_budget=working_set // 2,
+                spill_dir=str(spill_dir),
+            )) as factory:
+                lease = factory.lease()
+                runtime = lease.runtime
+                assert solve(runtime) == unbudgeted, (backend, workers)
+                budget = runtime.storage.budget
+                assert budget.spill_events > 0
+                budgeted[backend, workers] = (
+                    _engine_print(runtime),
+                    (budget.spill_events, budget.load_events,
+                     budget.spilled_bytes),
+                )
+                lease.close()
+                assert factory.open_leases == 0
+                assert not any(
+                    key[0] == runtime.scope for key in broadcast._STORE
+                )
+                if backend == "process":
+                    assert factory.backend.resident_entries() == [0] * workers
+            assert not [path for path in spill_dir.rglob("*") if path.is_file()]
+        _assert_all_equal(budgeted)
 
 
 class TestDriverReads:

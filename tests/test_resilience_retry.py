@@ -73,14 +73,6 @@ class TestBackoffSchedule:
             delay = policy.backoff_delay("s", partition, 1)
             assert 0.75 <= delay <= 1.25
 
-    def test_total_backoff_sums_intervals(self):
-        policy = RetryPolicy(seed=3)
-        total = policy.total_backoff("s", 2, 3)
-        assert total == pytest.approx(
-            sum(policy.backoff_delay("s", 2, a) for a in (1, 2, 3))
-        )
-        assert policy.total_backoff("s", 2, 0) == 0.0
-
     def test_attempt_must_be_positive(self):
         with pytest.raises(ValueError):
             RetryPolicy().backoff_delay("s", 0, 0)
@@ -106,7 +98,10 @@ class TestExecuteTaskWithPolicy:
                 _identity, "stage", partition, [1], injector,
                 retry_policy=policy,
             )
-            expected = policy.total_backoff("stage", partition, outcome.failures)
+            expected = sum(
+                policy.backoff_delay("stage", partition, attempt)
+                for attempt in range(1, outcome.failures + 1)
+            )
             assert outcome.retry_wait == pytest.approx(expected)
 
     def test_no_policy_means_zero_wait(self):
@@ -140,7 +135,8 @@ class TestExecuteTaskWithPolicy:
         assert error.partition == 4
         assert error.attempts == 3
         assert error.retry_wait == pytest.approx(
-            policy.total_backoff("doomed", 4, 2)
+            policy.backoff_delay("doomed", 4, 1)
+            + policy.backoff_delay("doomed", 4, 2)
         )
         message = str(error)
         assert "task 4 of stage 'doomed' failed 3 times" in message

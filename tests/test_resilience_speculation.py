@@ -171,10 +171,3 @@ class TestRuntimeIntegration:
         assert len(spans) == sum(counters["tasks_speculated_total"].values())
         for span in spans:
             assert "won" in span.attrs
-
-    def test_with_speculation_helper(self):
-        config = ClusterConfig().with_speculation(
-            SpeculationConfig(multiplier=2.0)
-        )
-        assert config.speculation.multiplier == 2.0
-        assert ClusterConfig().speculation is None

@@ -1,7 +1,8 @@
 """The per-worker row-summation cache of the column stages.
 
 Each worker builds one :class:`~repro.core.RowSummationCache` per factors
-broadcast and every partition it holds shares it.  That must stay
+broadcast, keeps its :class:`~repro.core.update.KernelTables`, and every
+partition it holds shares them.  That must stay
 invisible: the shared-cache path gives the same per-partition errors as
 partitions evaluated against private caches, on every backend, with and without
 a memory budget — including partitions whose edges cut PVM blocks, which
@@ -21,10 +22,10 @@ from repro.core import DbtfConfig, RowSummationCache, dbtf
 from repro.core.incremental import prepare_mode_partitions
 from repro.core import update as update_module
 from repro.core.update import (
-    _CACHE_SLOT,
     _TABLES_SLOT,
     _ColumnErrorsDeltaTask,
     _choose_column,
+    KernelTables,
     _masks_with_bit_cleared,
     column_errors,
     column_keys,
@@ -120,7 +121,7 @@ def _private_path(tensor, factors):
         the candidate-0 total when seeding (every block)."""
         results = []
         for data, tables in zip(partitions, private):
-            keys = column_keys(tables, masks, outer.words, column)
+            keys = column_keys(tables, masks, column)
             change, zero = column_errors(data, tables, keys, seed=seed)
             results.append((change, int(zero.sum())) if seed else change)
         return results
@@ -213,26 +214,25 @@ class TestEdgeBlocks:
             rdd, _ = prepare_mode_partitions(tensor, 0, 3 * PARTITIONS, runtime)
             target, outer, inner = _roles(factors)
             update_factor(rdd.persist(), target, outer, inner, _config(), runtime)
-            _, cache = broadcast._STORE[(runtime.scope, _CACHE_SLOT)]
             _, tables = broadcast._STORE[(runtime.scope, _TABLES_SLOT)]
         finally:
             runtime.close()
             sys.setswitchinterval(interval)
         assert len(seen) == RANK * 3 * PARTITIONS
-        # One cache and one word-major view of it for the whole update,
-        # one key build per column, and every task got the shared ones.
+        # One cache build and one set of kernel tables for the whole
+        # update, one key build per column, and every task got the shared
+        # ones.
         assert len(builds) == 1
-        assert tables.cache is cache
         assert all(held is tables for held, _ in seen)
         assert sorted(key_builds) == list(range(RANK))
         assert len({id(keys) for _, keys in seen}) == RANK
 
 
 def _cache_count(index, _items):
-    """Module-level task: the row-summation caches in this worker's store."""
+    """Module-level task: the kernel tables in this worker's store."""
     caches = sum(
         isinstance(value, tuple) and len(value) == 2
-        and isinstance(value[1], RowSummationCache)
+        and isinstance(value[1], KernelTables)
         for value in broadcast._STORE.values()
     )
     return [caches]
@@ -264,9 +264,9 @@ class TestLifecycle:
         dbtf(tensor, config=DbtfConfig(
             rank=3, max_iterations=2, seed=1, n_partitions=PARTITIONS
         ), runtime=runtime)
-        _, cache = broadcast._STORE[(runtime.scope, _CACHE_SLOT)]
-        alive = weakref.ref(cache)
-        del cache
+        _, tables = broadcast._STORE[(runtime.scope, _TABLES_SLOT)]
+        alive = weakref.ref(tables.tables[0])
+        del tables
         runtime.close()
         gc.collect()
         assert alive() is None

@@ -47,7 +47,6 @@ class TestMemoryBudget:
         budget = MemoryBudget(100)
         assert budget.fits(100)
         budget.charge(60)
-        assert budget.available_bytes == 40
         assert budget.fits(40)
         assert not budget.fits(41)
 

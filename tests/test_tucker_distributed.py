@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.bitops import BitMatrix
+from repro.core import update as update_module
 from repro.distengine import SimulatedRuntime, TransferKind
 from repro.tensor import SparseBoolTensor
 from repro.tucker import BooleanTuckerConfig, boolean_tucker, dbtf_tucker
+from repro.tucker import distributed
 from repro.tucker.decompose import _reconstruct_dense
 
 
@@ -63,16 +65,28 @@ class TestDbtfTucker:
         assert result.relative_error < 0.4
 
     def test_engine_accounting(self):
-        tensor = planted_tucker((10, 10, 10), (2, 2, 2), 0.3, 0.5, seed=5)
+        # Tucker's factor updates are DBTF's column stages: one per factor
+        # column, and nothing derived from the factors is persisted — only
+        # the three packed unfoldings are.
+        tensor = planted_tucker((10, 10, 10), (2, 3, 4), 0.3, 0.5, seed=5)
         runtime = SimulatedRuntime()
-        dbtf_tucker(tensor, core_shape=(2, 2, 2), n_partitions=4,
-                    runtime=runtime)
+        persisted = []
+        register = runtime.register_persist
+        runtime.register_persist = lambda node: (
+            persisted.append(node), register(node)
+        )
+        result = dbtf_tucker(tensor, core_shape=(2, 3, 4), n_partitions=4,
+                             runtime=runtime)
         assert runtime.ledger.bytes_of_kind(TransferKind.SHUFFLE) > 0
         assert runtime.ledger.bytes_of_kind(TransferKind.BROADCAST) > 0
-        assert any(
-            stage.name.startswith("cacheTuckerSummations")
-            for stage in runtime.stages
-        )
+        column_stages = [
+            stage.name for stage in runtime.stages
+            if stage.name.endswith("columnErrors")
+        ]
+        assert len(column_stages) == (2 + 3 + 4) * result.n_iterations
+        assert len(column_stages) == len(runtime.stages)
+        assert len(persisted) == 3
+        assert all(node.parent.is_source for node in persisted)
         assert runtime.simulated_time(16) > 0
 
     def test_empty_tensor(self):
@@ -96,3 +110,63 @@ class TestDbtfTucker:
                 SparseBoolTensor.empty((2, 2, 2)), core_shape=(1, 1, 1),
                 n_partitions=0,
             )
+
+
+class TestErrorCarry:
+    """The exact error flows through a Tucker solve as through ``dbtf``.
+
+    Each factor update starts from the error the step before it ended on
+    — the previous update's, or the core update's across iterations — so
+    only the first update of each initial set scans every block to seed
+    it, and every update still returns the exact error of its factors.
+    """
+
+    def test_updates_carry_the_exact_error(self, monkeypatch):
+        tensor = planted_tucker((12, 11, 10), (2, 3, 2), 0.3, 0.5, seed=6)
+        config = BooleanTuckerConfig(
+            core_shape=(2, 3, 2), max_iterations=3, n_initial_sets=2, seed=1
+        )
+        n_partitions = 4
+        steps = []  # (error_before, error_after, reconstruction) per step
+        seeds = []
+        update = distributed.update_factor
+        update_core = distributed._update_core
+        evaluate = update_module.column_errors
+
+        def recording_update(rdd, target, outer, inner, cfg, runtime, *,
+                             error_before, core):
+            updated, error = update(rdd, target, outer, inner, cfg, runtime,
+                                    error_before=error_before, core=core)
+            permutation = distributed._TUCKER_MODE_ROLES[len(steps) % 4][2]
+            dense = _reconstruct_dense(
+                core, (updated.to_dense(), inner.to_dense(), outer.to_dense())
+            ).transpose(np.argsort(permutation))
+            steps.append((error_before, error, dense))
+            return updated, error
+
+        def recording_core(dense, core, factors):
+            updated, error = update_core(dense, core, factors)
+            before = steps[-1][1]
+            steps.append((before, error, _reconstruct_dense(updated, factors)))
+            return updated, error
+
+        def counting(*args, seed=False):
+            seeds.append(seed)
+            return evaluate(*args, seed=seed)
+
+        monkeypatch.setattr(distributed, "update_factor", recording_update)
+        monkeypatch.setattr(distributed, "_update_core", recording_core)
+        monkeypatch.setattr(update_module, "column_errors", counting)
+        dbtf_tucker(tensor, config=config, n_partitions=n_partitions)
+
+        assert len(steps) % 4 == 0
+        for index, (before, error, dense) in enumerate(steps):
+            assert error == tensor.hamming_distance(
+                SparseBoolTensor.from_dense(dense)
+            ), index
+            if before is not None:
+                assert before == steps[index - 1][1], index
+        # One unknown starting error, so one seed scan, per initial set.
+        assert sum(before is None for before, _, _ in steps) == 2
+        assert seeds.count(True) == 2 * n_partitions
+        assert seeds.count(False) > 0
