@@ -2,8 +2,9 @@
 
 The plan layer's claim (DESIGN.md §10): fusing each maximal chain of
 narrow transformations into one dispatch costs a DBTF iteration one stage
-per column update — 3 modes × R columns — one scheduler wave, span, and
-driver round-trip per chain instead of per transformation.  This benchmark
+per round of each factor update — at most one per column update, 3 modes
+× R columns, which is the floor — one scheduler wave, span, and driver
+round-trip per chain instead of per transformation.  This benchmark
 derives the *per-iteration* stage count from the difference between a
 2-iteration and a 1-iteration run (subtracting the shared setup), asserts
 it stays at or below that floor, asserts that the factor bit-patterns, the
@@ -36,6 +37,9 @@ BACKENDS = ("serial", "thread", "process")
 
 def max_stages_per_iteration(rank: int) -> int:
     """The floor: one stage per column update, 3 modes x ``rank`` columns.
+
+    The rounds take at most that many (docs/algorithm.md §3), so it is an
+    upper bound.
 
     At rank 2 / dim 24 fused dispatch was recorded at 6 stages/iteration
     against 9 (= 3(R+1), a separate cache-build stage per mode, while the

@@ -2,13 +2,16 @@
 
 The broadcast-handle plane's claim (DESIGN.md §11): the factor-update
 sweep references the factor matrices through one broadcast handle and
-ships only an O(n_rows/8) packed column delta per column, instead of
-O(n_rows·words + outer + inner) serialized closure bytes per task.  This
-benchmark runs DBTF on a fixed-seed planted tensor, sums every ledger row
-whose ``+``-split stage name has a ``columnErrors`` (task payload) or
-``columnUpdate`` (delta broadcast) segment, asserts the per-column average
-stays at or below the floor, times the batched vs row-loop
-``boolean_matmul`` kernel, and writes ``BENCH_update.json``::
+ships only handles and the pending rows' accepted bits, instead of
+O(n_rows·words + outer + inner) serialized closure bytes per task.  The
+sweep runs in rounds — at most one stage per column update, usually far
+fewer (docs/algorithm.md §3) — so the floor is still stated per column
+update.  This benchmark runs DBTF on a fixed-seed planted tensor, sums
+every ledger row whose ``+``-split stage name has a ``columnErrors``
+(round task payload) or ``columnUpdate`` (accepted-bits broadcast)
+segment, asserts the average per column update stays at or below the
+floor, times the batched vs row-loop ``boolean_matmul`` kernel, and
+writes ``BENCH_update.json``::
 
     python benchmarks/bench_update.py [--smoke]
 
@@ -48,8 +51,9 @@ def _run(tensor, rank, max_iterations, n_partitions):
         result = dbtf(tensor, rank=rank, max_iterations=max_iterations,
                       n_partitions=n_partitions, seed=0, runtime=runtime)
         # Driver->worker bytes of the column sweep: every stage fused with
-        # a columnErrors task plus the columnUpdate broadcasts, averaged
-        # per column stage (rank columns x 3 modes x iterations).
+        # a columnErrors round task plus the columnUpdate broadcasts,
+        # averaged per column update (rank columns x 3 modes x
+        # iterations), of which each takes at most one stage.
         sweep_bytes = sum(
             value for name, value in runtime.ledger.by_stage.items()
             if SWEEP_SEGMENTS & set(name.split("+"))

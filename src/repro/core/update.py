@@ -1,26 +1,47 @@
 """The distributed factor-matrix update (paper Algorithm 4).
 
-One call updates one factor matrix column by column.  For every column c and
-every row r, the errors of setting ``target[r, c]`` to 0 and to 1 are
-compared across all partitions: each partition fetches the cached Boolean
-row summation ``rec0`` keyed by ``target_row_mask AND outer_row_mask`` per
-block and counts, against its slice of the unfolded tensor ``X``, each
-row's error change ``d = err1 - err0``.  Candidate 1 adds component c's
-coverage, ``rec1 = rec0 | cover``, so ``d = popcount(cover & ~rec0) -
-2 * popcount(cover & ~rec0 & X)``.  The driver sums ``d`` over the
-partitions and sets the bit where ``d < 0``.
+One call updates one factor matrix.  For every column c and every row r,
+the errors of setting ``target[r, c]`` to 0 and to 1 are compared across
+all partitions: each partition fetches the cached Boolean row summation
+``rec0`` keyed by ``target_row_mask AND outer_row_mask`` per block and
+counts, against its slice of the unfolded tensor ``X``, the row's error
+change ``d = err1 - err0``.  Candidate 1 adds component c's coverage,
+``rec1 = rec0 | cover``, so ``d = popcount(cover & ~rec0) - 2 *
+popcount(cover & ~rec0 & X)``.  The driver sums ``d`` over the partitions
+and sets the bit where ``d < 0``.
+
+Algorithm 4 walks the columns in order, but while one factor is updated
+the other two stay fixed, so row r's decision for column c depends only
+on ``X``'s row r and on row r's own bits: rows never see each other's
+changes.  The update therefore runs in *rounds* of one stage each
+(:func:`update_factor`):
+
+* round 1 evaluates every (row, column) pair at the update's starting
+  bits;
+* the driver walks each row's columns in order and accepts every decision
+  up to and including the row's first change, which it applies; the row
+  is then pending from the next column;
+* each later round evaluates only the pending rows, each from its own
+  resume column, against the bits accepted so far.
+
+Every accepted decision is evaluated at exactly the bits the column-by-
+column sweep would have, so the results are the sweep's, and a round
+confirms at least one column of every pending row, so an update never
+takes more rounds than it has columns.
 
 The two candidates differ only inside the PVM blocks that component c
 covers (the *active* blocks: for CP, those with ``outer[j, c] = 1``);
-every other block adds the same error to both and cannot move a decision.
-So columns evaluate their active blocks alone and the driver carries the
-exact error forward by the per-row change (see :func:`_choose_column`).  The error it starts from is the
-caller's ``error_before`` — the previous update's ``error_after`` in a
-solve — and only when the caller does not know it does the first evaluated
-column scan every block to seed it.
+every other block adds the same error to both and cannot move a
+decision.  So pairs evaluate their column's active blocks alone and the
+driver carries the exact error forward by each accepted decision's change
+(:func:`_confirm`).  The error it starts from is the caller's
+``error_before`` — the previous update's ``error_after`` in a solve — and
+only when the caller does not know it does round 1 scan every block of
+its first column to seed it.
 
-:func:`column_errors` evaluates all of a partition's selected blocks,
-partial edge blocks included, in a fixed number of numpy passes: one
+:func:`column_errors` evaluates one partition's share of a round as a
+grid of (column, active block) entries by rows, partial edge blocks
+included, in a fixed number of numpy passes per chunk of entries: one
 gather per cache group from word-major tables into a rows-last array, a
 window mask over the edge PVMs' full-width words, and two popcounts.
 
@@ -36,9 +57,9 @@ pattern and encodes the pattern into the keys
 
 Workers keep what the tasks derive from the broadcasts, each in a
 :func:`~repro.distengine.broadcast.worker_state` slot: per factors
-broadcast, the kernel's :class:`KernelTables`; per column, the target
-masks (:func:`_target_masks`) and the kernel's :class:`ColumnKeys` next to
-them.  Only the packed column deltas move per column.
+broadcast, the kernel's :class:`KernelTables`; per round, the
+:class:`ColumnKeys` of its pairs.  Per round only the pending rows and
+their accepted bits move (the ``columnUpdate`` broadcast).
 """
 
 from __future__ import annotations
@@ -79,35 +100,41 @@ class KernelTables(NamedTuple):
     #: split every key (Algorithm 5).
     groups: tuple
     #: Per cache group, the group's tables word-major, ``(n_words,
-    #: n_entries)``, so one gather yields rows-last summations.
+    #: n_entries)``, so one gather yields triples-last summations.
     tables: list
     #: Per cache group, every PVM block's key bits, ``(n_pvms,)``.  A
-    #: block's key is ``row_key & outer_key``, and target row keys carry
+    #: block's key is ``row_key & outer_key``, and pair row keys carry
     #: every bit above the group's ``size`` (:func:`column_keys`), so the
     #: high bits of an outer key select the block's table.
     outer_keys: list
-    #: ``(rank, n_words, n_pvms)``: component c's coverage inside every PVM
-    #: block, zero where it covers nothing.
+    #: ``(n_words, rank, n_pvms)``: component c's coverage inside every
+    #: PVM block, zero where it covers nothing.
     coverage: np.ndarray
+    #: ``(rank, n_pvms)``: the blocks component c covers.  Only there do
+    #: a pair's two candidates differ.
+    active: np.ndarray
 
 
 class ColumnKeys(NamedTuple):
-    """What the column kernel reads of one column task.
+    """What the column kernel reads of one round: a grid of its columns
+    by its rows, and which (row, column) pairs of it the round evaluates
+    (:func:`column_keys`).
 
-    Each worker builds it once per column (:func:`_column_keys`), next to
-    the target masks it derives from.
+    Each worker builds it once per round (:func:`_round_keys`).
     """
 
-    #: Per cache group, every target row's key bits with the column
-    #: cleared, ``(n_rows,)``, with every bit above the group set.  Bit
-    #: extraction commutes with AND, so PVM block ``j``'s key is
-    #: ``row_keys[g] & outer_keys[g][j]``.
+    #: ``(n_columns,)``: the round's columns, ascending.
+    columns: np.ndarray
+    #: ``(n_rows,)``: the target rows the round evaluates, ascending.
+    rows: np.ndarray
+    #: Per cache group, ``(n_columns, n_rows)``: each row's key with the
+    #: column cleared and every bit above the group set.  Bit extraction
+    #: commutes with AND, so the key in PVM block ``j`` is
+    #: ``row_keys[g][k, i] & outer_keys[g][j]``.
     row_keys: list
-    #: The blocks the column covers, one bool per PVM block: only there
-    #: do the two candidates differ.
-    active: np.ndarray
-    #: ``(n_words, n_pvms)``: the column's coverage inside every block.
-    coverage: np.ndarray
+    #: ``(n_columns, n_rows)``: the (row, column) pairs the round
+    #: evaluates (:func:`_round_grid`).
+    pairs: np.ndarray
 
 
 def kernel_tables(
@@ -120,11 +147,15 @@ def kernel_tables(
     outer row has bit c set.
     """
     outer = packing.unpack_bits(outer_words, cache.rank).T.astype(bool)
+    coverage = np.ascontiguousarray(
+        np.where(outer, cache.columns_packed.T[..., None], np.uint64(0))
+    )
     return KernelTables(
         tuple(cache.groups),
         [np.ascontiguousarray(table.T) for table in cache.full_tables],
         cache.group_keys(outer_words),
-        np.where(outer[:, None], cache.columns_packed[..., None], np.uint64(0)),
+        coverage,
+        coverage.any(axis=0),
     )
 
 
@@ -156,30 +187,64 @@ def tucker_kernel_tables(
         table = or_accumulate_table(rows.reshape(size, -1), size)
         table = table.reshape(1 << size, n_patterns, n_words).transpose(2, 1, 0)
         tables.append(np.ascontiguousarray(table).reshape(n_words, -1))
+    coverage = np.ascontiguousarray(coverage[pattern].transpose(2, 1, 0))
     return KernelTables(
         tuple(groups),
         tables,
         [(pattern << size) | ((1 << size) - 1) for _, size in groups],
-        np.ascontiguousarray(coverage[pattern].transpose(1, 2, 0)),
+        coverage,
+        coverage.any(axis=0),
     )
+
+
+def _round_grid(
+    columns, resume: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One round's grid: ``(columns, pairs)``.
+
+    ``columns`` are the ascending columns the round may evaluate and
+    ``resume`` each evaluated row's first column.  The grid keeps the
+    columns from the lowest resume column on, and ``pairs`` marks, per
+    grid column and row, the (row, column) pairs the round evaluates:
+    row ``i`` at every column ``c >= resume[i]``.  The driver and the
+    workers both derive a round's grid here, so only the changes of its
+    pairs travel, column by column.
+    """
+    columns = np.atleast_1d(columns)
+    if resume.size:
+        columns = columns[columns >= resume.min()]
+    return columns, columns[:, None] >= resume[None, :]
 
 
 def column_keys(
-    tables: KernelTables, masks_if_zero: np.ndarray, column: int
+    tables: KernelTables,
+    masks: np.ndarray,
+    columns,
+    *,
+    rows: "np.ndarray | None" = None,
+    resume: "np.ndarray | None" = None,
 ) -> ColumnKeys:
-    """The kernel's inputs for one column: ``masks_if_zero`` are the packed
-    target rows with ``column`` forced to 0."""
-    coverage = tables.coverage[column]
-    return ColumnKeys(
-        [
-            keys | -(1 << size)  # every bit above the group: ~(2**size - 1)
-            for keys, (_, size) in zip(
-                group_keys(tables.groups, masks_if_zero), tables.groups
-            )
-        ],
-        coverage.any(axis=0),
-        coverage,
-    )
+    """The kernel's inputs for one round.
+
+    ``masks`` are the packed target rows the round evaluates, ``rows``
+    their target indices (every row by default) and ``resume`` each one's
+    first column (0 by default); ``columns`` is one column or the
+    ascending columns the round may evaluate (:func:`_round_grid`).
+    """
+    if rows is None:
+        rows = np.arange(masks.shape[0])
+    if resume is None:
+        resume = np.zeros(masks.shape[0], dtype=np.int64)
+    columns, pairs = _round_grid(columns, resume)
+    row_keys = []
+    for keys, (start, size) in zip(
+        group_keys(tables.groups, masks), tables.groups
+    ):
+        keys = np.repeat((keys | -(1 << size))[None], columns.size, axis=0)
+        inside = (columns >= start) & (columns < start + size)
+        keys[inside] &= ~np.left_shift(1, columns[inside] - start)[:, None]
+        row_keys.append(keys)
+    return ColumnKeys(columns, rows, row_keys, pairs)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -209,15 +274,15 @@ def column_errors(
     *,
     seed: bool = False,
 ) -> "tuple[np.ndarray, np.ndarray | None]":
-    """One partition's per-row error change for one column.
+    """One partition's error change for every pair of one round.
 
-    Returns ``(change, error_if_zero)``.  ``change`` is each row's
-    ``error_if_one - error_if_zero`` over the *active* PVM blocks
-    (``keys.active``): outside them both candidates reconstruct the
+    Returns ``(change, error_if_zero)``.  ``change[p]`` is pair ``p``'s
+    ``error_if_one - error_if_zero`` over its column's *active* PVM blocks
+    (``tables.active``): outside them both candidates reconstruct the
     same cells, so it is also the change over the whole partition.  With
-    ``seed=True`` every block is evaluated and ``error_if_zero`` is each
-    row's full reconstruction error with the column at 0; otherwise it is
-    ``None``.
+    ``seed=True`` the pairs of the keys' first column are evaluated over
+    every block, and ``error_if_zero`` holds each of those pairs' full
+    reconstruction error with the column at 0; otherwise it is ``None``.
     """
     blocks = data.plan.blocks
     window, n_edges = None, 0
@@ -232,83 +297,95 @@ def column_errors(
         return _column_errors(data, tables, keys, window, seed)
 
 
-def _column_errors(data, tables, keys, window, seed):
-    """All selected PVM blocks in one batched pass, rows last.
+#: Words per buffer of one kernel chunk: a round's (column, block) entries
+#: are evaluated a few at a time, so the word-wide scratch stays small and
+#: in cache however many columns a round has.
+_CHUNK_WORDS = 1 << 15
 
+
+def _column_errors(data, tables, keys, window, seed):
+    """A round's grid of (column, block) entries by rows, chunk by chunk.
+
+    An entry is one selected PVM block of one of the round's columns;
+    every entry is evaluated for every row of the round, rows last, and
+    the driver's pairs are read off the resulting columns-by-rows change.
     Only candidate 0 needs a cache gather: setting the entry to 1
     Boolean-adds component c's coverage, ``rec1 = rec0 | cover``, which
-    flips exactly the cells of ``newly = cover & ~rec0`` — a gain where the
-    tensor is 0 and a loss where it is 1 — so the change is
+    flips exactly the cells of ``newly = cover & ~rec0`` — a gain where
+    the tensor is 0 and a loss where it is 1 — so the change is
     ``popcount(newly) - 2 * popcount(newly & X)``.
     """
-    n_rows = data.n_rows
     span = data.plan.pvm_span
-    active = keys.active[span]
-    selected = np.arange(active.size) if seed else active.nonzero()[0]
-    if not selected.size:
-        change = np.zeros(n_rows, dtype=np.int64)
-        return change, (change.copy() if seed else None)
-    if metrics_enabled():
-        record_metric("cache_fetches_total")
-    pvms = span.start + selected
-    # buffer[0] gathers rec0 and becomes `newly`; buffer[1] is scratch for
-    # further groups and then holds `newly & X`.
-    buffer = np.empty(
-        (2, len(keys.coverage), selected.size, n_rows), dtype=np.uint64
-    )
-    rec_zero, scratch = buffer
-    for group, (table, outer_keys, row_keys) in enumerate(
-        zip(tables.tables, tables.outer_keys, keys.row_keys)
-    ):
-        # One gather per group, rows last: (n_words, blocks, rows).
-        np.take(
-            table, outer_keys[pvms, None] & row_keys, axis=1,
-            out=scratch if group else rec_zero, mode="clip",
-        )
-        if group:
-            rec_zero |= scratch
-    tensor = data.words[:, selected].T  # (n_words, blocks, rows)
-    cover = keys.coverage[:, pvms]
-    if window is not None:
-        window = window[:, selected]
-        cover &= window
-    error_if_zero = None
-    if seed:
-        wrong = rec_zero ^ tensor
+    n_rows = keys.rows.size
+    selected = tables.active[keys.columns][:, span]
+    if seed and keys.columns.size:
+        selected[0] = True  # the seeded column spans every block
+    change = np.zeros((keys.columns.size, n_rows), dtype=np.int64)
+    error_if_zero = np.zeros(n_rows, dtype=np.int64) if seed else None
+    # Entries, grouped by column.
+    column, blocks = selected.nonzero()
+    if column.size and n_rows:
+        if metrics_enabled():
+            record_metric("cache_fetches_total")
+        pvms = span.start + blocks
+        cover = tables.coverage[:, keys.columns[column], pvms]
         if window is not None:
-            wrong &= window[..., None]
-        error_if_zero = np.bitwise_count(wrong).sum(axis=(0, 1), dtype=np.int64)
-    newly = np.invert(rec_zero, out=rec_zero)
-    newly &= cover[..., None]
-    np.bitwise_and(newly, tensor, out=scratch)
-    flipped, flipped_ones = np.bitwise_count(buffer).sum(
-        axis=(1, 2), dtype=np.int64
-    )
-    return flipped - 2 * flipped_ones, error_if_zero
-
-
-def _masks_with_bit_cleared(words: np.ndarray, column: int) -> np.ndarray:
-    """Packed row masks with bit ``column`` forced to 0.
-
-    One fused broadcast AND instead of copy-then-clear: the keep-mask is
-    all-ones except the cleared bit's word, so every output word is written
-    exactly once.
-    """
-    word_index, offset = divmod(column, packing.WORD_BITS)
-    keep = np.full(words.shape[1], ~np.uint64(0), dtype=np.uint64)
-    keep[word_index] = ~np.uint64(1 << offset)
-    return words & keep
+            cover &= window[:, blocks]
+        n_words = len(cover)
+        every_row = n_rows == data.n_rows
+        step = max(1, _CHUNK_WORDS // (n_words * n_rows))
+        for lo in range(0, column.size, step):
+            entries = slice(lo, lo + step)
+            of_column, of_block = column[entries], blocks[entries]
+            # buffer[0] gathers rec0 and becomes `newly`; buffer[1] is
+            # scratch for further groups and then holds `newly & X`.
+            buffer = np.empty(
+                (2, n_words, of_column.size, n_rows), dtype=np.uint64
+            )
+            rec_zero, scratch = buffer
+            for group, (table, outer_keys, row_keys) in enumerate(
+                zip(tables.tables, tables.outer_keys, keys.row_keys)
+            ):
+                np.take(
+                    table, outer_keys[pvms[entries], None] & row_keys[of_column],
+                    axis=1, out=scratch if group else rec_zero, mode="clip",
+                )
+                if group:
+                    rec_zero |= scratch
+            if every_row:
+                tensor = data.words[:, of_block]
+            else:
+                tensor = data.words[keys.rows[:, None], of_block]
+            tensor = tensor.transpose(2, 1, 0)  # (n_words, entries, rows)
+            if seed and of_column[0] == 0:
+                wrong = rec_zero ^ tensor
+                if window is not None:
+                    wrong &= window[:, of_block, None]
+                wrong = np.bitwise_count(wrong).sum(axis=0, dtype=np.int64)
+                error_if_zero += wrong[of_column == 0].sum(axis=0)
+            newly = np.invert(rec_zero, out=rec_zero)
+            newly &= cover[:, entries, None]
+            np.bitwise_and(newly, tensor, out=scratch)
+            # Popcounts in place: the buffer is not read again.
+            flipped, flipped_ones = np.bitwise_count(buffer, out=buffer).sum(
+                axis=1
+            ).view(np.int64)
+            # Sum each column's entries: they are adjacent.
+            starts = np.flatnonzero(np.diff(of_column, prepend=-1))
+            change[of_column[starts]] += np.add.reduceat(
+                flipped - 2 * flipped_ones, starts
+            )
+    if seed:
+        error_if_zero = error_if_zero[keys.pairs[0]]
+    return change[keys.pairs], error_if_zero
 
 
 #: Worker-state slot of the kernel's tables (:class:`KernelTables`).
 _TABLES_SLOT = "kernelTables"
 
-#: Worker-state slot of the current column task's target masks.
-_MASKS_SLOT = "targetMasks"
-
-#: Worker-state slot of the current column task's kernel keys
+#: Worker-state slot of the current round's kernel keys
 #: (:class:`ColumnKeys`).
-_KEYS_SLOT = "columnKeys"
+_KEYS_SLOT = "roundKeys"
 
 
 def _kernel_tables(factors, rank: int, group_size: int) -> KernelTables:
@@ -339,90 +416,69 @@ def _kernel_tables(factors, rank: int, group_size: int) -> KernelTables:
     )
 
 
-def _applied(deltas: tuple) -> tuple:
-    """The slot-key form of a column task's applied deltas."""
-    return tuple((index, delta.content_id) for index, delta in deltas)
-
-
-def _column_keys(
-    factors, column: int, deltas: tuple, tables: KernelTables
+def _round_keys(
+    factors, pending, columns: int, tables: KernelTables
 ) -> ColumnKeys:
-    """This worker's :class:`ColumnKeys` for one column task, built once
-    per column from the target masks (:func:`_target_masks`)."""
-    masks = _target_masks(factors, column, deltas)
-    key = (factors.content_id, column, _applied(deltas), tables.groups)
-    return worker_state(
-        factors.scope, _KEYS_SLOT, key,
-        lambda _previous: column_keys(tables, masks, column),
+    """This worker's :class:`ColumnKeys` for one round, built once per
+    round and shared by every partition the worker holds.
+
+    Round 1 (``pending=None``) evaluates every row at the factors
+    broadcast's starting bits; a later round's ``pending`` broadcast
+    carries its rows, their resume columns and their accepted bits.  The
+    slot key names both broadcasts and the columns, so the keys are a pure
+    function of the task payload — bit-identical on every backend.
+    """
+    key = (
+        factors.content_id,
+        None if pending is None else pending.content_id,
+        columns,
+        tables.groups,
     )
 
+    def build(_previous) -> ColumnKeys:
+        allowed = packing.indices_from_mask(columns)
+        if pending is None:
+            return column_keys(tables, factors.value[0], allowed)
+        rows, resume, masks = pending.value
+        return column_keys(tables, masks, allowed, rows=rows, resume=resume)
 
-def _target_masks(factors, column: int, deltas: tuple) -> np.ndarray:
-    """This worker's target masks for one column task (read-only).
-
-    The base target words (``factors.value[0]``) with bit ``column``
-    cleared and each earlier ``(applied_column, delta)`` set from its
-    packed broadcast.  The slot key names the factors broadcast, the column
-    and every applied delta, so the masks are a pure function of the task
-    payload — bit-identical on every backend — and all partitions of a
-    stage on one worker share one build.  When the slot holds the masks of
-    this update's preceding evaluated column (same factors, the same deltas
-    but the newest), only that newest delta is applied, to a copy;
-    otherwise the masks are rebuilt from the base words.
-    """
-    applied = _applied(deltas)
-    key = (factors.content_id, column, applied)
-
-    def build(previous) -> np.ndarray:
-        base, replay = factors.value[0], deltas
-        if deltas and previous is not None and previous[0] == (
-            factors.content_id, deltas[-1][0], applied[:-1]
-        ):
-            base, replay = previous[1], deltas[-1:]
-        # Deltas only cover earlier columns, so clearing this column first
-        # (which also copies the base) commutes with applying them.
-        masks = _masks_with_bit_cleared(base, column)
-        for applied_column, delta in replay:
-            chosen = np.unpackbits(delta.value, count=masks.shape[0])
-            packing.set_bit_column(masks, applied_column, chosen)
-        masks.setflags(write=False)
-        return masks
-
-    return worker_state(factors.scope, _MASKS_SLOT, key, build)
+    return worker_state(factors.scope, _KEYS_SLOT, key, build)
 
 
-class _ColumnErrorsDeltaTask:
-    """Stage payload: one column's error change per row, delta-only traffic.
+class _ColumnRoundTask:
+    """Stage payload: one round's error change per (row, column) pair.
 
-    Ships a broadcast handle plus the packed ~n_rows/8-byte column updates
-    already chosen this sweep, so per-column payloads are O(n_rows/8)
-    instead of O(n_rows·words).  The worker keeps the derived state: the
-    shared :class:`KernelTables`, and the current target masks with their
-    :class:`ColumnKeys`, all pure functions of the payload, which is what
+    Ships two broadcast handles — the factors, and the round's pending
+    rows with their accepted bits (``None`` in round 1) — the columns it
+    may evaluate as a bitmask, the tables' rank and group size, and the
+    seed flag.  The worker keeps the
+    derived state — the shared :class:`KernelTables` and the round's
+    :class:`ColumnKeys` — all pure functions of the payload, which is what
     makes results bit-identical across serial, thread, and process
     backends.
 
-    Returns each row's ``error_if_one - error_if_zero`` over the active
-    blocks.  A ``seed`` task — the first evaluated column of an update
-    whose caller did not know the starting error — scans every block
-    instead and also returns its rows' total ``error_if_zero``, from which
-    the driver seeds the exact error.
+    Returns each pair's ``error_if_one - error_if_zero`` over the active
+    blocks, column by column (:func:`_round_grid`).  A ``seed`` task — round 1 of an
+    update whose caller did not know the starting error — scans every
+    block of the round's first column instead and also returns the
+    partition's total ``error_if_zero`` there, from which the driver
+    seeds the exact error.
     """
 
-    __slots__ = ("factors", "column", "deltas", "rank", "group_size", "seed")
+    __slots__ = ("factors", "pending", "columns", "rank", "group_size", "seed")
 
     def __init__(
         self,
         factors,
-        column: int,
-        deltas: tuple,
+        pending,
+        columns: int,
         rank: int,
         group_size: int,
         seed: bool = False,
     ):
         self.factors = factors
-        self.column = column
-        self.deltas = deltas
+        self.pending = pending
+        self.columns = columns
         self.rank = rank
         self.group_size = group_size
         self.seed = seed
@@ -431,35 +487,56 @@ class _ColumnErrorsDeltaTask:
     def nbytes(self) -> int:
         """The payload's ledger size in O(1): what
         :func:`~repro.distengine.shuffle.estimate_bytes`' walk over the
-        slots gives — each handle at its wire size, 8 bytes per number,
-        flag, tuple and the payload object itself."""
-        per_delta = HANDLE_WIRE_BYTES + 2 * 8  # (column, handle) tuple
-        return HANDLE_WIRE_BYTES + 6 * 8 + per_delta * len(self.deltas)
+        slots gives — each handle at its wire size, 8 bytes per number and
+        flag and for the payload object itself, nothing for ``None``."""
+        handles = 1 + (self.pending is not None)
+        return HANDLE_WIRE_BYTES * handles + 5 * 8
 
     def __call__(self, data: PartitionData):
         tables = _kernel_tables(self.factors, self.rank, self.group_size)
-        keys = _column_keys(self.factors, self.column, self.deltas, tables)
+        keys = _round_keys(self.factors, self.pending, self.columns, tables)
         change, error_if_zero = column_errors(data, tables, keys, seed=self.seed)
         if self.seed:
             return change, int(error_if_zero.sum())
         return change
 
 
-def _choose_column(
-    change: np.ndarray, current: np.ndarray, error: int
-) -> tuple[np.ndarray, int]:
-    """One column's per-row choice and the reconstruction error after it.
+def _confirm(
+    change: np.ndarray,
+    flip: np.ndarray,
+    evaluated: np.ndarray,
+    current: np.ndarray,
+    scope: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decisions of one round that the column sweep would make too.
 
-    ``change`` is each row's ``error_if_one - error_if_zero`` and ``error``
-    the exact error of the factors before this column.  Outside the active
-    blocks both candidates reconstruct the same cells, so a row's error
-    moves from its current value's by ``min(0, d) - current * d``.
+    All arrays are ``(rows, rank)`` over the round's rows: ``change`` each
+    evaluated pair's ``error_if_one - error_if_zero``, ``flip`` the pairs
+    whose decision differs from ``current``, the bits before the round,
+    and ``scope`` the columns the sweep evaluates from each row's resume
+    column on.  A row's decisions stand, in column order, up to and
+    including its first change and up to (excluding) its first column in
+    scope that the round did not evaluate.
+
+    Returns ``(limit, flips, moved)``: each row's first column left to
+    evaluate (``rank`` when it is done), the ``(row, column)`` mask of the
+    accepted changes, and per column how far they move the reconstruction
+    error — outside the active blocks both candidates reconstruct the same
+    cells, so an accepted pair moves its row's error from its current
+    value's by ``min(0, d) - current * d``.
     """
-    # Strict inequality: ties keep 0, favouring sparser factors (the paper
-    # does not specify a tie rule; see DESIGN.md).
-    chosen = (change < 0).astype(np.uint8)
-    moved = int(np.minimum(change, 0).sum()) - int(change[current != 0].sum())
-    return chosen, error + moved
+    stop = scope & (flip | ~evaluated)
+    first = stop.argmax(axis=1)
+    rows = np.arange(len(first))
+    stopped = stop[rows, first]
+    flipped = stopped & flip[rows, first]
+    rank = change.shape[1]
+    limit = np.where(stopped, first + flipped, rank)
+    accepted = scope & (np.arange(rank) < limit[:, None])
+    moved = np.where(accepted, np.minimum(change, 0) - current * change, 0)
+    flips = np.zeros_like(flip)
+    flips[rows[flipped], first[flipped]] = True
+    return limit, flips, moved.sum(axis=0)
 
 
 def update_factor(
@@ -480,12 +557,15 @@ def update_factor(
     modes — the model is ``target ∘ [G_(1) (outer ⊗ inner)ᵀ]`` instead,
     and ``config.rank`` is the core's first size.  ``None`` is CP.
 
+    The result is Algorithm 4's column-by-column sweep; it is computed in
+    rounds of one stage each (see the module docstring), at most one per
+    column.
+
     ``error_before`` is the exact reconstruction error of the input
     factors, when the caller knows it (a solve's previous update returned
-    it).  Every evaluated column then scans only its active blocks and
-    the error is carried forward from it
-    (:func:`_choose_column`).  With ``None`` the first evaluated column
-    scans every PVM block to seed it.
+    it).  Every pair then scans only its active blocks and the error is
+    carried forward from it (:func:`_confirm`).  With ``None`` round 1
+    scans every PVM block of its first column to seed it.
 
     With ``dirty_columns=None`` (the default and the only path the batch
     solver uses) every column is swept and the return value is
@@ -498,31 +578,34 @@ def update_factor(
     entirely — *until* an evaluated column changes, after which every later
     column of this update is evaluated too ("escalate on change"): a
     changed column alters ``rec0`` for its successors, so their cached
-    decisions are no longer trustworthy.  The return value becomes
+    decisions are no longer trustworthy.  Round 1 evaluates the dirty
+    columns only; a row whose walk reaches a column that only the
+    escalation added resumes there.  The return value becomes
     ``(updated, error_after, changed_columns)``; skipped columns keep their
     bits and so leave the error unchanged, and it is ``error_before`` when
     no column was evaluated (``None`` if that is unknown too).
     """
-    if target.n_cols != config.rank:
+    rank = config.rank
+    if target.n_cols != rank:
         raise ValueError(
-            f"target has {target.n_cols} columns but config.rank is {config.rank}"
+            f"target has {target.n_cols} columns but config.rank is {rank}"
         )
+    swept = np.ones(rank, dtype=bool)
     if dirty_columns is not None:
         dirty = {int(column) for column in dirty_columns}
-        if any(not 0 <= column < config.rank for column in dirty):
+        if any(not 0 <= column < rank for column in dirty):
             raise ValueError(
-                f"dirty_columns {sorted(dirty)} out of range for rank "
-                f"{config.rank}"
+                f"dirty_columns {sorted(dirty)} out of range for rank {rank}"
             )
         if not dirty:
             runtime.metrics.counter("incremental_columns_skipped_total").inc(
-                config.rank
+                rank
             )
             return target.copy(), error_before, set()
-    else:
-        dirty = None
+        swept[:] = False
+        swept[sorted(dirty)] = True
     # Ship the factor matrices to the workers (paper Sec. III-E: factor
-    # matrices are broadcast each iteration); the column tasks reference
+    # matrices are broadcast each iteration); the round tasks reference
     # this broadcast by id instead of embedding the arrays.
     factors = runtime.broadcast(
         [target.words, outer.words, inner.words]
@@ -530,27 +613,21 @@ def update_factor(
         name="updateFactor.broadcast",
     )
     # Algorithm 5: the kernel's tables depend only on this broadcast, so
-    # each worker builds them once, on its first column task, and every
-    # partition it holds shares them (`_kernel_tables`).  The column
-    # stages map straight over the persisted partitions; nothing derived
-    # from the factors is persisted or spilled.
+    # each worker builds them once, on its first task, and every partition
+    # it holds shares them (`_kernel_tables`).  The round stages map
+    # straight over the persisted partitions; nothing derived from the
+    # factors is persisted or spilled.
     updated = target.copy()
     error = error_before
-    deltas: list[tuple] = []
-    changed: set[int] = set()
-    escalated = False
-    evaluated = skipped = 0
-    for column in range(config.rank):
-        if dirty is not None and not (escalated or column in dirty):
-            # Clean column under an intact prefix: the delta cannot have
-            # moved this column's decision (its support misses every touched
-            # fiber) and no earlier column changed rec0 — keep its bits and
-            # skip both error evaluations.
-            skipped += 1
-            continue
+    rows = np.arange(target.n_rows)
+    resume = np.zeros(target.n_rows, dtype=np.int64)
+    pending = None
+    columns = np.flatnonzero(swept)
+    changed = np.zeros(rank, dtype=bool)
+    while rows.size:
         seed = error is None
-        task = _ColumnErrorsDeltaTask(
-            factors, column, tuple(deltas), config.rank,
+        task = _ColumnRoundTask(
+            factors, pending, packing.mask_from_indices(columns), rank,
             config.cache_group_size, seed,
         )
         per_partition = data_rdd.map(task, name="columnErrors").collect(
@@ -558,28 +635,53 @@ def update_factor(
         )
         if seed:
             per_partition, zero_errors = zip(*per_partition)
-        change = np.zeros(updated.n_rows, dtype=np.int64)
+        grid, pairs = _round_grid(columns, resume)
+        total = np.zeros(pairs.shape, dtype=np.int64)
         for partial in per_partition:
-            change += partial
-        current = updated.column(column)
+            total[pairs] += partial
+        change = np.zeros((rows.size, rank), dtype=np.int64)
+        change[:, grid] = total.T
+        evaluated = np.zeros((rows.size, rank), dtype=bool)
+        evaluated[:, grid] = pairs.T
+        current = packing.unpack_bits(updated.words[rows], rank)
         if seed:
-            # The seeding column's errors span every block, so the factors'
-            # exact error is every row's error at its current bit.
-            error = sum(zero_errors) + int(change[current != 0].sum())
-        chosen, error = _choose_column(change, current, error)
-        if dirty is not None:
-            evaluated += 1
-            if not np.array_equal(chosen, current):
-                changed.add(column)
-                escalated = True
-        updated.set_column(column, chosen)
-        # The workers need the freshly updated column for the next
-        # column-iteration; later column tasks reference these packed
-        # deltas to derive the target masks worker-side.
-        delta = runtime.broadcast(np.packbits(chosen), name="columnUpdate")
-        deltas.append((column, delta))
-    if dirty is None:
+            # Round 1's first column spans every block, so the factors'
+            # exact error is every row's error at its current bit there.
+            first = grid[0]
+            error = sum(zero_errors) + int(
+                change[current[:, first] != 0, first].sum()
+            )
+        # Strict inequality: ties keep 0, favouring sparser factors (the
+        # paper does not specify a tie rule; see DESIGN.md).
+        flip = evaluated & ((change < 0) != (current != 0))
+        if pending is None and dirty_columns is not None and flip.any():
+            # Escalate on change: the sweep evaluates every column after
+            # its first changed one.
+            swept[flip.any(axis=0).argmax() + 1 :] = True
+        scope = swept & (np.arange(rank) >= resume[:, None])
+        limit, flips, moved = _confirm(change, flip, evaluated, current, scope)
+        error += int(moved.sum())
+        changed |= flips.any(axis=0)
+        flipped, flipped_column = flips.nonzero()
+        word, offset = np.divmod(flipped_column, packing.WORD_BITS)
+        updated.words[rows[flipped], word] ^= np.left_shift(
+            np.uint64(1), offset.astype(np.uint64)
+        )
+        left = limit < rank
+        rows, resume = rows[left], limit[left]
+        if rows.size:
+            # The pending rows, their resume columns and their accepted
+            # bits: the next round evaluates only these.
+            pending = runtime.broadcast(
+                (rows, resume, updated.words[rows]), name="columnUpdate"
+            )
+            columns = np.arange(rank)
+    if dirty_columns is None:
         return updated, error
-    runtime.metrics.counter("incremental_columns_swept_total").inc(evaluated)
-    runtime.metrics.counter("incremental_columns_skipped_total").inc(skipped)
-    return updated, error, changed
+    runtime.metrics.counter("incremental_columns_swept_total").inc(
+        int(swept.sum())
+    )
+    runtime.metrics.counter("incremental_columns_skipped_total").inc(
+        int(rank - swept.sum())
+    )
+    return updated, error, {int(column) for column in np.flatnonzero(changed)}

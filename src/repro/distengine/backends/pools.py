@@ -14,8 +14,8 @@ later stage ships only references plus the task payload, the way Spark
 executors keep cached partitions (paper Sec. III-E).  Broadcast values ride
 once per worker on that worker's next stage message, and every stage sends
 one message per worker carrying all of its partitions.  What a worker
-derives from them — the row-summation cache and the column tasks' current
-target masks (:func:`~repro.distengine.broadcast.worker_state` slots) —
+derives from them — the row-summation cache and the round tasks' pair
+keys (:func:`~repro.distengine.broadcast.worker_state` slots) —
 lives in the same store, so the runtime's release drops it too.
 
 Both pools start lazily on the first stage and are reused for the rest of
@@ -319,7 +319,7 @@ class ProcessBackend(_PoolBackend):
     pickle, so stage functions must be module-level callables carrying
     their broadcast handles as attributes (no captured locals) and keep
     what they derive from them in worker-state slots; see
-    ``_ColumnErrorsDeltaTask`` in :mod:`repro.core.update` for the
+    ``_ColumnRoundTask`` in :mod:`repro.core.update` for the
     pattern.  Persisted outputs stay in the workers (see the module
     docstring) until the runtime releases them.
     """

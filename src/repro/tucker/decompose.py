@@ -184,6 +184,9 @@ def _update_core(
     ``counts[i, j, k]`` is the number of active core entries covering a
     cell; removing one entry's block subtracts its indicator, so each flip
     is evaluated with a local delta instead of a fresh reconstruction.
+    Entry ``(p, q, r)`` covers exactly the sub-box of the rows where
+    ``a[:, p]``, ``b[:, q]`` and ``c[:, r]`` are set, so only that box is
+    read and written.
     """
     a, b, c = (factor.astype(bool) for factor in factors)
     r1, r2, r3 = core.shape
@@ -193,31 +196,26 @@ def _update_core(
         "pqr,ip,jq,kr->ijk",
         updated.astype(np.int64), a.astype(np.int64),
         b.astype(np.int64), c.astype(np.int64),
+        optimize=True,
     )
     tensor_bool = dense.astype(bool)
+    rows = [
+        [np.flatnonzero(factor[:, column]) for column in range(factor.shape[1])]
+        for factor in (a, b, c)
+    ]
     for p in range(r1):
         for q in range(r2):
             for r in range(r3):
-                block = (
-                    a[:, p][:, None, None]
-                    & b[:, q][None, :, None]
-                    & c[:, r][None, None, :]
-                )
-                if updated[p, q, r]:
-                    counts_without = counts - block.astype(np.int64)
-                else:
-                    counts_without = counts
-                # Cells only this entry would cover.
-                exclusive = block & (counts_without == 0)
-                gain = int((exclusive & tensor_bool).sum())
-                cost = int((exclusive & ~tensor_bool).sum())
+                box = np.ix_(rows[0][p], rows[1][q], rows[2][r])
+                active = int(updated[p, q, r])
+                # Cells only this entry would cover: no other entry does.
+                exclusive = counts[box] == active
+                gain = int((exclusive & tensor_bool[box]).sum())
+                cost = int(exclusive.sum()) - gain
                 keep = gain > cost
-                if keep and not updated[p, q, r]:
-                    updated[p, q, r] = 1
-                    counts += block.astype(np.int64)
-                elif not keep and updated[p, q, r]:
-                    updated[p, q, r] = 0
-                    counts = counts_without
+                if keep != bool(active):
+                    updated[p, q, r] = keep
+                    counts[box] += 1 if keep else -1
     error = int(((counts > 0) ^ tensor_bool).sum())
     return updated, error
 

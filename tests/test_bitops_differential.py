@@ -216,33 +216,41 @@ class TestKernelObservability:
 def _oracle_column_errors(data, tables, keys, *, seed=False):
     """``update.column_errors`` re-derived densely from the same inputs.
 
-    Every PVM block of the partition is unpacked bit by bit: its tensor
-    columns, its cached row summation (one table entry per group, keyed by
+    Every (column, row) cell of the round's grid is evaluated over every
+    PVM block of the partition, unpacked bit by bit: its tensor columns,
+    its cached row summation (one table entry per group, keyed by
     ``row_key & outer_key``) and the coverage a 1 would add.  Both
     candidates' errors are counted in full, so the change needs no
-    ``cover & ~rec0`` shortcut and the block edges no window mask.
+    ``cover & ~rec0`` shortcut, the blocks no active-block selection and
+    the block edges no window mask.  Seeding returns the full errors of
+    the first column's pairs.
     """
     plan = data.plan
-    change = np.zeros(data.n_rows, dtype=np.int64)
-    error_if_zero = np.zeros(data.n_rows, dtype=np.int64)
+    change = np.zeros(keys.pairs.shape, dtype=np.int64)
+    error_if_zero = np.zeros(keys.pairs.shape, dtype=np.int64)
     for block in plan.blocks:
-        pvm, columns = block.pvm_index, slice(block.start, block.stop)
-        words = data.words[:, pvm - plan.pvm_span.start]
-        tensor = packing.unpack_bits(words, block.width)[:, columns] != 0
-        rec_zero = np.zeros((data.n_rows, block.width), dtype=bool)
-        for table, outer_keys, row_keys in zip(
-            tables.tables, tables.outer_keys, keys.row_keys
-        ):
-            entries = packing.unpack_bits(table.T, block.width) != 0
-            rec_zero |= entries[row_keys & outer_keys[pvm]]
-        rec_zero = rec_zero[:, columns]
-        cover = packing.unpack_bits(keys.coverage[:, pvm], block.width)
-        cover = cover[columns] != 0
-        zero = (rec_zero ^ tensor).sum(axis=1)
-        one = ((rec_zero | cover) ^ tensor).sum(axis=1)
-        change += one - zero
-        error_if_zero += zero
-    return change, (error_if_zero if seed else None)
+        pvm, cells = block.pvm_index, slice(block.start, block.stop)
+        words = data.words[keys.rows, pvm - plan.pvm_span.start]
+        tensor = packing.unpack_bits(words, block.width)[:, cells] != 0
+        for k, column in enumerate(keys.columns):
+            rec_zero = np.zeros((keys.rows.size, block.width), dtype=bool)
+            for table, outer_keys, row_keys in zip(
+                tables.tables, tables.outer_keys, keys.row_keys
+            ):
+                entries = packing.unpack_bits(table.T, block.width) != 0
+                rec_zero |= entries[row_keys[k] & outer_keys[pvm]]
+            rec_zero = rec_zero[:, cells]
+            cover = packing.unpack_bits(
+                tables.coverage[:, column, pvm], block.width
+            )
+            cover = cover[cells] != 0
+            zero = (rec_zero ^ tensor).sum(axis=1)
+            one = ((rec_zero | cover) ^ tensor).sum(axis=1)
+            change[k] += one - zero
+            error_if_zero[k] += zero
+    if not seed:
+        return change[keys.pairs], None
+    return change[keys.pairs], error_if_zero[0][keys.pairs[0]]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

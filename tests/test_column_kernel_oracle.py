@@ -37,7 +37,6 @@ from repro.bitops import BitMatrix, packing
 from repro.core import RowSummationCache, make_partition_plans
 from repro.core.partition import BlockType, PartitionData
 from repro.core.update import (
-    _masks_with_bit_cleared,
     column_errors,
     column_keys,
     kernel_tables,
@@ -79,8 +78,7 @@ def _case(rng, n_rows, n_pvms, width, grouping, n_partitions, index, *,
     data = PartitionData(plan=plan, words=words)
 
     tables = kernel_tables(RowSummationCache(inner, group_size), outer.words)
-    masks = _masks_with_bit_cleared(target.words, column)
-    keys = column_keys(tables, masks, column)
+    keys = column_keys(tables, target.words, column)
 
     # Dense reference: reconstruct both candidates from the factors.
     a_zero = target.to_dense().astype(bool)
@@ -138,8 +136,7 @@ def _tucker_case(rng, n_rows, n_pvms, width, grouping, n_partitions, index,
     n_patterns = len(np.unique(outer.to_dense(), axis=0))
     for table, (_, size) in zip(tables.tables, tables.groups):
         assert table.shape == (packing.words_for_bits(width), n_patterns << size)
-    masks = _masks_with_bit_cleared(target.words, column)
-    keys = column_keys(tables, masks, column)
+    keys = column_keys(tables, target.words, column)
 
     # Dense reference: cover[t, j, w] = OR_io g[t, i, o] & c[j, o] & b[w, i].
     a_zero = target.to_dense().astype(np.int64)
@@ -272,7 +269,7 @@ def test_tucker_edge_shapes(n_pvms, width, n_partitions, index, types,
     )
     assert data.plan.block_types() == types
     if core == "empty":
-        assert not keys.active.any()
+        assert not tables.active[keys.columns].any()
     if core == "empty" and not seed:
         # No active block: nothing to gather, and no row can gain.
         unreadable = tables._replace(tables=[None] * len(tables.tables))

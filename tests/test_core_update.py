@@ -168,17 +168,34 @@ class TestUpdateFactorPartitionInvariance:
 
 @contextmanager
 def _recorded_column_choices():
-    """Spy on the driver's per-column decision: one (chosen, error) each."""
-    original = update_module._choose_column
-    records = []
+    """Spy on the driver's per-round confirmation: each round's error move
+    per column.  :func:`_column_records` turns them into one (chosen,
+    error) per column."""
+    original = update_module._confirm
+    moves = []
 
-    def spy(change, current, error):
-        chosen, error_after = original(change, current, error)
-        records.append((chosen.copy(), error_after))
-        return chosen, error_after
+    def spy(*args):
+        limit, flips, moved = original(*args)
+        moves.append(moved.copy())
+        return limit, flips, moved
 
-    with mock.patch.object(update_module, "_choose_column", spy):
-        yield records
+    with mock.patch.object(update_module, "_confirm", spy):
+        yield moves
+
+
+def _column_records(updated, error_after, moves):
+    """Each column's final bits and the carried error after it.
+
+    A row's bit in column c is decided once, so its final value is the
+    sweep's choice at c, and summing the rounds' per-column moves gives the
+    error after each column: the last one is ``error_after``.
+    """
+    moved = np.sum(moves, axis=0)
+    errors = error_after - moved.sum() + np.cumsum(moved)
+    return [
+        (updated.column(column), int(errors[column]))
+        for column in range(updated.n_cols)
+    ]
 
 
 def _row_errors(factors, dense, axis):
@@ -194,18 +211,24 @@ def _check_against_oracle(tensor, start, mode, records, dirty, rank):
     Walks the columns in sweep order, applying the skip/escalate rule of
     ``update_factor`` for the ``dirty`` path, and after each evaluated
     column checks every row's bit against the argmin of the two candidates
-    (ties keep 0) and the carried error against a full recount.  Returns
-    the final state and whether the sweep escalated.
+    (ties keep 0) and the carried error against a full recount; a skipped
+    column must keep its bits and the error.  Returns the final state and
+    whether the sweep escalated.
     """
     dense = tensor.to_dense()
     target_index = MODE_FACTOR_ROLES[mode][0]
     state = list(start)
-    remaining = list(records)
     escalated = False
+    error_before = None
     for column in range(rank):
+        chosen, error = records[column]
         if dirty is not None and not (escalated or column in dirty):
+            np.testing.assert_array_equal(
+                chosen, state[target_index].column(column)
+            )
+            assert error == error_before or error_before is None
+            error_before = error
             continue
-        chosen, error = remaining.pop(0)
         errors = []
         for value in (0, 1):
             candidate = state[target_index].copy()
@@ -221,7 +244,7 @@ def _check_against_oracle(tensor, start, mode, records, dirty, rank):
         updated.set_column(column, chosen)
         state[target_index] = updated
         assert error == brute_force_error(tuple(state), dense)
-    assert not remaining
+        error_before = error
     return state, escalated
 
 
@@ -248,9 +271,10 @@ _ORACLE_CASES = st.tuples(
 class TestUpdateFactorPerColumnOracle:
     """Every column's decision and carried error, at rank > 1 and V < R.
 
-    Only the first evaluated column of an update scans every block; later
-    columns scan their active blocks and carry the error forward, so each
-    intermediate error is checked, not just the last one.
+    Only round 1's first column scans every block; every other pair scans
+    its active blocks and the error is carried forward, so each
+    intermediate error — per column, summed over the rounds — is checked,
+    not just the last one.
     """
 
     def _run(self, backend, case, dirty_sets=None):
@@ -271,7 +295,7 @@ class TestUpdateFactorPerColumnOracle:
                 rank=rank, n_partitions=n_partitions, cache_group_size=group_size
             )
             target_index, outer_index, inner_index = MODE_FACTOR_ROLES[mode]
-            with _recorded_column_choices() as records:
+            with _recorded_column_choices() as moves:
                 result = update_factor(
                     rdds[mode],
                     start[target_index],
@@ -283,6 +307,7 @@ class TestUpdateFactorPerColumnOracle:
                 )
         finally:
             runtime.close()
+        records = _column_records(result[0], result[1], moves)
         state, escalated = _check_against_oracle(
             tensor, start, mode, records, dirty, rank
         )

@@ -1,4 +1,4 @@
-"""Unit tests for update-kernel internals (column kernel, mask helpers, payload)."""
+"""Unit tests for update-kernel internals (column kernel, edge windows, payload)."""
 
 import tracemalloc
 
@@ -10,8 +10,7 @@ from repro.core import DbtfConfig, RowSummationCache, update_factor
 from repro.core.incremental import prepare_mode_partitions
 from repro.core.partition import build_partition_data, make_partition_plans
 from repro.core.update import (
-    _ColumnErrorsDeltaTask,
-    _masks_with_bit_cleared,
+    _ColumnRoundTask,
     _pvm_window,
     column_errors,
     column_keys,
@@ -27,32 +26,7 @@ from repro.tensor import (
     unfold,
 )
 
-
-class TestMasksWithBitCleared:
-    def test_clears_only_target_bit(self):
-        rng = np.random.default_rng(0)
-        matrix = BitMatrix.random(6, 10, 0.5, rng)
-        for column in (0, 5, 9):
-            masks = _masks_with_bit_cleared(matrix.words, column)
-            cleared = BitMatrix(6, 10, masks)
-            for row in range(6):
-                for col in range(10):
-                    expected = 0 if col == column else matrix.get(row, col)
-                    assert cleared.get(row, col) == expected
-
-    def test_bit_beyond_word_boundary(self):
-        rng = np.random.default_rng(1)
-        matrix = BitMatrix.random(3, 70, 0.5, rng)
-        masks = _masks_with_bit_cleared(matrix.words, 66)
-        cleared = BitMatrix(3, 70, masks)
-        assert all(cleared.get(row, 66) == 0 for row in range(3))
-
-    def test_original_untouched(self):
-        rng = np.random.default_rng(2)
-        matrix = BitMatrix.random(4, 8, 0.9, rng)
-        before = matrix.words.copy()
-        _masks_with_bit_cleared(matrix.words, 3)
-        np.testing.assert_array_equal(matrix.words, before)
+from .sweep_oracle import basis, predicted_rounds, sweep, unfolded
 
 
 class TestCachedPartition:
@@ -73,8 +47,7 @@ class TestCachedPartition:
 
     @staticmethod
     def _keys(tables, target, outer, column):
-        masks = _masks_with_bit_cleared(target.words, column)
-        return column_keys(tables, masks, column)
+        return column_keys(tables, target.words, column)
 
     def test_full_and_edge_blocks_partition_the_plan(self):
         tensor, _, parts, _ = self._build((6, 7, 9), 3, 4, seed=0)
@@ -252,8 +225,8 @@ class TestCachedPartition:
 
 
 class TestColumnTaskPayload:
-    """``_ColumnErrorsDeltaTask.nbytes`` sizes a payload in O(1) exactly as
-    the recursive ledger walk over its slots does."""
+    """``_ColumnRoundTask.nbytes`` sizes a payload in O(1) exactly as the
+    recursive ledger walk over its slots does."""
 
     @staticmethod
     def _walk(task):
@@ -261,26 +234,30 @@ class TestColumnTaskPayload:
 
     @pytest.mark.parametrize("seed", [False, True])
     def test_matches_walk_for_every_delta_count(self, seed):
-        rank = 6
+        # Round 1 ships no accepted bits; a later round ships its pending
+        # rows' `columnUpdate` delta, of any size, by handle.
         with SimulatedRuntime(ClusterConfig()) as runtime:
             factors = runtime.broadcast([np.zeros((4, 1), dtype=np.uint64)])
-            deltas = [
-                (column, runtime.broadcast(np.packbits(np.ones(4, np.uint8))))
-                for column in range(rank)
-            ]
-            for count in range(rank + 1):
-                task = _ColumnErrorsDeltaTask(
-                    factors, count, tuple(deltas[:count]), rank, 3, seed
+            deltas = [None] + [
+                runtime.broadcast(
+                    (np.arange(count), np.ones(count, dtype=np.int64),
+                     np.zeros((count, 1), dtype=np.uint64)),
+                    name="columnUpdate",
                 )
-                assert task.nbytes == self._walk(task) == 80 + 48 * count
-                assert estimate_bytes(task) == task.nbytes
+                for count in range(1, 5)
+            ]
+            for delta in deltas:
+                for columns in (0b1, 0b111111, 1 << 70):
+                    task = _ColumnRoundTask(factors, delta, columns, 6, 3, seed)
+                    expected = 72 if delta is None else 104
+                    assert task.nbytes == self._walk(task) == expected
+                    assert estimate_bytes(task) == task.nbytes
 
     def test_matches_walk_inside_stage_wrappers(self, monkeypatch):
-        # Edge blocks and a seeding first column; the first stage of a
-        # fresh unfolding fuses packing into the column stage.
-        tensor = SparseBoolTensor.from_dense(
-            (np.random.default_rng(7).random((12, 13, 14)) < 0.3).astype(np.uint8)
-        )
+        # Edge blocks and a seeding first round; the first stage of a
+        # fresh unfolding fuses packing into the round stage.
+        dense = np.random.default_rng(7).random((12, 13, 14)) < 0.3
+        tensor = SparseBoolTensor.from_dense(dense.astype(np.uint8))
         start = [
             BitMatrix.random(dim, 4, 0.4, np.random.default_rng(dim))
             for dim in tensor.shape
@@ -298,8 +275,15 @@ class TestColumnTaskPayload:
         with SimulatedRuntime(config.cluster) as runtime:
             rdd, _ = prepare_mode_partitions(tensor, 0, 5, runtime)
             update_factor(rdd.persist(), start[0], start[2], start[1], config, runtime)
-        assert len(payloads) == 4
+        # One stage per round, as the sequential sweep's changes predict,
+        # and later rounds carry their pending rows' handle.
+        _, _, swept, changes = sweep(
+            unfolded(dense, 0), start[0].to_dense(),
+            basis(start[2].to_dense(), start[1].to_dense()),
+        )
+        rounds = predicted_rounds(swept, set(swept), changes)
+        assert rounds >= 2 and len(payloads) == rounds
         assert "+" in payloads[0][0]  # fused with the partitioning stage
         sized = [estimate_bytes(task_fn) for _, task_fn in payloads]
-        monkeypatch.delattr(_ColumnErrorsDeltaTask, "nbytes")
+        monkeypatch.delattr(_ColumnRoundTask, "nbytes")
         assert sized == [estimate_bytes(task_fn) for _, task_fn in payloads]

@@ -16,7 +16,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import DbtfConfig, dbtf
+from repro.core import DbtfConfig, dbtf, decompose
 from repro.distengine import (
     BroadcastHandle,
     ClusterConfig,
@@ -26,6 +26,8 @@ from repro.distengine import (
 from repro.distengine.broadcast import _STORE, clear_store
 from repro.distengine.shuffle import HANDLE_WIRE_BYTES, estimate_bytes
 from repro.tensor import SparseBoolTensor, planted_tensor
+
+from .sweep_oracle import basis, predicted_rounds, sweep, unfolded
 
 
 class _AddBroadcastSum:
@@ -163,16 +165,39 @@ class TestHandlePathEquivalence:
 
 
 class TestPerColumnByteDrop:
-    def test_at_least_5x_drop_at_rank8_dim128(self):
-        """The headline regression: rank 8, dim 128, >=5x per-column drop."""
+    def test_at_least_5x_drop_at_rank8_dim128(self, monkeypatch):
+        """The headline regression: rank 8, dim 128, >=5x per-column drop.
+
+        The sweep runs in rounds, so its stages are counted too: each
+        update takes exactly as many ``columnErrors`` stages as Algorithm
+        4's per-row change history predicts.
+        """
         rng = np.random.default_rng(0)
         dense = (rng.random((128, 128, 128)) < 0.01).astype(np.uint8)
         tensor = SparseBoolTensor.from_dense(dense)
         config = DbtfConfig(rank=8, max_iterations=1, seed=3, n_partitions=4)
+        rounds = []
+        update = decompose.update_factor
+
+        def counting(rdd, target, outer, inner, config, runtime, **options):
+            _, _, swept, changes = sweep(
+                unfolded(dense, len(rounds) % 3), target.to_dense(),
+                basis(outer.to_dense(), inner.to_dense()), by_row=False,
+            )
+            rounds.append(predicted_rounds(swept, set(swept), changes))
+            return update(rdd, target, outer, inner, config, runtime, **options)
+
+        monkeypatch.setattr(decompose, "update_factor", counting)
         with SimulatedRuntime(ClusterConfig()) as runtime:
             result = dbtf(tensor, config=config, runtime=runtime)
-            sweep = _sweep_bytes(dict(runtime.ledger.by_stage))
-        per_column = sweep / (8 * 3 * len(result.errors_per_iteration))
+            sweep_bytes = _sweep_bytes(dict(runtime.ledger.by_stage))
+            stages = [
+                stage.name for stage in runtime.stages
+                if "columnErrors" in stage.name.split("+")
+            ]
+        assert len(rounds) == 3 * len(result.errors_per_iteration)
+        assert len(stages) == sum(rounds) < 8 * len(rounds)
+        per_column = sweep_bytes / (8 * 3 * len(result.errors_per_iteration))
         assert per_column <= MAX_PER_COLUMN_BYTES, (
             f"per-column sweep bytes {per_column:.0f} exceed "
             f"{MAX_PER_COLUMN_BYTES} (closure-capture baseline 8848 / 5)"

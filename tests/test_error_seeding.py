@@ -1,7 +1,8 @@
 """Seeding the carried error of the column sweeps.
 
-A column task evaluates only its active PVM blocks and the driver carries
-the exact reconstruction error forward by each row's error change.  The
+A round task evaluates each (row, column) pair over its column's active
+PVM blocks only, and the driver carries the exact reconstruction error
+forward by each accepted decision's error change.  The
 error it starts from comes from the caller — the previous update's
 ``error_after`` in a solve, a session's baseline across epochs — and only
 an update whose caller does not know it scans every block to seed it.
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.bitops import BitMatrix
-from repro.core import DbtfConfig, dbtf, update_factor
+from repro.core import DbtfConfig, dbtf, decompose, update_factor
 from repro.core.decompose import dbtf_steps
 from repro.core.incremental import prepare_mode_partitions
 from repro.core.steps import drive
@@ -23,6 +24,8 @@ from repro.distengine import ClusterConfig, SimulatedRuntime
 from repro.incremental import FactorizationSession
 from repro.metrics import reconstruction_error
 from repro.tensor import MODE_FACTOR_ROLES, TensorDelta, planted_tensor
+
+from .sweep_oracle import basis, predicted_rounds, sweep, unfolded
 
 #: 5 partitions over every mode's unfolding of a 12 x 13 x 14 tensor cut
 #: PVM blocks at partition boundaries.
@@ -116,18 +119,33 @@ class TestKnownErrorMatchesSeedScan:
 class TestFullScanCount:
     @pytest.mark.parametrize("n_initial_sets", [1, 2])
     def test_batch_solve_seeds_once_per_initial_set(
-        self, tensor, full_scans, n_initial_sets
+        self, tensor, full_scans, n_initial_sets, monkeypatch
     ):
+        rounds = []
+        update = decompose.update_factor
+        dense = tensor.to_dense()
+
+        def counting(rdd, target, outer, inner, config, runtime, **options):
+            _, _, swept, changes = sweep(
+                unfolded(dense, len(rounds) % 3), target.to_dense(),
+                basis(outer.to_dense(), inner.to_dense()),
+            )
+            rounds.append(predicted_rounds(swept, set(swept), changes))
+            return update(rdd, target, outer, inner, config, runtime, **options)
+
+        monkeypatch.setattr(decompose, "update_factor", counting)
         result = dbtf(tensor, config=_config(
             max_iterations=4, seed=2, n_initial_sets=n_initial_sets,
         ))
         later_iterations = len(result.errors_per_iteration) - 1
         assert later_iterations >= 1
-        # Every evaluation of one seeding column is one partition's scan.
+        # Every evaluation of one seeding round is one partition's scan.
         assert sum(full_scans) == n_initial_sets * PARTITIONS
-        # One sweep per initial set, then one per later iteration.
+        # One sweep per initial set, then one per later iteration, each
+        # update in as many rounds as its sequential sweep predicts.
         sweeps = n_initial_sets + later_iterations
-        assert len(full_scans) == sweeps * 3 * RANK * PARTITIONS
+        assert len(rounds) == sweeps * 3
+        assert len(full_scans) == sum(rounds) * PARTITIONS
 
     def test_session_epoch_with_baseline_makes_none(self, tensor, full_scans):
         rng = np.random.default_rng(5)

@@ -23,10 +23,8 @@ from repro.core.incremental import prepare_mode_partitions
 from repro.core import update as update_module
 from repro.core.update import (
     _TABLES_SLOT,
-    _ColumnErrorsDeltaTask,
-    _choose_column,
+    _ColumnRoundTask,
     KernelTables,
-    _masks_with_bit_cleared,
     column_errors,
     column_keys,
     kernel_tables,
@@ -36,6 +34,8 @@ from repro.distengine import ClusterConfig, RuntimeFactory, SimulatedRuntime
 from repro.distengine import broadcast
 from repro.incremental import FactorizationSession
 from repro.tensor import MODE_FACTOR_ROLES, TensorDelta, planted_tensor
+
+from .sweep_oracle import basis, predicted_rounds, sweep, unfolded
 
 #: 5 partitions over the 13 x 14 = 182 unfolded columns of mode 0 cut
 #: PVM blocks (width 13) at every partition boundary.
@@ -80,8 +80,18 @@ def _config():
     )
 
 
+def _pending(target):
+    """A later round's pending rows, their resume columns and their
+    accepted bits (one flipped bit each)."""
+    rows = np.array([1, 4, 7, 10])
+    resume = np.array([1, 3, 0, 4])
+    masks = target.words[rows].copy()
+    masks[:, 0] ^= np.uint64(1) << resume.astype(np.uint64)
+    return rows, resume, masks
+
+
 def _shared_path(tensor, factors, backend, workers, budget):
-    """Per-partition errors of two column tasks, then one full update."""
+    """Per-partition errors of two round tasks, then one full update."""
     runtime = SimulatedRuntime(
         _cluster(backend, workers, memory_budget=budget)
     )
@@ -90,12 +100,13 @@ def _shared_path(tensor, factors, backend, workers, budget):
         rdd = rdd.persist()
         target, outer, inner = _roles(factors)
         handle = runtime.broadcast([target.words, outer.words, inner.words])
-        chosen = runtime.broadcast(np.packbits(target.column(0)))
+        pending = runtime.broadcast(_pending(target), name="columnUpdate")
+        every_column = (1 << RANK) - 1
         per_partition = [
-            rdd.map(_ColumnErrorsDeltaTask(
-                handle, column, deltas, RANK, GROUP_SIZE, seed
+            rdd.map(_ColumnRoundTask(
+                handle, delta, every_column, RANK, GROUP_SIZE, seed
             )).collect()
-            for column, deltas, seed in ((0, (), True), (1, ((0, chosen),), False))
+            for delta, seed in ((None, True), (pending, False))
         ]
         updated, error = update_factor(
             rdd, target, outer, inner, _config(), runtime
@@ -116,27 +127,28 @@ def _private_path(tensor, factors):
         for _ in partitions
     ]
 
-    def errors(masks, column, seed):
-        """Each partition's task result: the per-row error change, plus
+    def errors(masks, columns, seed, **pending):
+        """Each partition's task result: the per-pair error change, plus
         the candidate-0 total when seeding (every block)."""
         results = []
         for data, tables in zip(partitions, private):
-            keys = column_keys(tables, masks, column)
+            keys = column_keys(tables, masks, columns, **pending)
             change, zero = column_errors(data, tables, keys, seed=seed)
             results.append((change, int(zero.sum())) if seed else change)
         return results
 
-    # The two column tasks: column 0 seeds its update (every block),
-    # column 1 after a delta that keeps column 0 (active blocks only).
-    yield errors(_masks_with_bit_cleared(target.words, 0), 0, True)
-    yield errors(_masks_with_bit_cleared(target.words, 1), 1, False)
+    # The two round tasks: round 1 seeds its update (every block of its
+    # first column), a later round evaluates pending rows from their
+    # resume columns (active blocks only).
+    every_column = list(range(RANK))
+    yield errors(target.words, every_column, True)
+    rows, resume, masks = _pending(target)
+    yield errors(masks, every_column, False, rows=rows, resume=resume)
+    # Algorithm 4 column by column, one single-column evaluation each.
     updated = target.copy()
     error = None
     for column in range(RANK):
-        per_partition = errors(
-            _masks_with_bit_cleared(updated.words, column), column,
-            error is None,
-        )
+        per_partition = errors(updated.words, column, error is None)
         current = updated.column(column)
         if error is None:
             change = sum(partial for partial, _ in per_partition)
@@ -144,8 +156,9 @@ def _private_path(tensor, factors):
             error += int(change[current != 0].sum())
         else:
             change = sum(per_partition)
-        chosen, error = _choose_column(change, current, error)
-        updated.set_column(column, chosen)
+        error += int(np.minimum(change, 0).sum())
+        error -= int(change[current != 0].sum())
+        updated.set_column(column, (change < 0).astype(np.uint8))
     yield updated.words.tobytes(), error
 
 
@@ -197,10 +210,10 @@ class TestEdgeBlocks:
             time.sleep(0.01)  # widen the window for a racing second build
             return build(*args)
 
-        def counting_keys(*args):
-            key_builds.append(args[-1])
+        def counting_keys(*args, **kwargs):
+            key_builds.append(args)
             time.sleep(0.001)
-            return build_keys(*args)
+            return build_keys(*args, **kwargs)
 
         monkeypatch.setattr(update_module, "column_errors", recording)
         monkeypatch.setattr(update_module, "RowSummationCache", counting_build)
@@ -218,14 +231,20 @@ class TestEdgeBlocks:
         finally:
             runtime.close()
             sys.setswitchinterval(interval)
-        assert len(seen) == RANK * 3 * PARTITIONS
+        _, _, swept, changes = sweep(
+            unfolded(tensor.to_dense(), 0), target.to_dense(),
+            basis(outer.to_dense(), inner.to_dense()),
+        )
+        rounds = predicted_rounds(swept, set(swept), changes)
+        assert rounds >= 2
+        assert len(seen) == rounds * 3 * PARTITIONS
         # One cache build and one set of kernel tables for the whole
-        # update, one key build per column, and every task got the shared
+        # update, one key build per round, and every task got the shared
         # ones.
         assert len(builds) == 1
         assert all(held is tables for held, _ in seen)
-        assert sorted(key_builds) == list(range(RANK))
-        assert len({id(keys) for _, keys in seen}) == RANK
+        assert len(key_builds) == rounds
+        assert len({id(keys) for _, keys in seen}) == rounds
 
 
 def _cache_count(index, _items):

@@ -11,6 +11,8 @@ from repro.tucker import BooleanTuckerConfig, boolean_tucker, dbtf_tucker
 from repro.tucker import distributed
 from repro.tucker.decompose import _reconstruct_dense
 
+from .sweep_oracle import basis, predicted_rounds, sweep, unfolded
+
 
 def planted_tucker(shape, core_shape, factor_density, core_density, seed):
     rng = np.random.default_rng(seed)
@@ -64,10 +66,11 @@ class TestDbtfTucker:
         result = dbtf_tucker(tensor, config=config, n_partitions=4)
         assert result.relative_error < 0.4
 
-    def test_engine_accounting(self):
-        # Tucker's factor updates are DBTF's column stages: one per factor
-        # column, and nothing derived from the factors is persisted — only
-        # the three packed unfoldings are.
+    def test_engine_accounting(self, monkeypatch):
+        # Tucker's factor updates are DBTF's round stages: as many per
+        # update as the sequential sweep's changes predict, and nothing
+        # derived from the factors is persisted — only the three packed
+        # unfoldings are.
         tensor = planted_tucker((10, 10, 10), (2, 3, 4), 0.3, 0.5, seed=5)
         runtime = SimulatedRuntime()
         persisted = []
@@ -75,6 +78,24 @@ class TestDbtfTucker:
         runtime.register_persist = lambda node: (
             persisted.append(node), register(node)
         )
+        predicted = []
+        update = distributed.update_factor
+
+        def counting(rdd, target, outer, inner, config, runtime_, **options):
+            mode = len(predicted) % 3
+            _, _, swept, changes = sweep(
+                unfolded(tensor.to_dense(), mode), target.to_dense(),
+                basis(outer.to_dense(), inner.to_dense(), options["core"]),
+            )
+            first = len(runtime_.stages)
+            result = update(rdd, target, outer, inner, config, runtime_, **options)
+            predicted.append(
+                (predicted_rounds(swept, set(swept), changes),
+                 len(runtime_.stages) - first)
+            )
+            return result
+
+        monkeypatch.setattr(distributed, "update_factor", counting)
         result = dbtf_tucker(tensor, core_shape=(2, 3, 4), n_partitions=4,
                              runtime=runtime)
         assert runtime.ledger.bytes_of_kind(TransferKind.SHUFFLE) > 0
@@ -83,7 +104,9 @@ class TestDbtfTucker:
             stage.name for stage in runtime.stages
             if stage.name.endswith("columnErrors")
         ]
-        assert len(column_stages) == (2 + 3 + 4) * result.n_iterations
+        assert len(predicted) == 3 * result.n_iterations
+        assert all(want == got for want, got in predicted)
+        assert len(column_stages) == sum(got for _, got in predicted)
         assert len(column_stages) == len(runtime.stages)
         assert len(persisted) == 3
         assert all(node.parent.is_source for node in persisted)

@@ -110,3 +110,52 @@ class TestUpdateCore:
         # The update may swap redundant entries but never worsen the fit.
         assert error == int((reconstructed != dense).sum())
         assert error == 0
+
+
+def _update_core_full_array(dense, core, factors):
+    """The core update over the full I x J x K array per entry: each
+    entry's block indicator, its exclusive cells and the count update span
+    the whole tensor.  :func:`_update_core` reads only the block's box."""
+    a, b, c = (factor.astype(bool) for factor in factors)
+    updated = core.copy()
+    counts = np.einsum(
+        "pqr,ip,jq,kr->ijk", updated.astype(np.int64), a.astype(np.int64),
+        b.astype(np.int64), c.astype(np.int64),
+    )
+    tensor = dense.astype(bool)
+    for p, q, r in np.ndindex(*core.shape):
+        block = a[:, p][:, None, None] & b[:, q][None, :, None] & c[:, r]
+        without = counts - block if updated[p, q, r] else counts
+        exclusive = block & (without == 0)
+        gain = int((exclusive & tensor).sum())
+        keep = gain > int((exclusive & ~tensor).sum())
+        if keep and not updated[p, q, r]:
+            updated[p, q, r] = 1
+            counts = counts + block
+        elif not keep and updated[p, q, r]:
+            updated[p, q, r] = 0
+            counts = without
+    return updated, int(((counts > 0) ^ tensor).sum())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_update_core_matches_full_array_formula(seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(1, 9, size=3))
+    core_shape = tuple(int(n) for n in rng.integers(1, 4, size=3))
+    density = rng.choice([0.1, 0.4, 0.8])
+    factors = tuple(
+        (rng.random((n, rank)) < density).astype(np.uint8)
+        for n, rank in zip(shape, core_shape)
+    )
+    core = (rng.random(core_shape) < 0.5).astype(np.uint8)
+    if seed % 2:
+        dense = _reconstruct_dense(core, factors) ^ (rng.random(shape) < 0.1)
+    else:
+        dense = rng.random(shape) < density
+    updated, error = _update_core(dense.astype(np.uint8), core, factors)
+    want_core, want_error = _update_core_full_array(
+        dense.astype(np.uint8), core, factors
+    )
+    np.testing.assert_array_equal(updated, want_core)
+    assert error == want_error
