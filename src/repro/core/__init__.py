@@ -22,7 +22,7 @@ from .partition import (
 )
 from .result import DecompositionResult
 from .steps import StepEvent, drive
-from .update import update_factor
+from .update import DecisionCertificates, update_factor
 
 __all__ = [
     "dbtf",
@@ -43,6 +43,7 @@ __all__ = [
     "split_unfolding_coordinates",
     "pack_partition",
     "update_factor",
+    "DecisionCertificates",
     "prepare_partitioned_unfoldings",
     "prepare_mode_partitions",
     "PartitionedUnfoldings",

@@ -27,7 +27,7 @@ from .config import DbtfConfig
 from .incremental import prepare_mode_partitions
 from .result import DecompositionResult
 from .steps import StepEvent, drive
-from .update import update_factor
+from .update import DecisionCertificates, update_factor
 
 __all__ = ["dbtf", "dbtf_steps", "prepare_partitioned_unfoldings"]
 
@@ -154,6 +154,7 @@ def _update_all_factors(
     config: DbtfConfig,
     runtime: SimulatedRuntime,
     error: "int | None" = None,
+    certificates: "list[DecisionCertificates] | None" = None,
 ) -> tuple[Factors, int]:
     """One outer iteration: update A, then B, then C (Algorithm 2 lines 14-18).
 
@@ -161,7 +162,8 @@ def _update_all_factors(
     each update starts from the error the previous one returned, so only
     an unknown starting error costs a seeding full-block scan.  Returns the
     new factors and the reconstruction error after the final update, which
-    equals ``|X ⊕ X̃|`` for the returned factors.
+    equals ``|X ⊕ X̃|`` for the returned factors.  ``certificates`` are the
+    per-mode :class:`~repro.core.update.DecisionCertificates`, if any.
     """
     current = list(factors)
     for mode in range(3):
@@ -174,6 +176,7 @@ def _update_all_factors(
             config,
             runtime,
             error_before=error,
+            certificates=None if certificates is None else certificates[mode],
         )
     return (current[0], current[1], current[2]), error
 
@@ -185,6 +188,7 @@ def _update_all_factors_scoped(
     runtime: SimulatedRuntime,
     dirty_columns: "list[set[int]]",
     error: "int | None" = None,
+    certificates: "list[DecisionCertificates] | None" = None,
 ) -> "tuple[Factors, int | None]":
     """One support-scoped outer iteration (the incremental warm restart).
 
@@ -214,6 +218,7 @@ def _update_all_factors_scoped(
             runtime,
             dirty_columns=dirty,
             error_before=error,
+            certificates=None if certificates is None else certificates[mode],
         )
         if changed:
             escalated = True
@@ -318,6 +323,7 @@ def dbtf_steps(
     shared_unfoldings: "list[Distributed] | None" = None,
     dirty_columns: "list[set[int]] | None" = None,
     baseline_error: "int | None" = None,
+    certificates: "list[DecisionCertificates] | None" = None,
 ) -> Generator[StepEvent, None, DecompositionResult]:
     """Cooperatively-stepped DBTF: one outer iteration per ``next()``.
 
@@ -341,7 +347,7 @@ def dbtf_steps(
         *within* this epoch.
     ``shared_unfoldings``
         Caller-owned partitioned mode RDDs (a
-        :class:`~repro.core.incremental.PartitionedUnfoldings` generation).
+        :class:`~repro.core.incremental.PartitionedUnfoldings`' RDDs).
         The generator neither rebuilds nor unpersists them.
     ``dirty_columns``
         Per-mode sets of columns the epoch's delta can have moved
@@ -355,6 +361,12 @@ def dbtf_steps(
         (:func:`~repro.core.incremental.baseline_error_after_delta`).
         Defaults to the warm state's last recorded error, which is only
         valid when the tensor is unchanged.
+    ``certificates``
+        Per-mode :class:`~repro.core.update.DecisionCertificates` of the
+        shared unfoldings (a
+        :class:`~repro.core.incremental.PartitionedUnfoldings` keeps them
+        across epochs).  Every update reads and reissues its mode's; the
+        results are the same without them.
     """
     if tensor.ndim != 3:
         raise ValueError(f"DBTF factorizes three-way tensors, got {tensor.ndim}-way")
@@ -373,7 +385,7 @@ def dbtf_steps(
     try:
         rng = np.random.default_rng(config.seed)
         # The partitioned unfoldings are rebuilt unless the caller shares a
-        # live generation — they are derived data (lineage recomputation,
+        # live set — they are derived data (lineage recomputation,
         # like Spark rebuilding a lost RDD), so checkpoints stay small:
         # only the factors, error trace, and RNG state go to disk.
         # Rebuilding is lazy: the packing stage dispatches fused into the
@@ -442,7 +454,8 @@ def dbtf_steps(
             best_factors, best_error, init_index = None, None, 0
             for index, candidate in enumerate(candidates):
                 updated, error = _update_all_factors(
-                    mode_rdds, candidate, config, runtime
+                    mode_rdds, candidate, config, runtime,
+                    certificates=certificates,
                 )
                 if best_error is None or error < best_error:
                     best_factors, best_error, init_index = updated, error, index
@@ -467,7 +480,7 @@ def dbtf_steps(
             if scoped and iteration == start_iteration:
                 factors, scoped_error = _update_all_factors_scoped(
                     mode_rdds, factors, config, runtime, dirty_columns,
-                    error_before,
+                    error_before, certificates,
                 )
                 # None means nothing was evaluated anywhere — impossible
                 # here (an all-empty dirty set converged above), but the
@@ -475,7 +488,8 @@ def dbtf_steps(
                 error = errors[-1] if scoped_error is None else scoped_error
             else:
                 factors, error = _update_all_factors(
-                    mode_rdds, factors, config, runtime, error_before
+                    mode_rdds, factors, config, runtime, error_before,
+                    certificates,
                 )
             error_known = True
             improvement = errors[-1] - error

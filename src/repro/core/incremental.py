@@ -11,9 +11,10 @@ stack (:mod:`repro.incremental` holds the epoch loop).  Three pieces:
   zero-copy views over the file, so the driver never holds three dense
   unfoldings resident.
 * :class:`PartitionedUnfoldings` — owns the three mode RDDs across epochs
-  and patches cached partitions in place from a
-  :class:`~repro.tensor.TensorDelta` (shipping only the changed cells,
-  O(|Δ|) shuffle bytes) instead of rebuilding them (O(|X|)).
+  and writes each :class:`~repro.tensor.TensorDelta` into the cached
+  slabs in place (shipping only the changed cells, O(|Δ|) bytes) instead
+  of rebuilding them (O(|X|)); it also keeps each mode's decision
+  certificates (:class:`~repro.core.update.DecisionCertificates`).
 * :func:`dirty_columns_for_delta` / :func:`baseline_error_after_delta` —
   the warm-start bookkeeping: which factor columns a delta can possibly
   move, and the exact reconstruction error of the *old* factors on the
@@ -26,18 +27,22 @@ import numpy as np
 
 from ..bitops import BitMatrix, packing
 from ..distengine import Distributed, SimulatedRuntime, TransferKind
+from ..distengine.shuffle import HANDLE_WIRE_BYTES
 from ..tensor import MODE_FACTOR_ROLES, SparseBoolTensor, TensorDelta, unfold
-from ..tensor.matricize import _mode_axes
+from ..tensor.matricize import Unfolding, _mode_axes
 from ..tensor.packed import PackedUnfolding
+from ..tensor.sparse import coords_from_flat
 from .partition import (
     _COORDINATE_BYTES,
     PartitionData,
     PartitionPlan,
     build_partition_data,
+    locate_cells,
     make_partition_plans,
     pack_partition,
     split_unfolding_coordinates,
 )
+from .update import DecisionCertificates
 
 __all__ = [
     "prepare_mode_partitions",
@@ -104,41 +109,77 @@ def prepare_mode_partitions(
     return rdd, plans
 
 
-class _PatchPartitionsTask:
-    """Stage payload: apply one delta's cell flips to one partition.
+def _patch_words(
+    part: np.ndarray, bits: np.ndarray, added: np.ndarray, n_partitions: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One mode's patch as ``(words, masks, bounds)``, in one pass.
 
-    A pure function of ``(payloads, partition)`` keyed by the partition
-    plan's index, so results are bit-identical across the serial, thread,
-    and process backends.  Copy-on-write per partition: a partition no
-    delta cell touches keeps its slab (which may be a read-only memmap view
-    on the budgeted path); a touched one gets a patched copy.
+    The changed cells' bits are merged per slab word: partition ``p`` sets
+    ``masks[k]`` in flat slab word ``words[k]`` for ``k`` in
+    ``bounds[2p]:bounds[2p + 1]`` and clears them up to ``bounds[2p + 2]``.
+    Each word appears once per partition and kind, so plain fancy-indexed
+    updates write it exactly once.
+    """
+    word, offset = np.divmod(bits.astype(np.int64), packing.WORD_BITS)
+    span = int(word.max()) + 1
+    groups, inverse = np.unique(
+        (part * 2 + ~added) * span + word, return_inverse=True
+    )
+    masks = np.zeros(groups.size, dtype=np.uint64)
+    np.bitwise_or.at(
+        masks, inverse, np.left_shift(np.uint64(1), offset.astype(np.uint64))
+    )
+    bounds = np.searchsorted(groups, np.arange(2 * n_partitions + 1) * span)
+    return groups % span, masks, bounds
+
+
+class _PatchPartitionsTask:
+    """Stage payload: write one delta's cells into one partition's slab.
+
+    ``cells`` is the delta's broadcast, one :func:`_patch_words` per mode,
+    and ``mode`` picks this stage's.  The slab is written in place; only a
+    read-only slab — a view of the budgeted path's flushed unfolding — is
+    copied first, once, and the copy replaces it.  Setting and clearing
+    bits (never toggling them) makes a retried task write the same bits.
     """
 
-    __slots__ = ("payloads",)
+    __slots__ = ("cells", "mode")
 
-    def __init__(self, payloads: dict):
-        self.payloads = payloads
+    def __init__(self, cells, mode: int):
+        self.cells = cells
+        self.mode = mode
 
-    def __call__(self, data: PartitionData) -> PartitionData:
-        payload = self.payloads.get(data.plan.index)
-        if payload is None:
-            return data
-        words = np.array(data.words, order="C", copy=True)
-        # The payload is (added bits, removed bits): set, then clear.
-        for bits, value in zip(payload, (True, False)):
-            packing.scatter_bits(words, bits, value)
-        return PartitionData(plan=data.plan, words=words)
+    @property
+    def nbytes(self) -> int:
+        """The payload's ledger size in O(1), as
+        :func:`~repro.distengine.shuffle.estimate_bytes`' walk over the
+        slots gives it: the handle, the mode and the object."""
+        return HANDLE_WIRE_BYTES + 2 * 8
+
+    def __call__(self, _index: int, items: list) -> list:
+        words, masks, bounds = self.cells.value[self.mode]
+        for position, data in enumerate(items):
+            slab = data.words
+            if not (slab.flags.writeable and slab.flags.c_contiguous):
+                slab = np.array(slab, order="C")
+                items[position] = data = PartitionData(data.plan, slab)
+            flat = slab.reshape(-1)
+            lo, mid, hi = bounds[2 * data.plan.index : 2 * data.plan.index + 3]
+            flat[words[lo:mid]] |= masks[lo:mid]
+            flat[words[mid:hi]] &= ~masks[mid:hi]
+        return items
 
 
 class PartitionedUnfoldings:
     """The three cached mode RDDs of one tensor, advanced delta by delta.
 
     Owns the unfolding lifecycle across epochs: :meth:`prepare` builds the
-    partitions once, :meth:`patch` derives each next epoch's partitions
-    from the cached previous ones (materializing the patched caches, then
-    releasing the stale generation), and :meth:`unpersist` releases
-    everything.  The epoch loop in :mod:`repro.incremental` holds exactly
-    one of these per session.
+    partitions once, :meth:`patch` writes each delta into the cached slabs
+    in place, and :meth:`unpersist` releases everything.  It also keeps
+    each mode's :class:`~repro.core.update.DecisionCertificates`, which
+    :meth:`patch` clears where a changed cell can move a decision.  The
+    epoch loop in :mod:`repro.incremental` holds exactly one of these per
+    session.
     """
 
     def __init__(
@@ -153,6 +194,8 @@ class PartitionedUnfoldings:
         self._rdds = rdds
         self._plans = plans
         self.epoch = 0
+        #: Per mode, the decisions its updates certified on these slabs.
+        self.certificates = [DecisionCertificates() for _ in range(3)]
 
     @classmethod
     def prepare(
@@ -178,32 +221,21 @@ class PartitionedUnfoldings:
 
     @property
     def rdds(self) -> "list[Distributed]":
-        """The current generation's mode RDDs (shared with the solver)."""
+        """The mode RDDs (shared with the solver)."""
         return list(self._rdds)
 
-    def _mode_payloads(self, changes: "list[SparseBoolTensor]", mode: int) -> dict:
-        """Per-partition (added, removed) slab-bit payloads for one mode."""
-        added, removed = (
-            split_unfolding_coordinates(unfold(cells, mode), self._plans[mode])
-            for cells in changes
-        )
-        return {
-            adds.plan.index: (adds.bits, removes.bits)
-            for adds, removes in zip(added, removed)
-            if adds.nnz or removes.nnz
-        }
-
     def patch(self, delta: TensorDelta) -> None:
-        """Advance every cached partition to the delta'd tensor in place.
+        """Write ``delta`` into every cached slab it touches, in place.
 
-        Ships only the changed cells (an O(|Δ|) shuffle, vs the O(|X|)
-        rebuild), derives a patched generation of each mode RDD from the
-        cached previous generation, materializes it, and releases the stale
-        caches.  A superseded *derived* generation is unpersisted (its
-        cache and any spill file are dropped); a *source* base generation
-        (the budgeted mmap path) is left alone — sources have no lineage to
-        recompute from, so evicting one would destroy data, and the storage
-        tier already pages cold sources out under the budget.
+        Per mode, the changed cells are merged into per-partition slab
+        words in one pass (:func:`_patch_words`), and the delta ships as
+        one broadcast (priced per mode as Lemma 6's O(|Δ|) shuffle, vs the
+        O(|X|) rebuild); one stage per mode then sets the added cells' bits
+        and clears the removed ones in each touched partition, on the
+        worker that holds it (:meth:`~repro.distengine.SimulatedRuntime.
+        update_cached`).  Untouched partitions are not dispatched, and the
+        RDDs stay the same: no new generation is cached.  Each mode's
+        certificates lose the pairs a changed cell can move.
         """
         if tuple(delta.shape) != tuple(self.shape):
             raise ValueError(
@@ -213,32 +245,40 @@ class PartitionedUnfoldings:
         self.epoch += 1
         if delta.is_empty:
             return
-        changes = [
-            SparseBoolTensor.from_flat(self.shape, cells)
-            for cells in (delta.added, delta.removed)
-        ]
+        coords = coords_from_flat(
+            np.concatenate([delta.added, delta.removed]), self.shape
+        )
+        added = np.arange(delta.n_changes) < delta.n_added
+        cells = []
         for mode in range(3):
-            payloads = self._mode_payloads(changes, mode)
-            payload_bytes = _COORDINATE_BYTES * sum(
-                bits.shape[0] for payload in payloads.values() for bits in payload
+            axes = list(_mode_axes(mode))  # row, block, offset
+            cells.append(Unfolding(
+                mode, *(self.shape[axis] for axis in axes), *coords[:, axes].T
+            ))
+        payload = [
+            _patch_words(*locate_cells(mode_cells, plans), added, len(plans))
+            for mode_cells, plans in zip(cells, self._plans)
+        ]
+        handle = self.runtime.broadcast(payload, name="patchCells")
+        for mode, (_, _, bounds) in enumerate(payload):
+            # Before any slab changes, so a failed stage leaves no
+            # certificate for data it may have written.
+            self.certificates[mode].clear_cells(
+                cells[mode].rows, cells[mode].block_ids, cells[mode].offsets
             )
             self.runtime.record_transfer(
-                TransferKind.SHUFFLE, f"patchUnfolding[{mode}]", payload_bytes
+                TransferKind.SHUFFLE, f"patchUnfolding[{mode}]",
+                _COORDINATE_BYTES * delta.n_changes,
             )
-            patched = self._rdds[mode].map(
-                _PatchPartitionsTask(payloads), name=f"patchPartitions[{mode}]"
-            ).persist()
-            # Materialize the new generation while the old caches are still
-            # available (the patch tasks read them), then release the stale
-            # generation — except source bases, whose cache IS the data.
-            patched.count(name=f"patchUnfolding[{mode}]")
-            if not self._rdds[mode].node.is_source:
-                self._rdds[mode].unpersist()
-            self._rdds[mode] = patched
+            self.runtime.update_cached(
+                self._rdds[mode].node, _PatchPartitionsTask(handle, mode),
+                np.flatnonzero(bounds[2::2] > bounds[:-2:2]).tolist(),
+                f"patchPartitions[{mode}]",
+            )
         self.runtime.metrics.counter("incremental_patches_total").inc()
 
     def unpersist(self) -> None:
-        """Release every cached generation (session teardown)."""
+        """Release the cached unfoldings (session teardown)."""
         for rdd in self._rdds:
             rdd.unpersist()
 

@@ -31,6 +31,7 @@ __all__ = [
     "build_partition_data",
     "slab_index_dtype",
     "split_unfolding_coordinates",
+    "locate_cells",
     "pack_partition",
 ]
 
@@ -250,6 +251,22 @@ def split_unfolding_coordinates(
     Nonzeros are grouped by that small key with a stable radix sort; no
     sort over the columns remains.
     """
+    part, bits = locate_cells(unfolding, plans)
+    key = part.astype(np.min_scalar_type(len(plans) - 1))
+    order = np.argsort(key, kind="stable")  # a radix sort on 8/16-bit keys
+    bits = bits[order]
+    counts = np.bincount(part, minlength=len(plans))
+    return [
+        PartitionCoordinates(plan, unfolding.n_rows, bits[stop - count : stop])
+        for plan, stop, count in zip(plans, np.cumsum(counts), counts)
+    ]
+
+
+def locate_cells(
+    unfolding: Unfolding, plans: list[PartitionPlan]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(part, bits)``: each cell's partition and its slab-local bit index
+    there (:class:`PartitionCoordinates`), in O(nnz)."""
     base, extra = divmod(unfolding.n_cols, len(plans))
     columns = unfolding.columns()
     # The wide partitions end at column extra * (base + 1).  Below it the
@@ -261,14 +278,7 @@ def split_unfolding_coordinates(
         unfolding.rows, unfolding.block_ids - first[part], unfolding.offsets,
         (end - first)[part], packing.words_for_bits(unfolding.block_width),
     )
-    key = part.astype(np.min_scalar_type(len(plans) - 1))
-    order = np.argsort(key, kind="stable")  # a radix sort on 8/16-bit keys
-    bits = bits.astype(slab_index_dtype(unfolding.n_rows, plans))[order]
-    counts = np.bincount(part, minlength=len(plans))
-    return [
-        PartitionCoordinates(plan, unfolding.n_rows, bits[stop - count : stop])
-        for plan, stop, count in zip(plans, np.cumsum(counts), counts)
-    ]
+    return part, bits.astype(slab_index_dtype(unfolding.n_rows, plans))
 
 
 def pack_partition(coordinates: PartitionCoordinates) -> PartitionData:

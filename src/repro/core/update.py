@@ -17,7 +17,7 @@ changes.  The update therefore runs in *rounds* of one stage each
 (:func:`update_factor`):
 
 * round 1 evaluates every (row, column) pair at the update's starting
-  bits;
+  bits (every uncertified one, see below);
 * the driver walks each row's columns in order and accepts every decision
   up to and including the row's first change, which it applies; the row
   is then pending from the next column;
@@ -60,6 +60,14 @@ Workers keep what the tasks derive from the broadcasts, each in a
 broadcast, the kernel's :class:`KernelTables`; per round, the
 :class:`ColumnKeys` of its pairs.  Per round only the pending rows and
 their accepted bits move (the ``columnUpdate`` broadcast).
+
+A pair's decision reads three inputs only: the row's tensor cells inside
+the column's support rectangle, the row's other bits, and the two fixed
+factors.  An epoch stream re-runs updates whose inputs barely move, so a
+caller may keep :class:`DecisionCertificates` per mode: the pairs whose
+last accepted decision was "keep" at inputs that have not changed since.
+A certified pair stands as "keep" without being evaluated, and a round
+ships only the rows that still hold an uncertified pair.
 """
 
 from __future__ import annotations
@@ -80,6 +88,7 @@ from .partition import Block, PartitionData
 
 __all__ = [
     "update_factor",
+    "DecisionCertificates",
     "column_errors",
     "kernel_tables",
     "tucker_kernel_tables",
@@ -371,7 +380,9 @@ def _column_errors(data, tables, keys, window, seed):
                 axis=1
             ).view(np.int64)
             # Sum each column's entries: they are adjacent.
-            starts = np.flatnonzero(np.diff(of_column, prepend=-1))
+            starts = np.flatnonzero(
+                np.concatenate(([True], of_column[1:] != of_column[:-1]))
+            )
             change[of_column[starts]] += np.add.reduceat(
                 flipped - 2 * flipped_ones, starts
             )
@@ -422,8 +433,8 @@ def _round_keys(
     """This worker's :class:`ColumnKeys` for one round, built once per
     round and shared by every partition the worker holds.
 
-    Round 1 (``pending=None``) evaluates every row at the factors
-    broadcast's starting bits; a later round's ``pending`` broadcast
+    A round 1 of every row (``pending=None``) evaluates it at the factors
+    broadcast's starting bits; any other round's ``pending`` broadcast
     carries its rows, their resume columns and their accepted bits.  The
     slot key names both broadcasts and the columns, so the keys are a pure
     function of the task payload — bit-identical on every backend.
@@ -449,7 +460,8 @@ class _ColumnRoundTask:
     """Stage payload: one round's error change per (row, column) pair.
 
     Ships two broadcast handles — the factors, and the round's pending
-    rows with their accepted bits (``None`` in round 1) — the columns it
+    rows with their accepted bits (``None`` when round 1 evaluates every
+    row) — the columns it
     may evaluate as a bitmask, the tables' rank and group size, and the
     seed flag.  The worker keeps the
     derived state — the shared :class:`KernelTables` and the round's
@@ -501,6 +513,73 @@ class _ColumnRoundTask:
         return change
 
 
+class DecisionCertificates:
+    """One mode's certified decisions, kept across its updates.
+
+    ``keep`` is a ``(rows, rank)`` mask of the pairs whose last accepted
+    decision was "keep" and whose inputs have not changed since; the
+    factor words it was issued for are kept with it.  Inputs change in
+    three ways, and each clears what it can move:
+
+    * a row's bits flip: the update clears the row's pairs;
+    * the outer or inner factor changes: :meth:`valid` finds no
+      certificate, and it also drops the rows whose target bits differ
+      from the snapshot, so an initial set, a warm start or a checkpoint
+      resume starts clean;
+    * a tensor cell changes (:meth:`clear_cells`): the pairs whose support
+      rectangle holds it.
+
+    CP only: Tucker's coverage is not a rectangle of the two factors.
+    """
+
+    __slots__ = ("keep", "target", "fixed")
+
+    def __init__(self):
+        self.keep: "np.ndarray | None" = None
+        self.target: "np.ndarray | None" = None
+        self.fixed: "tuple[np.ndarray, np.ndarray] | None" = None
+
+    def valid(self, target: BitMatrix, outer: BitMatrix, inner: BitMatrix):
+        """The certificates that hold for these factors, as a fresh mask."""
+        if self.keep is None or not all(
+            np.array_equal(words, snapshot)
+            for words, snapshot in zip((outer.words, inner.words), self.fixed)
+        ):
+            return np.zeros((target.n_rows, target.n_cols), dtype=bool)
+        keep = self.keep.copy()
+        keep[(target.words != self.target).any(axis=1)] = False
+        return keep
+
+    def issue(
+        self, keep: np.ndarray, target: BitMatrix, outer: BitMatrix,
+        inner: BitMatrix,
+    ) -> None:
+        """Keep ``keep``, issued for these factors."""
+        self.keep = keep
+        self.target = target.words.copy()
+        self.fixed = (outer.words.copy(), inner.words.copy())
+
+    def clear_cells(
+        self, rows: np.ndarray, blocks: np.ndarray, offsets: np.ndarray
+    ) -> None:
+        """Clear what tensor cells of this mode's unfolding can move.
+
+        Cell ``(row, block, offset)`` lies in component c's support
+        rectangle when ``outer[block, c] & inner[offset, c]``; outside it
+        both candidates of pair ``(row, c)`` reconstruct the cell alike.
+        The snapshot's factors decide: certificates issued for other
+        factors fail :meth:`valid` anyway.
+        """
+        if self.keep is None or not rows.size:
+            return
+        outer, inner = self.fixed
+        rank = self.keep.shape[1]
+        inside = packing.unpack_bits(outer[blocks], rank)
+        inside &= packing.unpack_bits(inner[offsets], rank)
+        cell, column = inside.nonzero()
+        self.keep[rows[cell], column] = False
+
+
 def _confirm(
     change: np.ndarray,
     flip: np.ndarray,
@@ -550,6 +629,7 @@ def update_factor(
     dirty_columns: "set[int] | None" = None,
     error_before: "int | None" = None,
     core: "np.ndarray | None" = None,
+    certificates: "DecisionCertificates | None" = None,
 ):
     """Update ``target`` to minimize ``|X_(n) ⊕ target ∘ (outer ⊙ inner)ᵀ|``.
 
@@ -584,12 +664,22 @@ def update_factor(
     ``(updated, error_after, changed_columns)``; skipped columns keep their
     bits and so leave the error unchanged, and it is ``error_before`` when
     no column was evaluated (``None`` if that is unknown too).
+
+    ``certificates`` (CP only) are this mode's
+    :class:`DecisionCertificates`: certified pairs stand as "keep" with
+    zero error movement, a round ships only the rows holding an
+    uncertified pair and dispatches no stage when there is none, and the
+    update leaves the certificates of its own decisions behind.  The
+    result is the same with or without them.  An update that seeds its
+    error evaluates every row.
     """
     rank = config.rank
     if target.n_cols != rank:
         raise ValueError(
             f"target has {target.n_cols} columns but config.rank is {rank}"
         )
+    if certificates is not None and core is not None:
+        raise ValueError("decision certificates are CP-only")
     swept = np.ones(rank, dtype=bool)
     if dirty_columns is not None:
         dirty = {int(column) for column in dirty_columns}
@@ -604,64 +694,101 @@ def update_factor(
             return target.copy(), error_before, set()
         swept[:] = False
         swept[sorted(dirty)] = True
-    # Ship the factor matrices to the workers (paper Sec. III-E: factor
-    # matrices are broadcast each iteration); the round tasks reference
-    # this broadcast by id instead of embedding the arrays.
-    factors = runtime.broadcast(
-        [target.words, outer.words, inner.words]
-        + ([] if core is None else [core]),
-        name="updateFactor.broadcast",
-    )
+    certified = np.zeros((target.n_rows, rank), dtype=bool)
+    if certificates is not None and error_before is not None:
+        certified = certificates.valid(target, outer, inner)
+    # The factor matrices ship to the workers with the first stage (paper
+    # Sec. III-E: factor matrices are broadcast each iteration); the round
+    # tasks reference this broadcast by id instead of embedding the arrays.
     # Algorithm 5: the kernel's tables depend only on this broadcast, so
     # each worker builds them once, on its first task, and every partition
     # it holds shares them (`_kernel_tables`).  The round stages map
     # straight over the persisted partitions; nothing derived from the
     # factors is persisted or spilled.
+    factors = None
     updated = target.copy()
     error = error_before
+    order = np.arange(rank)
     rows = np.arange(target.n_rows)
     resume = np.zeros(target.n_rows, dtype=np.int64)
-    pending = None
     columns = np.flatnonzero(swept)
     changed = np.zeros(rank, dtype=bool)
+    first_round = True
     while rows.size:
-        seed = error is None
-        task = _ColumnRoundTask(
-            factors, pending, packing.mask_from_indices(columns), rank,
-            config.cache_group_size, seed,
-        )
-        per_partition = data_rdd.map(task, name="columnErrors").collect(
-            name="collectColumnErrors"
-        )
-        if seed:
-            per_partition, zero_errors = zip(*per_partition)
-        grid, pairs = _round_grid(columns, resume)
-        total = np.zeros(pairs.shape, dtype=np.int64)
-        for partial in per_partition:
-            total[pairs] += partial
+        held = certified[rows]
+        in_round = np.zeros(rank, dtype=bool)
+        in_round[columns] = True
+        open_pairs = in_round & (order >= resume[:, None]) & ~held
+        shipped = np.flatnonzero(open_pairs.any(axis=1))
         change = np.zeros((rows.size, rank), dtype=np.int64)
-        change[:, grid] = total.T
-        evaluated = np.zeros((rows.size, rank), dtype=bool)
-        evaluated[:, grid] = pairs.T
+        evaluated = held.copy()
         current = packing.unpack_bits(updated.words[rows], rank)
-        if seed:
-            # Round 1's first column spans every block, so the factors'
-            # exact error is every row's error at its current bit there.
-            first = grid[0]
-            error = sum(zero_errors) + int(
-                change[current[:, first] != 0, first].sum()
+        if shipped.size:
+            if factors is None:
+                factors = runtime.broadcast(
+                    [target.words, outer.words, inner.words]
+                    + ([] if core is None else [core]),
+                    name="updateFactor.broadcast",
+                )
+            # Each shipped row from its first uncertified pair on.
+            ship_rows = rows[shipped]
+            ship_resume = open_pairs[shipped].argmax(axis=1)
+            pending = None
+            if not (
+                first_round
+                and shipped.size == target.n_rows
+                and (ship_resume == columns[0]).all()
+            ):
+                # The shipped rows, their resume columns and their accepted
+                # bits: the round evaluates only these.  A round 1 of every
+                # pair reads the factors broadcast's bits instead.
+                pending = runtime.broadcast(
+                    (ship_rows, ship_resume, updated.words[ship_rows]),
+                    name="columnUpdate",
+                )
+            seed = error is None
+            task = _ColumnRoundTask(
+                factors, pending, packing.mask_from_indices(columns), rank,
+                config.cache_group_size, seed,
             )
+            per_partition = data_rdd.map(task, name="columnErrors").collect(
+                name="collectColumnErrors"
+            )
+            if seed:
+                per_partition, zero_errors = zip(*per_partition)
+            grid, pairs = _round_grid(columns, ship_resume)
+            total = np.zeros(pairs.shape, dtype=np.int64)
+            for partial in per_partition:
+                total[pairs] += partial
+            change[shipped[:, None], grid] = total.T
+            evaluated[shipped[:, None], grid] |= pairs.T
+            if seed:
+                # Round 1's first column spans every block and every row
+                # ships, so the factors' exact error is every row's error
+                # at its current bit there.
+                first = grid[0]
+                error = sum(zero_errors) + int(
+                    change[current[:, first] != 0, first].sum()
+                )
         # Strict inequality: ties keep 0, favouring sparser factors (the
-        # paper does not specify a tie rule; see DESIGN.md).
-        flip = evaluated & ((change < 0) != (current != 0))
-        if pending is None and dirty_columns is not None and flip.any():
+        # paper does not specify a tie rule; see DESIGN.md).  A certified
+        # pair keeps its bit whatever `change` reads for it.
+        flip = evaluated & ~held & ((change < 0) != (current != 0))
+        if first_round and dirty_columns is not None and flip.any():
             # Escalate on change: the sweep evaluates every column after
             # its first changed one.
             swept[flip.any(axis=0).argmax() + 1 :] = True
-        scope = swept & (np.arange(rank) >= resume[:, None])
+        scope = swept & (order >= resume[:, None])
         limit, flips, moved = _confirm(change, flip, evaluated, current, scope)
         error += int(moved.sum())
         changed |= flips.any(axis=0)
+        # A row's accepted decisions are keeps at its final bits unless it
+        # flipped; a flip leaves only the flipped pair, a keep at the new
+        # bits (its decision does not read its own bit).
+        issued = held | (scope & (order < limit[:, None]))
+        row_flipped = flips.any(axis=1)
+        issued[row_flipped] = flips[row_flipped]
+        certified[rows] = issued
         flipped, flipped_column = flips.nonzero()
         word, offset = np.divmod(flipped_column, packing.WORD_BITS)
         updated.words[rows[flipped], word] ^= np.left_shift(
@@ -669,13 +796,10 @@ def update_factor(
         )
         left = limit < rank
         rows, resume = rows[left], limit[left]
-        if rows.size:
-            # The pending rows, their resume columns and their accepted
-            # bits: the next round evaluates only these.
-            pending = runtime.broadcast(
-                (rows, resume, updated.words[rows]), name="columnUpdate"
-            )
-            columns = np.arange(rank)
+        columns = order
+        first_round = False
+    if certificates is not None:
+        certificates.issue(certified, updated, outer, inner)
     if dirty_columns is None:
         return updated, error
     runtime.metrics.counter("incremental_columns_swept_total").inc(

@@ -336,6 +336,35 @@ class SimulatedRuntime:
         for node in list(self._persisted_nodes):
             self.evict(node, count=count)
 
+    def update_cached(
+        self, node: PlanNode, task_fn, indices, stage_name: str
+    ) -> None:
+        """Rewrite some of ``node``'s cached partitions in place, as one stage.
+
+        ``task_fn(index, items)`` returns partition ``index``'s new items
+        and may write them in place; a task that fails after writing is
+        retried on what it wrote, so it must be idempotent.  Each task runs
+        where its partition lives: a worker-resident partition is rewritten
+        in the worker that holds it, a driver-held one on the driver's copy
+        (a process worker's result replaces it).  Only the partitions in
+        ``indices`` are dispatched.  A persisted node no stage has needed
+        yet is materialized first, a spilled cache is paged in, and the
+        storage tier drops its stale spill bytes
+        (:meth:`~repro.storage.PartitionSpillStore.refresh`).
+        """
+        if node.cached is None:
+            self.materialize(node, fetch=False)
+        partitions = self.cached_partitions(node)
+        indexed = [(index, partitions[index]) for index in indices]
+        retain = None
+        if any(isinstance(items, ResidentPartition) for _, items in indexed):
+            retain = (self.scope, {0: node.node_id})
+        results = self.run_stage(stage_name, task_fn, indexed, retain)
+        for (index, _), result in zip(indexed, results):
+            partitions[index] = result
+        if self.storage is not None:
+            self.storage.refresh(node, partitions)
+
     def count_partitions_cached(self, n_partitions: int) -> None:
         self.metrics.counter("partitions_cached_total").inc(n_partitions)
 

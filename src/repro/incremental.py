@@ -4,9 +4,9 @@ A :class:`FactorizationSession` factorizes a tensor once, then *advances*
 the factorization through a stream of :class:`~repro.tensor.TensorDelta`\\ s
 instead of re-running DBTF from scratch on every snapshot:
 
-* the partitioned, cached unfoldings are **patched in place** from the
-  delta (O(|Δ|) shuffled bytes against the O(|X|) rebuild —
-  :class:`~repro.core.PartitionedUnfoldings`);
+* the delta's cells are **written into the cached slabs in place**, on
+  the workers that hold them (O(|Δ|) shipped bytes against the O(|X|)
+  rebuild — :class:`~repro.core.PartitionedUnfoldings`);
 * the solver **warm-starts** from the previous epoch's factors, RNG state,
   and error trace (the checkpoint-format carrier on
   ``DecompositionResult.state``);
@@ -15,7 +15,11 @@ instead of re-running DBTF from scratch on every snapshot:
   (:func:`~repro.core.dirty_columns_for_delta`), escalating to full sweeps
   the moment any column's decision actually moves — so quiet deltas cost a
   handful of column evaluations while adversarial ones degrade gracefully
-  to exactly the batch trajectory.
+  to exactly the batch trajectory;
+* every update skips the (row, column) pairs whose last decision was
+  "keep" at inputs that have not changed since
+  (:class:`~repro.core.DecisionCertificates`), so a round evaluates only
+  the rows the delta or a flip touched — with the same result.
 
 Example::
 
@@ -129,9 +133,9 @@ class FactorizationSession:
     """A DBTF factorization advanced delta by delta over one live runtime.
 
     The session owns what batch runs rebuild every time: the partitioned,
-    cached unfoldings (patched per epoch, never rebuilt), the warm-start
-    state chain, and — when ``checkpoint_root`` is given — the per-epoch
-    checkpoint directories.
+    cached unfoldings (patched per epoch, never rebuilt) with their
+    decision certificates, the warm-start state chain, and — when
+    ``checkpoint_root`` is given — the per-epoch checkpoint directories.
 
     Parameters
     ----------
@@ -220,10 +224,12 @@ class FactorizationSession:
     def advance(self, delta: TensorDelta) -> EpochResult:
         """Apply one delta and bring the factorization up to date.
 
-        Patches the cached unfoldings in place, computes the dirty-column
-        sets and the warm factors' exact baseline error on the new tensor,
-        and warm-starts the solver — all falling back to full sweeps the
-        moment a scoped column actually changes.
+        Writes the delta into the cached slabs in place (clearing the
+        decision certificates its cells can move), computes the
+        dirty-column sets and the warm factors' exact baseline error on the
+        new tensor, and warm-starts the solver with the certificates — all
+        falling back to full sweeps the moment a scoped column actually
+        changes.
         """
         self._check_open()
         if not self.history:
@@ -299,6 +305,7 @@ class FactorizationSession:
                 config,
                 self.runtime,
                 shared_unfoldings=self._unfoldings.rdds,
+                certificates=self._unfoldings.certificates,
             )
         else:
             warm = self._state
@@ -324,6 +331,7 @@ class FactorizationSession:
                 shared_unfoldings=self._unfoldings.rdds,
                 dirty_columns=dirty,
                 baseline_error=baseline,
+                certificates=self._unfoldings.certificates,
             )
         self._state = result.state
         swept_after, skipped_after = self._sweep_counters()

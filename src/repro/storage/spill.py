@@ -271,6 +271,22 @@ class PartitionSpillStore:
             return cached
         return self._load(node, cached)
 
+    def refresh(self, node: Any, partitions: list) -> None:
+        """``node``'s partitions were rewritten in place as ``partitions``.
+
+        Its spill file, if any, holds the old bytes.  A resident entry
+        drops the file, so its next spill writes the new ones; a node too
+        big to hold resident is still spilled, so it is written again now.
+        """
+        if isinstance(node.cached, SpilledPartitions):
+            marker = node.cached
+            os.remove(marker.path)
+            self._spill(_Entry(node, marker.nbytes, marker.path), partitions)
+            return
+        path = self._path_for(node.node_id)
+        if os.path.exists(path):
+            os.remove(path)
+
     def discard(self, node: Any) -> None:
         """Stop tracking ``node`` (runtime eviction); frees budget and file."""
         entry = self._entries.pop(node.node_id, None)
@@ -321,8 +337,9 @@ class PartitionSpillStore:
         """Write ``partitions`` to disk and leave a marker on the node.
 
         A node re-admitted after a load already has its spill file on disk;
-        the rewrite (and its I/O charge) is skipped — the file is immutable
-        because plan caches are written once.
+        the rewrite (and its I/O charge) is skipped — the file holds the
+        cache's bytes until :meth:`refresh` drops it for a cache rewritten
+        in place.
         """
         wrote = not os.path.exists(entry.path)
         if wrote:

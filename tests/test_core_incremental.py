@@ -9,6 +9,8 @@ recount, and the dirty-column criterion against brute-force per-column
 decision comparison.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,14 @@ from repro.core import (
 )
 from repro.core import dbtf
 from repro.core.config import DbtfConfig
-from repro.distengine import ClusterConfig, SimulatedRuntime, TransferKind
+from repro.distengine import (
+    ClusterConfig,
+    FaultInjector,
+    RetryPolicy,
+    SimulatedRuntime,
+    TransferKind,
+)
+from repro.distengine.shuffle import estimate_bytes
 from repro.incremental import FactorizationSession
 from repro.tensor import (
     SparseBoolTensor,
@@ -92,27 +101,27 @@ def _assert_blocks_equal(got, want):
 
 
 def _patched_vs_rebuilt(
-    tensor, deltas, n_partitions=3, memory_budget=None, backend="serial"
+    tensor, deltas, n_partitions=3, memory_budget=None, backend="serial",
+    **runtime_options,
 ):
     """Patch through ``deltas`` and compare against a rebuild per epoch."""
     cluster = ClusterConfig(
         n_machines=2, cores_per_machine=1, memory_budget=memory_budget,
         backend=backend, n_workers=2 if backend == "process" else None,
     )
-    runtime = SimulatedRuntime(cluster)
+    runtime = SimulatedRuntime(cluster, **runtime_options)
     try:
         live = PartitionedUnfoldings.prepare(tensor, n_partitions, runtime)
         current = tensor
         for delta in deltas:
             current = current.apply_delta(delta)
-            # Copy-on-write: partitions collected before the patch keep
-            # their bytes, whatever the patch writes into its copies.
             held = [rdd.collect() for rdd in live.rdds]
-            held_words = [[np.array(d.words) for d in parts] for parts in held]
             live.patch(delta)
-            for parts, words in zip(held, held_words):
-                for data, before in zip(parts, words):
-                    np.testing.assert_array_equal(data.words, before)
+            if backend == "serial" and memory_budget is None:
+                # In place: the driver's cached slabs are the ones written.
+                for parts, rdd in zip(held, live.rdds):
+                    for data, now in zip(parts, rdd.collect()):
+                        assert now is data
             rebuilt = PartitionedUnfoldings.prepare(
                 current, n_partitions, runtime
             )
@@ -126,6 +135,22 @@ def _patched_vs_rebuilt(
         live.unpersist()
     finally:
         runtime.close()
+    return runtime
+
+
+class _FailPatchesAfterWriting(FaultInjector):
+    """Fails the first attempt of every patch task, after it has written."""
+
+    def should_fail(self, stage, partition, attempt):
+        return stage.startswith("patchPartitions") and attempt == 0
+
+
+def _chained_deltas(tensor, seeds):
+    deltas, current = [], tensor
+    for seed in seeds:
+        deltas.append(_random_delta(current, seed=seed))
+        current = current.apply_delta(deltas[-1])
+    return deltas
 
 
 class TestPatchMatchesRebuild:
@@ -191,31 +216,94 @@ class TestPatchMatchesRebuild:
         )
 
     @pytest.mark.parametrize("memory_budget", [None, 1 << 30])
-    def test_patch_copies_touched_slabs_only(self, memory_budget):
-        # A budget large enough that nothing spills keeps the source
-        # generation as read-only views of the flushed memmap.
+    def test_patch_writes_in_place(self, memory_budget):
+        # A budget large enough that nothing spills keeps the partitions
+        # as read-only views of the flushed memmap until a patch copies
+        # them; without one they are owned, writable slabs.
         tensor = _random_tensor(seed=12)
         delta = _random_delta(tensor, seed=13, n_adds=2, n_removes=1)
+        undo = TensorDelta(tensor.shape, delta.removed, delta.added)
         cluster = ClusterConfig(
             n_machines=2, cores_per_machine=1, memory_budget=memory_budget
         )
         with SimulatedRuntime(cluster) as runtime:
             live = PartitionedUnfoldings.prepare(tensor, 3, runtime)
-            sources = [rdd.collect() for rdd in live.rdds]
-            source_words = [[np.array(d.words) for d in parts] for parts in sources]
-            live.patch(delta)
-            for parts, words, rdd in zip(sources, source_words, live.rdds):
-                touched = 0
-                for old, before, new in zip(parts, words, rdd.collect()):
-                    np.testing.assert_array_equal(old.words, before)
-                    if memory_budget is not None:
-                        assert not old.words.flags.writeable
-                    if new is old:
-                        continue
-                    touched += 1
-                    assert new.words.flags.writeable
-                    assert not np.shares_memory(new.words, old.words)
-                assert touched
+            for epoch, change in enumerate((delta, undo)):
+                before = [rdd.collect() for rdd in live.rdds]
+                arrays = [[d.words for d in parts] for parts in before]
+                copies = [[np.array(w) for w in words] for words in arrays]
+                n_stages = len(runtime.stages)
+                live.patch(change)
+                patches = runtime.stages[n_stages:]
+                for mode, rdd in enumerate(live.rdds):
+                    touched = 0
+                    after = rdd.collect()
+                    for old, words, copy, new in zip(
+                        before[mode], arrays[mode], copies[mode], after
+                    ):
+                        if np.array_equal(new.words, copy):
+                            # Untouched: not written, not even copied.
+                            assert new is old and new.words is words
+                            continue
+                        touched += 1
+                        assert new.words.flags.writeable
+                        if memory_budget is not None and epoch == 0:
+                            # A read-only view is copied once ...
+                            assert not words.flags.writeable
+                            assert not np.shares_memory(new.words, words)
+                        else:
+                            # ... and an owned slab is written in place.
+                            assert np.shares_memory(new.words, words)
+                    assert touched
+                    # Only the touched partitions are dispatched.
+                    assert patches[mode].name == f"patchPartitions[{mode}]"
+                    assert patches[mode].n_tasks == touched
+            live.unpersist()
+
+    @pytest.mark.parametrize("memory_budget", [None, 1])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_retried_patch_tasks_are_idempotent(self, backend, memory_budget):
+        # Each patch task writes, fails, and is retried on what it wrote:
+        # setting and clearing bits twice gives the bits of once.
+        tensor = _random_tensor(seed=16)
+        runtime = _patched_vs_rebuilt(
+            tensor, _chained_deltas(tensor, (17, 18)),
+            memory_budget=memory_budget, backend=backend,
+            fault_injector=_FailPatchesAfterWriting(max_retries=0),
+            retry_policy=RetryPolicy(max_retries=1, seed=0),
+        )
+        failures = runtime.task_failures
+        assert set(failures) == {f"patchPartitions[{m}]" for m in range(3)}
+        assert all(count > 0 for count in failures.values())
+
+    def test_spilled_patched_partitions_reload_patched(self):
+        # A budget that holds one mode's slabs at a time: every patch pages
+        # its mode in and spills another.  A patched mode spills touched
+        # slabs by value and untouched ones by reference to the flushed
+        # unfolding; once a later epoch pages it in and patches it again,
+        # its old spill file must not come back.
+        tensor = _random_tensor(seed=19, shape=(12, 11, 10))
+        plain = ClusterConfig(n_machines=2, cores_per_machine=1)
+        with SimulatedRuntime(replace(plain, memory_budget=1 << 30)) as probe:
+            sizes = [
+                estimate_bytes(rdd.node.cached)
+                for rdd in PartitionedUnfoldings.prepare(tensor, 3, probe).rdds
+            ]
+        assert max(sizes) < 2 * min(sizes)
+        cluster = replace(plain, memory_budget=max(sizes))
+        with SimulatedRuntime(cluster) as runtime, SimulatedRuntime(
+            plain
+        ) as reference:
+            live = PartitionedUnfoldings.prepare(tensor, 3, runtime)
+            current = tensor
+            for delta in _chained_deltas(tensor, (20, 21, 22)):
+                current = current.apply_delta(delta)
+                live.patch(delta)
+                rebuilt = PartitionedUnfoldings.prepare(current, 3, reference)
+                _assert_blocks_equal(_materialize(live), _materialize(rebuilt))
+                rebuilt.unpersist()
+            budget = runtime.storage.budget
+            assert budget.spill_events > 3 and budget.load_events > 3
             live.unpersist()
 
     def test_budget_path_matches_default_path(self):

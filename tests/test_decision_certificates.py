@@ -1,0 +1,363 @@
+"""Decision certificates change what an epoch evaluates, never its result.
+
+A :class:`~repro.incremental.FactorizationSession` hands its
+:class:`~repro.core.PartitionedUnfoldings`' per-mode certificates to every
+update, so a round ships only rows with an uncertified pair.  The property
+here: over random delta streams a session equals a certificate-free driver
+of the same epochs — ``PartitionedUnfoldings`` plus ``dbtf_steps`` with
+the same warm start, dirty columns and baseline error — in factors, error
+traces, each update's changed columns and the swept/skipped counters, on
+the serial and process backends, from two initial sets at epoch 0, and
+after a kill and checkpoint resume mid-stream.  A spy pins the saving: in
+a steady-state hole-punch epoch the kernel sees only rows the delta
+touched.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import (
+    DbtfConfig,
+    DecisionCertificates,
+    PartitionedUnfoldings,
+    baseline_error_after_delta,
+    dbtf_steps,
+    dirty_columns_for_delta,
+    drive,
+    update_factor,
+)
+from repro.bitops import BitMatrix
+from repro.core import decompose, update
+from repro.distengine import ClusterConfig, SimulatedRuntime, TransferKind
+from repro.incremental import FactorizationSession
+from repro.resilience import factors_from_state
+from repro.tensor import SparseBoolTensor, TensorDelta, planted_tensor
+from repro.tensor.matricize import _mode_axes
+
+#: The padded last index of every mode holds no nonzero at epoch 0, so its
+#: factor rows are zero and a cell there lies in no support rectangle.
+SHAPE = (10, 9, 8)
+
+
+def _config(cluster, **overrides):
+    return DbtfConfig(
+        rank=3, n_partitions=3, seed=0, n_initial_sets=2, cluster=cluster,
+        **overrides,
+    )
+
+
+def _cluster(backend):
+    return ClusterConfig(
+        n_machines=2, cores_per_machine=1, backend=backend,
+        n_workers=2 if backend == "process" else None,
+    )
+
+
+def _tensor(seed):
+    inner, _ = planted_tensor(
+        tuple(n - 1 for n in SHAPE), rank=3, factor_density=0.35,
+        rng=np.random.default_rng(seed), additive_noise=0.05,
+        destructive_noise=0.05,
+    )
+    return SparseBoolTensor(SHAPE, inner.coords)
+
+
+def _toggle(tensor, cells):
+    """The delta that flips ``cells``: adds the absent, removes the present."""
+    flat = np.unique(np.ravel_multi_index(np.asarray(cells).T, tensor.shape))
+    present = np.isin(flat, tensor.flat)
+    return TensorDelta(tensor.shape, flat[~present], flat[present])
+
+
+def _stream(tensor, seed):
+    """Random small and heavy deltas, one all-clean delta and one touching
+    every row of every mode, in a seeded order."""
+    rng = np.random.default_rng(seed)
+    kinds = ["small", "heavy", "clean", "every-row", "small"]
+    rng.shuffle(kinds)
+    deltas, current = [], tensor
+    for kind in kinds:
+        if kind == "clean":
+            last = [n - 1 for n in SHAPE]
+            cells = [(last[0], last[1], int(rng.integers(SHAPE[2] - 1)))]
+        elif kind == "every-row":
+            cells = [(t % SHAPE[0], t % SHAPE[1], (3 * t) % SHAPE[2])
+                     for t in range(max(SHAPE))]
+        else:
+            size = 4 if kind == "small" else 40
+            cells = [tuple(int(rng.integers(n - 1)) for n in SHAPE)
+                     for _ in range(size)]
+        deltas.append(_toggle(current, cells))
+        current = current.apply_delta(deltas[-1])
+    return deltas
+
+
+class _Spy:
+    """Records each update's dirty columns and changed columns."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        original = decompose.update_factor
+
+        def spied(data_rdd, target, outer, inner, config, runtime, **options):
+            result = original(
+                data_rdd, target, outer, inner, config, runtime, **options
+            )
+            dirty = options.get("dirty_columns")
+            self.calls.append((
+                None if dirty is None else sorted(dirty),
+                sorted(result[2]) if len(result) == 3 else None,
+            ))
+            return result
+
+        monkeypatch.setattr(decompose, "update_factor", spied)
+
+
+def _counters(runtime):
+    return (
+        runtime.metrics.value("incremental_columns_swept_total"),
+        runtime.metrics.value("incremental_columns_skipped_total"),
+    )
+
+
+def _record(result, runtime, before):
+    swept, skipped = _counters(runtime)
+    return (
+        tuple(f.words.tobytes() for f in result.factors),
+        tuple(result.errors_per_iteration),
+        (swept - before[0], skipped - before[1]),
+    )
+
+
+def _reference(tensor, deltas, config):
+    """The epochs without certificates: the session's steps by hand."""
+    runtime = SimulatedRuntime(config.cluster)
+    try:
+        live = PartitionedUnfoldings.prepare(
+            tensor, config.resolved_partitions(runtime.config), runtime
+        )
+        before = _counters(runtime)
+        result = drive(dbtf_steps(
+            tensor, config, runtime, shared_unfoldings=live.rdds
+        ))
+        epochs = [_record(result, runtime, before)]
+        for delta in deltas:
+            state = result.state
+            warm = factors_from_state(state["factors"])
+            tensor = tensor.apply_delta(delta)
+            live.patch(delta)
+            before = _counters(runtime)
+            result = drive(dbtf_steps(
+                tensor, config, runtime, warm_start=state,
+                shared_unfoldings=live.rdds,
+                dirty_columns=dirty_columns_for_delta(delta, warm),
+                baseline_error=baseline_error_after_delta(
+                    int(state["errors"][-1]), delta, warm
+                ),
+            ))
+            epochs.append(_record(result, runtime, before))
+        live.unpersist()
+        return epochs, runtime.ledger.bytes_of_kind(TransferKind.COLLECT)
+    finally:
+        runtime.close()
+
+
+def _session(tensor, deltas, config):
+    with FactorizationSession(tensor, config) as session:
+        epochs = [session.factorize()]
+        epochs += [session.advance(delta) for delta in deltas]
+        records = [
+            (
+                tuple(f.words.tobytes() for f in epoch.result.factors),
+                tuple(epoch.result.errors_per_iteration),
+                (epoch.columns_swept, epoch.columns_skipped),
+            )
+            for epoch in epochs
+        ]
+        collected = session.runtime.ledger.bytes_of_kind(TransferKind.COLLECT)
+        return records, collected
+
+
+class TestCertificatesChangeNothing:
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_session_equals_certificate_free_driver(self, backend, seed):
+        tensor = _tensor(seed)
+        deltas = _stream(tensor, seed)
+        config = _config(_cluster(backend))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            spy = _Spy(monkeypatch)
+            want, want_collect = _reference(tensor, deltas, config)
+            reference_calls, spy.calls = spy.calls, []
+            got, got_collect = _session(tensor, deltas, config)
+        assert got == want
+        assert spy.calls == reference_calls
+        assert got_collect <= want_collect
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 10_000), kill_after=st.integers(1, 12))
+    def test_checkpoint_resume_mid_stream(
+        self, seed, kill_after, tmp_path_factory
+    ):
+        # A killed session's replacement fast-forwards through the epochs
+        # its predecessor finished and resumes the one it was in, with no
+        # certificates; it must still land on the certificate-free epochs.
+        tensor = _tensor(seed)
+        deltas = _stream(tensor, seed)
+        config = _config(_cluster("serial"))
+        want, _ = _reference(tensor, deltas, config)
+        root = tmp_path_factory.mktemp("ckpt")
+        with FactorizationSession(
+            tensor, config, checkpoint_root=root
+        ) as killed:
+            steps = killed.steps(deltas)
+            for _ in range(kill_after):
+                next(steps, None)
+            steps.close()
+        with FactorizationSession(
+            tensor, config, checkpoint_root=root
+        ) as resumed:
+            epochs = resumed.run(deltas).epochs
+        assert [
+            (tuple(f.words.tobytes() for f in e.result.factors),
+             tuple(e.result.errors_per_iteration))
+            for e in epochs
+        ] == [record[:2] for record in want]
+
+    def test_stream_changes_factors_and_saves_collects(self):
+        # The generated streams are not vacuous: some epochs move the
+        # factors, and certificates cut what the rounds collect.
+        tensor = _tensor(seed=4)
+        deltas = _stream(tensor, seed=4)
+        config = _config(_cluster("serial"))
+        want, want_collect = _reference(tensor, deltas, config)
+        got, got_collect = _session(tensor, deltas, config)
+        assert got == want
+        assert len({record[0] for record in want}) > 2
+        assert got_collect < want_collect
+
+
+def _hole_punch_stream(seed, dim=20, rank=4, ones=6, epochs=8, holes=4):
+    """A noise-free planted tensor whose epoch ``e`` punches holes into
+    cells only component ``e % 3`` covers and refills epoch ``e - 3``'s."""
+    rng = np.random.default_rng(seed)
+    dense = []
+    for _ in range(3):
+        factor = np.zeros((dim, rank), dtype=bool)
+        for column in range(rank):
+            factor[rng.choice(dim, size=ones, replace=False), column] = True
+        dense.append(factor)
+    cells = np.einsum("ir,jr,kr->ijkr", *dense)
+    tensor = SparseBoolTensor.from_dense(cells.any(axis=3).astype(np.uint8))
+    single = cells.sum(axis=3) == 1
+    exclusive = [
+        np.flatnonzero((single & cells[..., c]).reshape(-1)) for c in range(3)
+    ]
+    deltas, removed = [], []
+    for epoch in range(epochs):
+        refill = removed[epoch - 3] if epoch >= 3 else np.zeros(0, np.int64)
+        candidates = np.setdiff1d(exclusive[epoch % 3], refill)
+        removed.append(np.sort(rng.choice(candidates, holes, replace=False)))
+        deltas.append(TensorDelta(tensor.shape, refill, removed[-1]))
+    return tensor, deltas
+
+
+def test_steady_state_epoch_ships_only_touched_rows(monkeypatch):
+    tensor, deltas = _hole_punch_stream(seed=1)
+    config = DbtfConfig(rank=4, n_partitions=4, seed=0)
+    rounds = []
+    original = update._ColumnRoundTask.__init__
+
+    def spied(self, factors, pending, *args):
+        rounds.append(None if pending is None else pending.value[0].copy())
+        original(self, factors, pending, *args)
+
+    with FactorizationSession(tensor, config) as session:
+        session.factorize()
+        for delta in deltas[:-1]:
+            session.advance(delta)
+        warm = session.history[-1].result.factors
+        monkeypatch.setattr(update._ColumnRoundTask, "__init__", spied)
+        modes = []
+        real = decompose.update_factor
+
+        def tagged(data_rdd, *args, **options):
+            mode = [rdd.node for rdd in session._unfoldings.rdds].index(
+                data_rdd.node
+            )
+            start = len(rounds)
+            result = real(data_rdd, *args, **options)
+            modes.append((mode, rounds[start:]))
+            return result
+
+        monkeypatch.setattr(decompose, "update_factor", tagged)
+        epoch = session.advance(deltas[-1])
+    # Steady state: the factors did not move, and some rows were evaluated.
+    assert all(
+        np.array_equal(a.words, b.words)
+        for a, b in zip(epoch.result.factors, warm)
+    )
+    assert any(shipped for _, shipped in modes)
+    coords = np.concatenate(
+        [deltas[-1].added_coords(), deltas[-1].removed_coords()]
+    )
+    for mode, shipped in modes:
+        touched = set(coords[:, _mode_axes(mode)[0]].tolist())
+        for rows in shipped:
+            assert rows is not None, "a round over every row"
+            assert set(rows.tolist()) <= touched
+            assert 0 < len(rows) < tensor.shape[_mode_axes(mode)[0]]
+
+
+class TestCertificateRules:
+    def _factors(self, seed, shape=(6, 5, 4), rank=3):
+        rng = np.random.default_rng(seed)
+        return shape, [
+            BitMatrix.from_dense(rng.random((n, rank)) < 0.5)
+            for n in shape
+        ]
+
+    def test_valid_drops_changed_rows_and_changed_fixed_factors(self):
+        _, (target, outer, inner) = self._factors(0)
+        certificates = DecisionCertificates()
+        keep = np.ones((target.n_rows, 3), dtype=bool)
+        certificates.issue(keep, target, outer, inner)
+        assert certificates.valid(target, outer, inner).all()
+        moved = target.copy()
+        moved.words[2] ^= np.uint64(1)
+        valid = certificates.valid(moved, outer, inner)
+        assert not valid[2].any() and valid[np.arange(6) != 2].all()
+        other = outer.copy()
+        other.words[0] ^= np.uint64(1)
+        assert not certificates.valid(target, other, inner).any()
+        assert not DecisionCertificates().valid(target, outer, inner).any()
+
+    def test_clear_cells_clears_pairs_whose_rectangle_holds_the_cell(self):
+        _, (target, outer, inner) = self._factors(1)
+        certificates = DecisionCertificates()
+        certificates.issue(
+            np.ones((target.n_rows, 3), dtype=bool), target, outer, inner
+        )
+        certificates.clear_cells(
+            np.array([4]), np.array([2]), np.array([1])
+        )
+        dense_outer, dense_inner = outer.to_dense(), inner.to_dense()
+        inside = (dense_outer[2] & dense_inner[1]).astype(bool)
+        assert (certificates.keep[4] == ~inside).all()
+        assert certificates.keep[np.arange(6) != 4].all()
+
+    def test_tucker_core_rejects_certificates(self):
+        shape, factors = self._factors(2)
+        tensor = SparseBoolTensor.empty(shape)
+        with SimulatedRuntime(_cluster("serial")) as runtime:
+            live = PartitionedUnfoldings.prepare(tensor, 2, runtime)
+            with pytest.raises(ValueError, match="CP"):
+                update_factor(
+                    live.rdds[0], *factors, DbtfConfig(rank=3), runtime,
+                    core=np.ones((3, 3, 3), dtype=np.uint8),
+                    certificates=DecisionCertificates(),
+                )
+            live.unpersist()
