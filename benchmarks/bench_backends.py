@@ -11,8 +11,8 @@ The engine's metered quantities (per-task durations, ledger bytes,
 ``simulated_time``) are backend-invariant by construction; only the *host*
 wall clock changes.  On a single-core host every backend necessarily ties
 (pool overhead aside), so the report always includes ``os.cpu_count()`` —
-the acceptance target of >= 2x for thread/process applies on hosts with
-four or more cores.
+the acceptance target of >= 2x for process applies on hosts with four or
+more cores.
 
 Usage::
 
@@ -34,7 +34,7 @@ from repro.bitops import BitMatrix
 from repro.core import DbtfConfig
 from repro.core.decompose import prepare_partitioned_unfoldings
 from repro.core.update import update_factor
-from repro.distengine import DEFAULT_CLUSTER, SimulatedRuntime
+from repro.distengine import BACKEND_NAMES, DEFAULT_CLUSTER, SimulatedRuntime
 from repro.tensor import planted_tensor
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
@@ -98,10 +98,9 @@ def main(argv=None) -> int:
     parser.add_argument("--rank", type=int, default=8)
     parser.add_argument("--partitions", type=int, default=8)
     parser.add_argument("--workers", type=int, default=None,
-                        help="pool size for thread/process (default: all cores)")
+                        help="pool size for process (default: all cores)")
     parser.add_argument("--backends", nargs="+",
-                        default=["serial", "thread", "process"],
-                        choices=["serial", "thread", "process"])
+                        default=list(BACKEND_NAMES), choices=BACKEND_NAMES)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny workload for CI (32^3, rank 4)")
     args = parser.parse_args(argv)

@@ -24,7 +24,7 @@ number of outstanding holes.  Verified per epoch and backend:
   delta epoch (scoped evaluations plus any escalated full iterations,
   against the batch run's full ``iterations x 3R`` sweep bill);
 * incremental factors and error traces are **bit-identical across the
-  serial, thread, and process backends**.
+  serial and process backends**.
 
 Usage::
 
@@ -44,7 +44,7 @@ from _emit import emit, entry
 from repro import FactorizationSession
 from repro.bitops import packing
 from repro.core import DbtfConfig, dbtf
-from repro.distengine import ClusterConfig, SimulatedRuntime
+from repro.distengine import BACKEND_NAMES, ClusterConfig, SimulatedRuntime
 from repro.tensor import TensorDelta, planted_tensor
 
 #: The asserted floor on (from-scratch sweeps) / (incremental sweeps).
@@ -187,8 +187,7 @@ def main(argv=None) -> int:
     parser.add_argument("--holes", type=int, default=3,
                         help="cells removed per delta epoch")
     parser.add_argument("--backends", nargs="+",
-                        default=["serial", "thread", "process"],
-                        choices=["serial", "thread", "process"])
+                        default=list(BACKEND_NAMES), choices=BACKEND_NAMES)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny workload for CI (16^3, rank 5)")
     args = parser.parse_args(argv)

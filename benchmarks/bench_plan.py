@@ -9,7 +9,7 @@ derives the *per-iteration* stage count from the difference between a
 2-iteration and a 1-iteration run (subtracting the shared setup), asserts
 it stays at or below that floor, asserts that the factor bit-patterns, the
 error trace, the stage count and every ledger byte total are identical on
-the serial, thread and process backends, and writes ``BENCH_plan.json``::
+the serial and process backends, and writes ``BENCH_plan.json``::
 
     python benchmarks/bench_plan.py [--smoke]
 
@@ -25,14 +25,13 @@ import sys
 import numpy as np
 
 from repro.core import dbtf
-from repro.distengine import ClusterConfig, SimulatedRuntime
+from repro.distengine import BACKEND_NAMES, ClusterConfig, SimulatedRuntime
 from repro.tensor import planted_tensor
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
 from _emit import best_wall_time, emit, entry  # noqa: E402
 
 N_MACHINES = 4
-BACKENDS = ("serial", "thread", "process")
 
 
 def max_stages_per_iteration(rank: int) -> int:
@@ -85,7 +84,7 @@ def measure(dim: int, rank: int, n_partitions: int, iterations: int = 2):
     records = []
     fingerprints = {}
     per_iteration = None
-    for backend in BACKENDS:
+    for backend in BACKEND_NAMES:
         wall, (fingerprint, n_stages, simulated) = best_wall_time(
             lambda backend=backend: _run(tensor, rank, iterations,
                                          n_partitions, backend),
@@ -102,7 +101,7 @@ def measure(dim: int, rank: int, n_partitions: int, iterations: int = 2):
 
     # Backends may only change how fast the host finishes, never what the
     # stages compute or meter.
-    for backend in BACKENDS[1:]:
+    for backend in BACKEND_NAMES[1:]:
         if fingerprints[backend] != fingerprints["serial"]:
             raise AssertionError(
                 f"{backend} run diverged from serial: factors / errors / "
@@ -139,7 +138,7 @@ def main(argv=None) -> int:
     print(
         f"stages/iteration: {summary['stages_per_iteration']} "
         f"(floor {summary['max_stages_per_iteration']}), bit-identical "
-        f"across {', '.join(BACKENDS)}"
+        f"across {', '.join(BACKEND_NAMES)}"
     )
     return 0
 

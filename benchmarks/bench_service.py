@@ -12,7 +12,7 @@ asserts the service's contracts as floors, like ``bench_plan`` /
 * **kill + resume** — killing the service mid-run and resubmitting the
   same specs yields bit-identical factors and error traces versus the
   uninterrupted run;
-* **backend invariance** — serial, thread, and process backends produce
+* **backend invariance** — the serial and process backends produce
   identical results and identical fair-share schedules;
 * **cancellation** — cancelling running jobs releases their leases and
   lets queued jobs activate on the next quantum.
@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from repro.distengine import DEFAULT_CLUSTER
+from repro.distengine import BACKEND_NAMES, DEFAULT_CLUSTER
 from repro.service import (
     FactorizationService,
     JobSpec,
@@ -42,7 +42,6 @@ from repro.tensor import planted_tensor
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
 from _emit import emit, entry  # noqa: E402
 
-BACKENDS = ("serial", "thread", "process")
 N_TENANTS = 4
 N_JOBS = 32
 WEIGHTS = {"tenant-0": 2.0}  # tenant-0 deserves twice the throughput
@@ -199,7 +198,7 @@ def main(argv=None) -> int:
     entries = []
     baselines = {}
     vtimes = {}
-    for backend in BACKENDS:
+    for backend in BACKEND_NAMES:
         with tempfile.TemporaryDirectory() as scratch:
             wall, results, vtime = drain_fleet(specs, backend, scratch)
         assert len(results) == N_JOBS
@@ -227,7 +226,7 @@ def main(argv=None) -> int:
         print(f"{backend:>8}: kill+resume bit-identical "
               f"(resume leg {resume_wall:.2f}s)")
 
-    for backend in BACKENDS[1:]:
+    for backend in BACKEND_NAMES[1:]:
         assert baselines[backend] == baselines["serial"], (
             f"{backend} results differ from serial"
         )

@@ -32,7 +32,7 @@ import numpy as np
 from _emit import emit, entry
 
 from repro.core import dbtf
-from repro.distengine import ClusterConfig, SimulatedRuntime
+from repro.distengine import BACKEND_NAMES, ClusterConfig, SimulatedRuntime
 from repro.storage import format_size
 from repro.tensor import planted_tensor
 
@@ -107,8 +107,7 @@ def main(argv=None) -> int:
     parser.add_argument("--iterations", type=int, default=2)
     parser.add_argument("--partitions", type=int, default=4)
     parser.add_argument("--backends", nargs="+",
-                        default=["serial", "thread", "process"],
-                        choices=["serial", "thread", "process"])
+                        default=list(BACKEND_NAMES), choices=BACKEND_NAMES)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny workload for CI (16^3, rank 2)")
     args = parser.parse_args(argv)

@@ -29,6 +29,8 @@ import sys
 
 import numpy as np
 
+from .distengine import BACKEND_NAMES, DEFAULT_CLUSTER
+
 __all__ = ["main", "build_parser"]
 
 
@@ -83,13 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="DBTF's N parameter")
     factorize.add_argument("--density-threshold", type=float, default=0.9,
                            help="Walk'n'Merge's t parameter")
-    factorize.add_argument("--backend", choices=["serial", "thread", "process"],
+    factorize.add_argument("--backend", choices=BACKEND_NAMES,
                            default="serial",
                            help="host-side stage executor for dbtf/nway-cp "
                                 "(results are identical; a parallel backend "
                                 "uses more cores)")
     factorize.add_argument("--workers", type=int, default=None,
-                           help="worker-pool size for --backend thread/process "
+                           help="worker-pool size for --backend process "
                                 "(default: all cores)")
     factorize.add_argument("--seed", type=int, default=0)
     factorize.add_argument("--factors-out", default=None,
@@ -186,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run spooled jobs to completion (resumable: killing "
                       "and re-running continues from checkpoints)"
     )
-    jobs_serve.add_argument("--backend",
-                            choices=["serial", "thread", "process"],
+    jobs_serve.add_argument("--backend", choices=BACKEND_NAMES,
                             default="serial")
     jobs_serve.add_argument("--workers", type=int, default=None)
     jobs_serve.add_argument("--max-live", type=int, default=4,
@@ -447,8 +448,7 @@ def _command_factorize(args: argparse.Namespace) -> int:
                 max_iterations=args.max_iterations,
                 n_initial_sets=args.initial_sets,
                 seed=args.seed,
-                backend=args.backend,
-                n_workers=args.workers,
+                cluster=DEFAULT_CLUSTER.with_backend(args.backend, args.workers),
                 checkpoint=checkpoint,
             ),
             tracer=tracer,
@@ -587,7 +587,6 @@ def _jobs_result(store, args: argparse.Namespace) -> int:
 
 
 def _jobs_serve(store, args: argparse.Namespace) -> int:
-    from .distengine import DEFAULT_CLUSTER
     from .service import FactorizationService, JobState, ServiceConfig, TenantQuota
 
     quotas = {}

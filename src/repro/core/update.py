@@ -466,7 +466,7 @@ class _ColumnRoundTask:
     seed flag.  The worker keeps the
     derived state — the shared :class:`KernelTables` and the round's
     :class:`ColumnKeys` — all pure functions of the payload, which is what
-    makes results bit-identical across serial, thread, and process
+    makes results bit-identical across the serial and process
     backends.
 
     Returns each pair's ``error_if_one - error_if_zero`` over the active

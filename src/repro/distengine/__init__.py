@@ -7,7 +7,6 @@ from .backends import (
     Backend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     make_backend,
 )
 from .broadcast import Broadcast, BroadcastHandle
@@ -30,7 +29,6 @@ __all__ = [
     "BACKEND_NAMES",
     "Backend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "make_backend",
     "Broadcast",

@@ -2,10 +2,10 @@
 
 The engine meters *measured per-task durations*, not wall-clock order, so
 the cost model is identical under every backend here; only the host's real
-elapsed time changes.  ``serial`` is the default (and the historical
-behavior), ``thread`` overlaps GIL-releasing numpy kernels, ``process``
-runs partitions on separate cores and keeps persisted partitions resident
-in its workers.
+elapsed time changes.  ``serial`` runs every task inline in the driver —
+the default, and the exact single-core reference; ``process`` runs
+partitions on separate worker processes, like Spark executors, and keeps
+persisted partitions resident in its workers.
 """
 
 from .base import (
@@ -16,7 +16,7 @@ from .base import (
     TaskOutcome,
     execute_task,
 )
-from .pools import ProcessBackend, ThreadBackend
+from .pools import ProcessBackend
 from .serial import SerialBackend
 
 __all__ = [
@@ -27,14 +27,12 @@ __all__ = [
     "TaskOutcome",
     "execute_task",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "make_backend",
 ]
 
 _BACKENDS = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
 
@@ -42,7 +40,7 @@ _BACKENDS = {
 def make_backend(backend: "str | Backend", n_workers: int | None = None) -> Backend:
     """Resolve a backend name (or pass through an instance).
 
-    ``n_workers`` bounds the worker pool for ``thread``/``process``
+    ``n_workers`` bounds the worker pool for ``process``
     (default: the host's CPU count) and is ignored by ``serial``.
     """
     if isinstance(backend, Backend):

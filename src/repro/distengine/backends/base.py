@@ -5,7 +5,7 @@ returns, per task, the produced partition, the measured duration, and how
 many injected fault retries the task survived.  Everything the cost model
 consumes (per-task durations, failure counts, shuffle bytes) is measured
 *inside* the task, so the numbers are identical whether tasks run
-sequentially, on a thread pool, or on a process pool: the replayed
+inline in the driver or on worker processes: the replayed
 ``simulated_time`` is backend-invariant while the host's wall-clock time is
 not.  See DESIGN.md "Execution backends".
 
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 #: Names accepted by ``make_backend`` / ``ClusterConfig.backend``.
-BACKEND_NAMES = ("serial", "thread", "process")
+BACKEND_NAMES = ("serial", "process")
 
 #: ``fn(partition_index, items) -> iterable`` — the unit of distributed work.
 TaskFn = Callable[[int, list], Iterable[Any]]

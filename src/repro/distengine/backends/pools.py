@@ -1,8 +1,4 @@
-"""Parallel backends: a thread pool, and resident process workers.
-
-:class:`ThreadBackend` submits one
-:func:`~repro.distengine.backends.base.execute_task` call per partition to a
-thread pool and gathers outcomes in submission order.
+"""The parallel backend: resident process workers.
 
 :class:`ProcessBackend` runs a fixed set of worker processes, each with a
 process-local resident store (:data:`repro.distengine.broadcast._STORE`).
@@ -18,9 +14,9 @@ derives from them — the row-summation cache and the round tasks' pair
 keys (:func:`~repro.distengine.broadcast.worker_state` slots) —
 lives in the same store, so the runtime's release drops it too.
 
-Both pools start lazily on the first stage and are reused for the rest of
+The pool starts lazily on the first stage and is reused for the rest of
 the decomposition (mirroring Spark executors, which live for the whole
-job); ``close()`` shuts them down.  A process worker also exits when its
+job); ``close()`` shuts it down.  A worker also exits when its
 pipe reaches end-of-file, so a driver that dies without ``close()`` leaves
 no worker behind.
 """
@@ -33,7 +29,6 @@ import pickle
 import threading
 import traceback
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .. import broadcast
@@ -42,85 +37,9 @@ from ..plan import FusedChainTask
 from ..shuffle import estimate_bytes
 from .base import Backend, ResidentPartition, StageResult, TaskFn, execute_task
 
-__all__ = ["ThreadBackend", "ProcessBackend"]
+__all__ = ["ProcessBackend"]
 
 
-class _PoolBackend(Backend):
-    """Shared lazy-pool lifecycle of the thread and process backends."""
-
-    def __init__(self, n_workers: int | None = None):
-        if n_workers is not None and n_workers <= 0:
-            raise ValueError(f"n_workers must be positive, got {n_workers}")
-        self.n_workers = n_workers
-        self._executor = None
-
-    def _effective_workers(self) -> int:
-        return self.n_workers or os.cpu_count() or 1
-
-    def _make_executor(self):
-        raise NotImplementedError
-
-    @property
-    def executor(self):
-        if self._executor is None:
-            self._executor = self._make_executor()
-        return self._executor
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(n_workers={self.n_workers})"
-
-
-class ThreadBackend(_PoolBackend):
-    """Tasks run concurrently on a thread pool.
-
-    Real parallelism only where the kernels release the GIL (numpy's
-    element-wise ops on large arrays do), but task payloads need not be
-    picklable and nothing is copied between workers — the cheap way to
-    overlap the engine's numpy-heavy stages.
-    """
-
-    name = "thread"
-
-    def _make_executor(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(
-            max_workers=self._effective_workers(),
-            thread_name_prefix="repro-stage",
-        )
-
-    def run_stage(
-        self,
-        stage_name: str,
-        task_fn: TaskFn,
-        indexed_partitions: Sequence[tuple[int, list]],
-        fault_injector: FaultInjector | None = None,
-        collect_trace: bool = False,
-        retry_policy=None,
-        retain=None,
-    ) -> StageResult:
-        futures = [
-            self.executor.submit(
-                execute_task, task_fn, stage_name, index, items,
-                fault_injector, collect_trace, retry_policy,
-            )
-            for index, items in indexed_partitions
-        ]
-        try:
-            outcomes = [future.result() for future in futures]
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
-        return StageResult.from_outcomes(outcomes)
-
-
-# ----------------------------------------------------------------------
-# Process workers
-# ----------------------------------------------------------------------
 #: Driver ends of every live worker pipe in this process.  A forked child
 #: closes its inherited copies, so a worker's pipe reaches end-of-file as
 #: soon as the driver itself is gone.
@@ -312,7 +231,7 @@ class _WorkerPool:
                 process.join()
 
 
-class ProcessBackend(_PoolBackend):
+class ProcessBackend(Backend):
     """Tasks run on resident worker processes — multi-core parallelism.
 
     Task payloads and non-resident inputs cross the process boundary by
@@ -331,13 +250,28 @@ class ProcessBackend(_PoolBackend):
     shares_driver_memory = False
 
     def __init__(self, n_workers: int | None = None):
-        super().__init__(n_workers)
+        if n_workers is not None and n_workers <= 0:
+            raise ValueError(f"n_workers must be positive, got {n_workers}")
+        self.n_workers = n_workers
+        self._executor: _WorkerPool | None = None
         #: Broadcast values not yet shipped to every worker:
         #: ``key -> (value, workers already holding it)``.
         self._unshipped: dict[tuple, tuple[object, set]] = {}
 
-    def _make_executor(self) -> _WorkerPool:
-        return _WorkerPool(self._effective_workers())
+    @property
+    def executor(self) -> _WorkerPool:
+        """The worker pool, started on first use (``n_workers`` or all cores)."""
+        if self._executor is None:
+            self._executor = _WorkerPool(self.n_workers or os.cpu_count() or 1)
+        return self._executor
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+
+    def __repr__(self) -> str:
+        return f"ProcessBackend(n_workers={self.n_workers})"
 
     def register_broadcast(self, handle) -> None:
         self._unshipped[handle.key] = (handle.value, set())

@@ -13,17 +13,15 @@ so a handle inside a task payload costs a few dozen bytes per task while
 the value is transferred once per worker, exactly the Spark semantics the
 closure-capture pattern was approximating.
 
-Resolution is deliberately span- and metric-free: the serial and thread
-backends resolve from driver memory while a process worker reads the value
-from its resident store (the process backend ships each value once per
-worker, on that worker's next stage message), and instrumenting that
+Resolution is deliberately span- and metric-free: the serial backend
+resolves from driver memory while a process worker reads the value from
+its resident store (the process backend ships each value once per worker,
+on that worker's next stage message), and instrumenting that
 difference would break the engine's backend-invariant trace structure.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from typing import Any, Callable
 
 from ..observability.trace import untraced
@@ -33,25 +31,10 @@ __all__ = ["Broadcast", "BroadcastHandle", "worker_state", "release_scope"]
 #: Process-local resident store.  A process-backend worker keeps broadcast
 #: values keyed ``(scope, content_id)`` and persisted partitions keyed
 #: ``(scope, node_id, partition_index)`` here; every process (the driver
-#: too, for the serial and thread backends) keeps :func:`worker_state`
-#: slots keyed ``(scope, name)``.  ``scope`` identifies the owning runtime,
-#: so one runtime's ``close()`` drops exactly its entries.
+#: too, for the serial backend) keeps :func:`worker_state` slots keyed
+#: ``(scope, name)``.  ``scope`` identifies the owning runtime, so one
+#: runtime's ``close()`` drops exactly its entries.
 _STORE: dict[tuple, Any] = {}
-
-#: Serializes :func:`worker_state` builds and :func:`release_scope` against
-#: the concurrent tasks of a thread backend.
-_STORE_LOCK = threading.Lock()
-
-
-def _fresh_lock_after_fork() -> None:
-    # A worker forked while another driver thread held the lock would
-    # otherwise block on its first worker_state call forever.
-    global _STORE_LOCK
-    _STORE_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_fresh_lock_after_fork)
 
 _MISSING = object()
 
@@ -71,8 +54,7 @@ def worker_state(
     worker keeps one value per slot however many broadcasts pass through
     it, and :func:`release_scope` drops it with the scope's other entries.
 
-    ``build(previous)`` runs once per key and process, under a lock so a
-    thread pool's concurrent tasks share one build.  ``previous`` is the
+    ``build(previous)`` runs once per key and process.  ``previous`` is the
     ``(key, value)`` pair it replaces, or ``None``, so a build may derive
     its value from the one before it.  How many builds happen is a
     property of the backend (one for a serial runtime, one per process
@@ -82,12 +64,9 @@ def worker_state(
     slot = (scope, name)
     held = _STORE.get(slot)
     if held is None or held[0] != key:
-        with _STORE_LOCK:
-            held = _STORE.get(slot)
-            if held is None or held[0] != key:
-                with untraced():
-                    held = (key, build(held))
-                _STORE[slot] = held
+        with untraced():
+            held = (key, build(held))
+        _STORE[slot] = held
     return held[1]
 
 
@@ -97,13 +76,12 @@ def release_scope(scope: int, node_id: "int | None" = None) -> int:
     Only the persisted partitions of ``node_id`` when given, else every
     entry of the scope.  Returns how many entries were dropped.
     """
-    with _STORE_LOCK:
-        doomed = [
-            key for key in _STORE
-            if key[0] == scope and (node_id is None or key[1] == node_id)
-        ]
-        for key in doomed:
-            del _STORE[key]
+    doomed = [
+        key for key in _STORE
+        if key[0] == scope and (node_id is None or key[1] == node_id)
+    ]
+    for key in doomed:
+        del _STORE[key]
     return len(doomed)
 
 
@@ -141,7 +119,7 @@ class BroadcastHandle:
     def value(self) -> object:
         """The broadcast value, resolved from the nearest copy.
 
-        Driver-side (and under the serial/thread backends) this is the
+        Driver-side (and under the serial backend) this is the
         in-memory value.  In a process worker the handle arrives without
         its value and resolves through the process-local resident store.
         """

@@ -42,13 +42,13 @@ class ClusterConfig:
         speed-up is sublinear (2.2x from 4 to 16 machines).
     backend:
         How partition tasks *actually execute on the host*: ``"serial"``
-        (inline, the default), ``"thread"``, or ``"process"`` (real
-        multi-core parallelism).  The cost model above is backend-invariant
-        — it consumes measured per-task durations, not wall-clock order —
-        so this only changes how fast the host finishes, never the
-        simulated measurements.
+        (inline in the driver, the default) or ``"process"`` (resident
+        worker processes, like Spark executors).  The cost model above is
+        backend-invariant — it consumes measured per-task durations, not
+        wall-clock order — so this only changes how fast the host
+        finishes, never the simulated measurements.
     n_workers:
-        Worker-pool size for the thread/process backends (``None`` uses
+        Worker-pool size for the process backend (``None`` uses
         the host's CPU count).  Unrelated to ``n_machines``, which is the
         *simulated* cluster size.
     tracing:

@@ -7,9 +7,10 @@ needs data, :class:`LogicalPlan` walks the DAG and the
 :class:`PlanOptimizer` groups each maximal run of narrow transformations
 into one :class:`PhysicalStage`, executed as a single composed task per
 partition (:class:`FusedChainTask`) through ``runtime.run_plan``.  A
-``map → filter → map`` pipeline therefore costs one task launch, one span,
-and one scheduler wave instead of three — the engine-level analogue of the
-paper's "never materialize the intermediates" argument (PAPER.md §IV).
+``map → map_partitions_with_index → map`` pipeline therefore costs one
+task launch, one span, and one scheduler wave instead of three — the
+engine-level analogue of the paper's "never materialize the
+intermediates" argument (PAPER.md §IV).
 
 Persistence is a real barrier with a twist: fusion runs *through* a
 persisted-but-not-yet-cached node.  The node joins the fused chain as a
@@ -36,17 +37,6 @@ __all__ = [
     "LogicalPlan",
     "FusedChainTask",
 ]
-
-#: Display label per operator, used when a transformation was not given an
-#: explicit stage name.
-_OP_LABELS = {
-    "source": "source",
-    "map": "map",
-    "filter": "filter",
-    "mapPartitions": "mapPartitions",
-    "mapPartitionsWithIndex": "mapPartitionsWithIndex",
-}
-
 
 class PlanNode:
     """One operator in a lineage DAG.
@@ -88,7 +78,7 @@ class PlanNode:
             return self.label
         if self.persisted:
             return "cache-build"
-        return _OP_LABELS.get(self.op, self.op)
+        return self.op
 
     def __repr__(self) -> str:
         state = "cached" if self.cached is not None else "lazy"
@@ -128,8 +118,8 @@ class PhysicalStage:
 
     ``nodes`` are in execution order (upstream first).  The stage name is
     the ``"+"``-joined segment of every fused node, so composite names like
-    ``"map+filter+cache-build"`` flow into spans, :class:`StageReport`\\ s,
-    the retry/speculation path, and the ledger.
+    ``"map+mapPartitionsWithIndex+cache-build"`` flow into spans,
+    :class:`StageReport`\\ s, the retry/speculation path, and the ledger.
     """
 
     __slots__ = ("nodes",)

@@ -1,15 +1,16 @@
 """A partitioned, Spark-like distributed collection with lazy lineage.
 
 :class:`Distributed` is the engine's RDD analogue.  Transformations are
-**lazy**: ``map``/``filter``/``map_partitions``/``map_partitions_with_index``
-append a :class:`~repro.distengine.plan.PlanNode` to a lineage DAG and
-return immediately.  Actions (``collect``, ``count``, ``reduce``, ``glom``)
+**lazy**: ``map`` and ``map_partitions_with_index`` append a
+:class:`~repro.distengine.plan.PlanNode` to a lineage DAG and return
+immediately.  Actions (``collect``, ``count``, ``reduce``, ``glom``)
 hand the DAG to the plan layer (:mod:`repro.distengine.plan`), which fuses
 each maximal chain of narrow transformations into one composed task per
 partition before dispatching through ``runtime.run_plan`` — a
-``map → filter → map`` pipeline costs one stage, not three, and the fused
-stage carries the composite name (``"map+filter+..."``) into spans,
-reports, and the retry path.
+``map → map_partitions_with_index → map`` pipeline costs one stage, not
+three, and the fused stage carries the composite name
+(``"map+mapPartitionsWithIndex+..."``) into spans, reports, and the retry
+path.
 
 ``persist()`` is a real materialization barrier: the partitions are cached
 at first materialization (metered by ``partitions_cached_total``) and
@@ -46,30 +47,6 @@ class _ElementTask:
 
     def __call__(self, _index: int, items: list[Any]) -> list[Any]:
         return [self.fn(item) for item in items]
-
-
-class _FilterTask:
-    """``filter`` payload: keep the elements satisfying ``predicate``."""
-
-    __slots__ = ("predicate",)
-
-    def __init__(self, predicate: Callable[[Any], bool]):
-        self.predicate = predicate
-
-    def __call__(self, _index: int, items: list[Any]) -> list[Any]:
-        return [item for item in items if self.predicate(item)]
-
-
-class _PartitionTask:
-    """``map_partitions`` payload: apply ``fn`` to the whole partition."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[list[Any]], Iterable[Any]]):
-        self.fn = fn
-
-    def __call__(self, _index: int, items: list[Any]) -> Iterable[Any]:
-        return self.fn(items)
 
 
 class Distributed:
@@ -158,7 +135,6 @@ class Distributed:
         op: str,
         fn: Callable[[int, list[Any]], Iterable[Any]],
         name: str | None,
-        default_suffix: str,
     ) -> "Distributed":
         """Append one narrow node to the lineage.
 
@@ -171,25 +147,11 @@ class Distributed:
             node_id=runtime.next_plan_id(),
         )
         return Distributed(
-            runtime, name=name or f"{self.name}.{default_suffix}", node=node
+            runtime, name=name or f"{self.name}.{op}", node=node
         )
 
     def map(self, fn: Callable[[Any], Any], name: str | None = None) -> "Distributed":
-        return self._derive("map", _ElementTask(fn), name, "map")
-
-    def filter(
-        self, predicate: Callable[[Any], bool], name: str | None = None
-    ) -> "Distributed":
-        return self._derive("filter", _FilterTask(predicate), name, "filter")
-
-    def map_partitions(
-        self,
-        fn: Callable[[list[Any]], Iterable[Any]],
-        name: str | None = None,
-    ) -> "Distributed":
-        return self._derive(
-            "mapPartitions", _PartitionTask(fn), name, "mapPartitions"
-        )
+        return self._derive("map", _ElementTask(fn), name)
 
     def map_partitions_with_index(
         self,
@@ -204,9 +166,7 @@ class Distributed:
         :func:`repro.distengine.backends.execute_task`), which times it
         and applies fault-injection retries.
         """
-        return self._derive(
-            "mapPartitionsWithIndex", fn, name, "mapPartitionsWithIndex"
-        )
+        return self._derive("mapPartitionsWithIndex", fn, name)
 
     # ------------------------------------------------------------------
     # Actions

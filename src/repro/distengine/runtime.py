@@ -458,7 +458,7 @@ class SimulatedRuntime:
         Returns the produced partitions ordered by partition index; the
         measured per-task durations and fault-retry counts are recorded on
         this runtime.  This is the single choke point all task execution
-        flows through, so serial, thread, and process backends feed the
+        flows through, so the serial and process backends feed the
         cost model — and the trace/metrics layer — identically.
         ``retain`` names worker-resident persist points (see
         :meth:`run_plan`).

@@ -22,8 +22,7 @@ import numpy as np
 
 from ..bitops import BitMatrix, packing
 from ..core.steps import StepEvent, drive
-from ..distengine import DEFAULT_CLUSTER, SimulatedRuntime
-from ..distengine.backends import BACKEND_NAMES
+from ..distengine import DEFAULT_CLUSTER, ClusterConfig, SimulatedRuntime
 from ..resilience import CheckpointConfig, CheckpointManager, config_fingerprint
 from ..tensor import SparseBoolTensor
 
@@ -43,9 +42,10 @@ __all__ = [
 class NwayCpConfig:
     """Hyper-parameters of the N-way Boolean CP solver.
 
-    ``backend``/``n_workers`` parallelize the independent restarts
-    (``n_initial_sets``) across the stage-executor seam; the selected best
-    result is identical under every backend.
+    ``cluster`` says how the independent restarts (``n_initial_sets``)
+    execute: its backend and worker count parallelize them across the
+    stage-executor seam, and the selected best result is identical under
+    every backend.
 
     ``checkpoint`` snapshots at *restart* granularity: every completed
     restart's candidate is persisted, so a killed multi-restart sweep
@@ -60,8 +60,7 @@ class NwayCpConfig:
     tolerance: float = 0.0
     n_initial_sets: int = 1
     seed: int = 0
-    backend: str = "serial"
-    n_workers: int | None = None
+    cluster: ClusterConfig = DEFAULT_CLUSTER
     checkpoint: CheckpointConfig | None = None
 
     def __post_init__(self) -> None:
@@ -77,12 +76,6 @@ class NwayCpConfig:
             raise ValueError(
                 f"n_initial_sets must be positive, got {self.n_initial_sets}"
             )
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"backend must be one of {BACKEND_NAMES}, got {self.backend!r}"
-            )
-        if self.n_workers is not None and self.n_workers <= 0:
-            raise ValueError(f"n_workers must be positive, got {self.n_workers}")
 
 
 @dataclass(frozen=True)
@@ -388,7 +381,9 @@ def _solve_restarts(
     """
     restarts = list(range(config.n_initial_sets))
     observing = tracer is not None or metrics is not None
-    if not observing and (config.backend == "serial" or config.n_initial_sets == 1):
+    if not observing and (
+        config.cluster.backend == "serial" or config.n_initial_sets == 1
+    ):
         return [
             _solve_once(
                 tensor, unfoldings, config, np.random.default_rng(config.seed + r)
@@ -400,8 +395,9 @@ def _solve_restarts(
     # barrier.  The runtime handles what the manual backend call used to —
     # stage/task counters, worker metric-delta merging, and span grafting —
     # on the caller's registries.
-    cluster = DEFAULT_CLUSTER.with_backend(config.backend, config.n_workers)
-    with SimulatedRuntime(cluster, tracer=tracer, metrics=metrics) as runtime:
+    with SimulatedRuntime(
+        config.cluster, tracer=tracer, metrics=metrics
+    ) as runtime:
         problem = runtime.broadcast(
             (tensor, unfoldings), name="cpNway.broadcast"
         )
@@ -420,8 +416,8 @@ def _nway_fingerprint(tensor: SparseBoolTensor, config: NwayCpConfig) -> str:
     Unlike the dbtf fingerprint, ``max_iterations``/``tolerance`` are
     *included*: resume granularity is whole restarts, and a completed
     restart solved under a different iteration budget is a different
-    candidate.  Backend/worker choices are excluded — they never change
-    results.
+    candidate.  The cluster is excluded — how restarts execute never
+    changes results.
     """
     return config_fingerprint(
         {

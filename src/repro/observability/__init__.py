@@ -9,7 +9,7 @@ reports into:
   (``stage → task → kernel``, plus zero-duration ``transfer`` events)
   collected by the driver-side :class:`Tracer` and, inside workers, by a
   per-task buffer that travels back through the stage-executor seam so the
-  trace *structure* is identical under the serial, thread, and process
+  trace *structure* is identical under the serial and process
   backends;
 * :mod:`~repro.observability.metrics` — a registry of labelled counters,
   gauges, and histograms that the runtime, fault handling, scheduler

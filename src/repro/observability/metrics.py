@@ -22,7 +22,7 @@ SimulatedRuntime`:
   inside a traced task, labelling the implementation that ran.
 
 Counters and gauges are exact and order-independent, so their merged
-values are identical under the serial, thread, and process backends.
+values are identical under the serial and process backends.
 Histograms bucket on fixed bounds; only their *time-valued* observations
 differ between backends (the counts per stage do not).
 """

@@ -15,8 +15,8 @@ Two collection paths feed one span tree:
   is active on the current thread and is a no-op otherwise.  The buffer
   rides back to the driver inside the task outcome, where
   :meth:`Tracer.graft` attaches it under the stage span in partition order
-  — which is what makes the span *structure* identical across the serial,
-  thread, and process backends (only wall-clock fields differ).
+  — which is what makes the span *structure* identical across the serial
+  and process backends (only wall-clock fields differ).
 
 Span ids are assigned by the driver in graft order, so a fixed-seed run
 produces bit-identical ids under every backend.

@@ -11,7 +11,7 @@ exactly that, with two properties the simulated engine requires:
   seeded hash of ``(seed, stage, partition, attempt)`` — the same recipe
   :class:`~repro.distengine.faults.FaultInjector` uses for its failure
   decisions — so a fixed-seed run waits the exact same simulated amount
-  under the serial, thread, and process backends.
+  under the serial and process backends.
 * **Honest accounting.**  Backoff waits are *simulated*, never slept:
   :func:`~repro.distengine.backends.base.execute_task` accumulates them
   into the task outcome, the runtime charges them to the stage's simulated

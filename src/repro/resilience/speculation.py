@@ -16,7 +16,7 @@ cost only: its injected fault count and its simulated retry-backoff wait
 :mod:`repro.resilience.retry`).  A task is a straggler when its retry
 overhead signal exceeds ``multiplier`` times the stage median.  The
 *counts* (``tasks_speculated_total``) are therefore bit-identical across
-the serial, thread, and process backends for a fixed seed.
+the serial and process backends for a fixed seed.
 
 The makespan effect uses measured durations (that is what the cost model
 replays): the duplicate is modelled as launching once the straggler has

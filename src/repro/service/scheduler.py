@@ -11,8 +11,8 @@ on first charge).
 
 Everything is driven by logical counters — virtual time, submission
 sequence numbers, iteration counts — never the wall clock, so a given
-submission order produces the identical schedule under the serial, thread,
-and process backends.
+submission order produces the identical schedule under the serial and
+process backends.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ The execution model is cooperative, not threaded: each job is a step
 generator (``dbtf_steps`` / ``cp_nway_steps`` / ``boolean_tucker_steps``)
 and :meth:`FactorizationService.step` advances exactly one job by one
 solver iteration per call.  Parallelism lives *below* the generators (the
-shared thread/process backend executes each iteration's stages across
+shared process backend executes each iteration's stages across
 workers); the scheduler on top stays single-threaded and therefore
 deterministic — the interleaving for a given submission order is
 identical under every backend.

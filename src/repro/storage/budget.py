@@ -5,7 +5,7 @@ decisions racy and backend-dependent.  Instead every byte the tier holds
 resident is *charged* to a :class:`MemoryBudget` when admitted and
 *released* when spilled or discarded, all on the driver thread.  Spill
 decisions are therefore a pure function of the admit/release sequence,
-which is identical under the serial, thread, and process backends — the
+which is identical under the serial and process backends — the
 same determinism argument the shuffle ledger makes for byte accounting.
 
 Observability (all strictly gated on the tier being enabled, so a run with

@@ -20,7 +20,7 @@ recomputation.  The marker answers ``len()`` so partition-count bookkeeping
 (``n_partitions``, eviction counters, ``explain()``) works unchanged.
 
 Determinism: admit/fetch calls happen on the driver in plan-execution
-order, which is identical across the serial, thread, and process backends,
+order, which is identical across the serial and process backends,
 so the spill/load sequence — and with it the SPILL bytes charged to the
 cost model — is backend-invariant.  Loads are pickle round-trips of the
 exact partition lists, so task inputs are bit-identical either way.

@@ -296,10 +296,11 @@ class SparseBoolTensor:
         from the from-scratch result — so both raise instead of saturating.
 
         Both sides are already sorted and validated, so the delta's cells
-        are found by binary search and spliced in: O(|Δ| log |X|) searches
-        plus linear copies of the flat array (``np.delete``, ``np.insert``),
-        with no re-sort, re-validation or coordinate conversion.  The result
-        stores flat indices only.
+        are found by binary search and spliced in: O(|Δ| log |X|) searches,
+        then one copy of the flat array into a preallocated result, one
+        slice per run between the delta's cells, with no re-sort,
+        re-validation or coordinate conversion.  The result stores flat
+        indices only.
         """
         if tuple(delta.shape) != self.shape:
             raise ValueError(
@@ -321,11 +322,22 @@ class SparseBoolTensor:
                 f"present in the tensor (delta built against a "
                 f"different base?)"
             )
-        kept = np.delete(flat, removed_at)
-        # An added cell's insertion point shifts left by the removed cells
-        # before it.
-        added_at -= np.searchsorted(removed_at, added_at)
-        return self._of_flat(self.shape, np.insert(kept, added_at, delta.added))
+        added = delta.added
+        # Walk the cuts in flat order; an insertion point sorts before a
+        # removed cell at the same index, since it lands before that cell.
+        cuts = np.concatenate((added_at, removed_at))
+        order = np.argsort(cuts, kind="stable")
+        pieces, start = [], 0
+        for k, cut in zip(order.tolist(), cuts[order].tolist()):
+            pieces.append(flat[start:cut])
+            if k < added.size:
+                pieces.append(added[k:k + 1])
+                start = cut
+            else:
+                start = cut + 1
+        pieces.append(flat[start:])
+        out = np.empty(flat.size - removed_at.size + added.size, flat.dtype)
+        return self._of_flat(self.shape, np.concatenate(pieces, out=out))
 
     # ------------------------------------------------------------------
     # Conversion / inspection

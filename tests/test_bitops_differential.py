@@ -155,7 +155,7 @@ class TestXorPopcountDifferential:
 # ----------------------------------------------------------------------
 # Observability: impl= span labels and kernel_dispatch_total
 # ----------------------------------------------------------------------
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "process"]
 
 
 def _kernel_probe_task(index, items):

@@ -41,6 +41,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["factorize", "x.tns", "--eager"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["factorize", "x.tns"], ["jobs", "--spool", "s", "serve"]],
+        ids=["factorize", "jobs-serve"],
+    )
+    def test_backend_choices_are_serial_and_process(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*argv, "--backend", "thread"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert "serial" in err and "process" in err
+
 
 class TestGenerate:
     def test_random(self, tmp_path, capsys):
@@ -192,13 +205,13 @@ class TestFactorizeCluster:
         trace = tmp_path / "trace.jsonl"
         code = main(
             ["factorize", str(path), "--rank", "2", "--max-iterations", "2",
-             "--backend", "thread", "--workers", "2",
+             "--backend", "process", "--workers", "2",
              "--memory-budget", "4K", "--spill-dir", str(tmp_path),
              "--trace", str(trace), "--metrics"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "thread backend" in out
+        assert "process backend" in out
         assert "spill I/O" in out
         assert trace.read_text().strip()
 
@@ -254,7 +267,8 @@ class TestFactorizeCluster:
     @pytest.mark.parametrize("method", ["tucker", "bcp-als", "walk-n-merge"])
     @pytest.mark.parametrize(
         "flags",
-        [["--backend", "process"], ["--backend", "thread"], ["--workers", "3"]],
+        [["--backend", "process"], ["--backend", "process", "--workers", "2"],
+         ["--workers", "3"]],
     )
     def test_cluster_flags_rejected_for_single_machine_methods(
         self, tensor_file, capsys, method, flags

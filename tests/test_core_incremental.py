@@ -494,11 +494,11 @@ class TestLemma6ShuffleLedger:
     """Algorithm 3 is the batch path's only SHUFFLE writer (Lemma 6).
 
     Each mode's partitioning is charged Lemma 6's model of 24 bytes per
-    nonzero, a (row, block, offset) int64 triple, although each nonzero now
-    travels as one uint32 slab-bit index.  So a run's SHUFFLE rows are
-    exactly the three ``partitionUnfolding[m]`` stages, 24 bytes x nnz each:
-    72 x nnz in all, whatever the iteration count.  An epoch advance adds
-    only the ``patchUnfolding[m]`` rows.
+    nonzero, a (row, block, offset) int64 triple.  The ledger charges that
+    model while each nonzero travels as one 4-byte slab-bit index.  So a
+    run's SHUFFLE rows are exactly the three ``partitionUnfolding[m]``
+    stages, 24 bytes x nnz each: 72 x nnz in all, whatever the iteration
+    count.  An epoch advance adds only the ``patchUnfolding[m]`` rows.
     """
 
     PARTITION_ROWS = {f"partitionUnfolding[{mode}]" for mode in range(3)}

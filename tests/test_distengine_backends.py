@@ -1,6 +1,6 @@
 """Backend-equivalence tests for the stage-executor seam.
 
-The engine's contract is that serial, thread, and process backends are
+The engine's contract is that the serial and process backends are
 observationally identical — bit-identical factors, error traces, stage
 reports, and ledger byte totals — because everything the cost model
 consumes is measured inside the task, not scheduled by the driver.  These
@@ -26,7 +26,6 @@ from repro.distengine import (
     SerialBackend,
     SimulatedRuntime,
     TaskFailedError,
-    ThreadBackend,
     make_backend,
     stable_hash,
 )
@@ -90,27 +89,20 @@ class TestBackendUnits:
 
     def test_make_backend_factory(self):
         assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("thread"), ThreadBackend)
         assert isinstance(make_backend("process"), ProcessBackend)
         backend = SerialBackend()
         assert make_backend(backend) is backend
 
     def test_make_backend_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("spark")
+        for name in ("spark", "thread"):
+            with pytest.raises(ValueError, match="unknown backend") as excinfo:
+                make_backend(name)
+            assert "'serial', 'process'" in str(excinfo.value)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_invalid_worker_count(self, backend):
         with pytest.raises(ValueError):
             make_backend(backend, n_workers=0)
-
-    def test_pool_reused_across_stages(self):
-        with ThreadBackend(n_workers=2) as backend:
-            backend.run_stage("a", _square_partition, [(0, [1])])
-            executor = backend._executor
-            backend.run_stage("b", _square_partition, [(0, [2])])
-            assert backend._executor is executor
-        assert backend._executor is None  # close() tore the pool down
 
     def test_process_workers_lazy_reused_and_closed(self):
         with ProcessBackend(n_workers=2) as backend:
@@ -132,19 +124,21 @@ class TestBackendUnits:
 
 class TestConfigPlumbing:
     def test_cluster_rejects_bad_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            ClusterConfig(backend="mpi")
+        for name in ("mpi", "thread"):
+            with pytest.raises(ValueError, match="backend") as excinfo:
+                ClusterConfig(backend=name)
+            assert "'serial', 'process'" in str(excinfo.value)
         with pytest.raises(ValueError, match="n_workers"):
             ClusterConfig(n_workers=0)
 
     def test_with_backend_preserves_cost_model(self):
-        cluster = ClusterConfig(n_machines=7).with_backend("thread", 3)
-        assert cluster.backend == "thread"
+        cluster = ClusterConfig(n_machines=7).with_backend("process", 3)
+        assert cluster.backend == "process"
         assert cluster.n_workers == 3
         assert cluster.n_machines == 7
 
     def test_dbtf_config_defers_to_cluster(self):
-        cluster = ClusterConfig(backend="thread", n_workers=2)
+        cluster = ClusterConfig(backend="process", n_workers=2)
         config = DbtfConfig(rank=2, cluster=cluster)
         tensor = SparseBoolTensor.from_dense(np.ones((2, 2, 2), dtype=np.uint8))
         with FactorizationSession(tensor, config) as session:
@@ -152,7 +146,7 @@ class TestConfigPlumbing:
 
     def test_runtime_backend_instance_override(self):
         backend = SerialBackend()
-        runtime = SimulatedRuntime(ClusterConfig(backend="thread"), backend=backend)
+        runtime = SimulatedRuntime(ClusterConfig(backend="process"), backend=backend)
         assert runtime.backend is backend
 
 
@@ -207,7 +201,6 @@ class TestDbtfEquivalence:
             )
             for backend in BACKENDS
         }
-        assert prints["thread"] == prints["serial"]
         assert prints["process"] == prints["serial"]
 
     def test_fault_retry_counts_survive_parallelism(self):
@@ -224,11 +217,10 @@ class TestDbtfEquivalence:
             )
             for backend in BACKENDS
         }
-        assert prints["thread"] == prints["serial"]
         assert prints["process"] == prints["serial"]
         assert sum(prints["serial"][-1].values()) > 0
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_retry_exhaustion_raises_under_parallel_backends(self, backend):
         runtime = SimulatedRuntime(
             ClusterConfig(n_machines=2, cores_per_machine=2, backend=backend,
@@ -245,7 +237,7 @@ class TestDbtfEquivalence:
 
 
 class TestExtensionsUnderBackends:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_tucker_distributed_matches_serial(self, backend):
         from repro.tucker import BooleanTuckerConfig
         from repro.tucker.distributed import dbtf_tucker
@@ -268,7 +260,7 @@ class TestExtensionsUnderBackends:
 
         assert run(backend) == run("serial")
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_nway_restarts_match_serial(self, backend):
         from repro.nway import NwayCpConfig, cp_nway
 
@@ -277,8 +269,10 @@ class TestExtensionsUnderBackends:
                                    rng=rng)
 
         def run(name):
-            config = NwayCpConfig(rank=2, max_iterations=2, n_initial_sets=3,
-                                  seed=7, backend=name, n_workers=2)
+            config = NwayCpConfig(
+                rank=2, max_iterations=2, n_initial_sets=3, seed=7,
+                cluster=ClusterConfig(backend=name, n_workers=2),
+            )
             result = cp_nway(tensor, config=config)
             return (
                 tuple(f.words.tobytes() for f in result.factors),
@@ -300,11 +294,12 @@ class TestOwnershipBoundary:
 
     def test_stages_hand_over_fresh_lists(self):
         """Cached stage outputs are owned by the new collection — even an
-        identity ``map_partitions`` must not alias the source's lists."""
+        identity ``map_partitions_with_index`` must not alias the source's
+        lists."""
         runtime = SimulatedRuntime(ClusterConfig(n_machines=1,
                                                  cores_per_machine=1))
         rdd = runtime.parallelize(list(range(6)), n_partitions=2)
-        mapped = rdd.map_partitions(lambda items: items).persist()
+        mapped = rdd.map_partitions_with_index(lambda _i, items: items).persist()
         mapped.count()  # materialize the cache
         assert mapped.node.cached is not rdd.node.cached
         assert all(a is not b

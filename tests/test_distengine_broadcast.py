@@ -152,7 +152,7 @@ class TestHandlePathEquivalence:
             rng=np.random.default_rng(11), additive_noise=0.02,
         )[0]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_bit_identical_across_backends(self, tensor, backend):
         serial, serial_stages = _dbtf_outcome(tensor)
         other, other_stages = _dbtf_outcome(tensor, backend=backend)

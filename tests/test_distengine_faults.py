@@ -148,10 +148,9 @@ class TestFaultDeterminismAcrossBackends:
     def test_registry_retry_counters_backend_invariant(self):
         serial_counters, serial_facade = self._retry_counters("serial")
         assert serial_facade  # the fixed spec does inject failures
-        for backend in ("thread", "process"):
-            counters, facade = self._retry_counters(backend)
-            assert counters == serial_counters
-            assert facade == serial_facade
+        counters, facade = self._retry_counters("process")
+        assert counters == serial_counters
+        assert facade == serial_facade
 
     def test_facade_reads_registry(self):
         counters, facade = self._retry_counters("serial")
@@ -177,7 +176,7 @@ class TestTaskFailedErrorPayload:
             runtime.close()
         return excinfo.value
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_error_carries_stage_and_partition(self, backend):
         error = self._raise_exhausted(backend)
         assert error.stage == "doomed"

@@ -44,15 +44,15 @@ def _double(x):
     return x * 2
 
 
-def _is_even(x):
-    return x % 2 == 0
+def _keep_even(_index, items):
+    return [x for x in items if x % 2 == 0]
 
 
-def _not_div3(x):
-    return x % 3 != 0
+def _keep_not_div3(_index, items):
+    return [x for x in items if x % 3 != 0]
 
 
-def _dedup_sorted(items):
+def _dedup_sorted(_index, items):
     return sorted(set(items))
 
 
@@ -60,13 +60,21 @@ def _tag_with_index(index, items):
     return [x * 31 + index for x in items]
 
 
+#: Partition-wise steps; the element-wise ones go through ``map``.
+_PARTITION_STEPS = {
+    "filter_even": _keep_even,
+    "filter_not3": _keep_not_div3,
+    "parts_dedup": _dedup_sorted,
+    "parts_tag": _tag_with_index,
+}
+
 _STEPS = {
     "map_inc": lambda rdd: rdd.map(_inc),
     "map_double": lambda rdd: rdd.map(_double),
-    "filter_even": lambda rdd: rdd.filter(_is_even),
-    "filter_not3": lambda rdd: rdd.filter(_not_div3),
-    "parts_dedup": lambda rdd: rdd.map_partitions(_dedup_sorted),
-    "parts_tag": lambda rdd: rdd.map_partitions_with_index(_tag_with_index),
+    **{
+        step: (lambda rdd, fn=fn: rdd.map_partitions_with_index(fn))
+        for step, fn in _PARTITION_STEPS.items()
+    },
 }
 
 
@@ -74,10 +82,7 @@ _STEPS = {
 _LIST_STEPS = {
     "map_inc": lambda _index, items: [_inc(x) for x in items],
     "map_double": lambda _index, items: [_double(x) for x in items],
-    "filter_even": lambda _index, items: [x for x in items if _is_even(x)],
-    "filter_not3": lambda _index, items: [x for x in items if _not_div3(x)],
-    "parts_dedup": lambda _index, items: _dedup_sorted(items),
-    "parts_tag": _tag_with_index,
+    **_PARTITION_STEPS,
 }
 
 
@@ -144,10 +149,10 @@ class TestFusionEquivalence:
                        max_size=5),
         persist_position=st.integers(min_value=0, max_value=4),
     )
-    def test_fused_matches_eager_thread_with_persist(self, data, steps,
-                                                     persist_position):
+    def test_fused_matches_eager_process_with_persist(self, data, steps,
+                                                      persist_position):
         persist_at = (persist_position,) if persist_position < len(steps) else ()
-        fused, fused_stages = _run_chain("thread", data, 3, steps, persist_at)
+        fused, fused_stages = _run_chain("process", data, 3, steps, persist_at)
         assert fused == _eager_reference(data, 3, steps)
         assert fused_stages == 1  # a persist tap adds no dispatch
 
@@ -172,12 +177,12 @@ class TestPersistCache:
         runtime = self._runtime()
         calls = []
 
-        def spy(items):
+        def spy(_index, items):
             calls.append(len(items))
             return items
 
         rdd = runtime.parallelize(list(range(9)), n_partitions=3)
-        cached = rdd.map_partitions(spy, name="spied").persist()
+        cached = rdd.map_partitions_with_index(spy, name="spied").persist()
         assert cached.collect() == list(range(9))
         assert cached.collect() == list(range(9))
         assert calls == [3, 3, 3]  # 3 partitions, exactly one pass
@@ -226,14 +231,18 @@ class TestStageNames:
     def test_composite_name_includes_cache_build(self):
         runtime = SimulatedRuntime()
         rdd = runtime.parallelize(list(range(8)), n_partitions=2)
-        rdd.map(_inc).filter(_is_even).map(_double).persist().count()
-        assert [s.name for s in runtime.stages] == ["map+filter+cache-build"]
+        (rdd.map(_inc).map_partitions_with_index(_keep_even).map(_double)
+         .persist().count())
+        assert [s.name for s in runtime.stages] == [
+            "map+mapPartitionsWithIndex+cache-build"
+        ]
         runtime.close()
 
     def test_named_segments_win_over_op_labels(self):
         runtime = SimulatedRuntime()
         rdd = runtime.parallelize(list(range(8)), n_partitions=2)
-        rdd.map(_inc, name="scale").filter(_is_even, name="keep").collect()
+        (rdd.map(_inc, name="scale")
+         .map_partitions_with_index(_keep_even, name="keep").collect())
         assert [s.name for s in runtime.stages] == ["scale+keep"]
         runtime.close()
 
@@ -327,7 +336,8 @@ class TestExplainGolden:
                                                  cores_per_machine=2))
         rdd = runtime.parallelize(list(range(8)), n_partitions=2,
                                   name="numbers")
-        chain = (rdd.map(_inc, name="scale").filter(_is_even)
+        chain = (rdd.map(_inc, name="scale")
+                 .map_partitions_with_index(_keep_even)
                  .persist().map(_double, name="shift"))
         before = chain.explain()
         chain.collect()

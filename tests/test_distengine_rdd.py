@@ -55,15 +55,6 @@ class TestTransformations:
         rdd = runtime.parallelize([1, 2, 3], n_partitions=2)
         assert rdd.map(lambda x: x * 10).collect() == [10, 20, 30]
 
-    def test_filter(self, runtime):
-        rdd = runtime.parallelize(list(range(10)), n_partitions=3)
-        assert rdd.filter(lambda x: x % 2 == 0).collect() == [0, 2, 4, 6, 8]
-
-    def test_map_partitions(self, runtime):
-        rdd = runtime.parallelize([1, 2, 3, 4], n_partitions=2)
-        sums = rdd.map_partitions(lambda items: [sum(items)]).collect()
-        assert sums == [3, 7]
-
     def test_map_partitions_with_index(self, runtime):
         rdd = runtime.parallelize([1, 2, 3, 4], n_partitions=2)
         tagged = rdd.map_partitions_with_index(

@@ -34,7 +34,7 @@ PARTITIONS = 5
 RANK = 5
 GROUP_SIZE = 3
 
-BACKENDS = [("serial", None), ("thread", 2), ("process", 2)]
+BACKENDS = [("serial", None), ("process", 2)]
 
 
 @pytest.fixture(scope="module")

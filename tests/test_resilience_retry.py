@@ -214,7 +214,7 @@ class TestRuntimeIntegration:
         total = sum(counters["retry_wait_seconds_total"].values())
         assert total == pytest.approx(runtime.report().total_retry_wait)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_waits_backend_invariant(self, backend):
         serial = _run_faulty("serial")
         other = _run_faulty(backend)

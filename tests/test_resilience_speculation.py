@@ -135,13 +135,13 @@ class TestRuntimeIntegration:
 
     def test_speculated_counts_backend_invariant(self):
         counts = {}
-        for backend in ("serial", "thread"):
+        for backend in ("serial", "process"):
             runtime = _run(backend, SpeculationConfig())
             counters = runtime.metrics.counters()
             counts[backend] = sum(
                 counters["tasks_speculated_total"].values()
             )
-        assert counts["serial"] == counts["thread"]
+        assert counts["serial"] == counts["process"]
         assert counts["serial"] > 0
 
     def test_speculation_spans_emitted(self):

@@ -15,7 +15,7 @@ from repro.distengine import DEFAULT_CLUSTER
 from repro.service import FactorizationService, JobSpec, JobState, ServiceConfig
 from repro.tensor import planted_tensor
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "process"]
 
 
 def make_tensor(seed=0, dim=10):
@@ -129,7 +129,6 @@ class TestKillAndResume:
             backend: run_service(specs, tmp_path / backend, backend, None)
             for backend in BACKENDS
         }
-        assert_same_results(results["thread"], results["serial"])
         assert_same_results(results["process"], results["serial"])
 
 
@@ -148,4 +147,4 @@ class TestFairnessAtDrain:
                     service.submit(spec)
                 service.drain()
                 vtimes[backend] = service.scheduler.snapshot()
-        assert vtimes["serial"] == vtimes["thread"] == vtimes["process"]
+        assert vtimes["serial"] == vtimes["process"]

@@ -10,8 +10,6 @@ the e2e shapes never do.  The cache must also never outlive its runtime.
 """
 
 import gc
-import sys
-import time
 import weakref
 
 import numpy as np
@@ -45,7 +43,7 @@ RANK = 5
 #: Two cache groups, so lookups OR entries of several tables.
 GROUP_SIZE = 3
 
-BACKENDS = [("serial", None), ("thread", 3), ("process", 2), ("process", 3)]
+BACKENDS = [("serial", None), ("process", 2), ("process", 3)]
 
 
 def _cluster(backend, workers, **overrides):
@@ -191,9 +189,7 @@ class TestEdgeBlocks:
             for got, want in zip(per_partition, private_errors):
                 _assert_errors_equal(got, want)
 
-    def test_thread_tasks_share_memoized_slices(
-        self, tensor, factors, monkeypatch
-    ):
+    def test_tasks_share_memoized_slices(self, tensor, factors, monkeypatch):
         seen = []
         builds = []
         key_builds = []
@@ -207,22 +203,16 @@ class TestEdgeBlocks:
 
         def counting_build(*args):
             builds.append(args)
-            time.sleep(0.01)  # widen the window for a racing second build
             return build(*args)
 
         def counting_keys(*args, **kwargs):
             key_builds.append(args)
-            time.sleep(0.001)
             return build_keys(*args, **kwargs)
 
         monkeypatch.setattr(update_module, "column_errors", recording)
         monkeypatch.setattr(update_module, "RowSummationCache", counting_build)
         monkeypatch.setattr(update_module, "column_keys", counting_keys)
-        # More threads than cores and frequent switches, so a lost update
-        # of a shared slot would show.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        runtime = SimulatedRuntime(_cluster("thread", 8))
+        runtime = SimulatedRuntime(_cluster("serial", None))
         try:
             rdd, _ = prepare_mode_partitions(tensor, 0, 3 * PARTITIONS, runtime)
             target, outer, inner = _roles(factors)
@@ -230,7 +220,6 @@ class TestEdgeBlocks:
             _, tables = broadcast._STORE[(runtime.scope, _TABLES_SLOT)]
         finally:
             runtime.close()
-            sys.setswitchinterval(interval)
         _, _, swept, changes = sweep(
             unfolded(tensor.to_dense(), 0), target.to_dense(),
             basis(outer.to_dense(), inner.to_dense()),
@@ -277,7 +266,7 @@ class TestLifecycle:
             lease.close()
             assert factory.backend.resident_entries() == baseline
 
-    @pytest.mark.parametrize("backend, workers", [("serial", None), ("thread", 2)])
+    @pytest.mark.parametrize("backend, workers", [("serial", None)])
     def test_closed_scope_keeps_no_cache(self, tensor, backend, workers):
         runtime = SimulatedRuntime(_cluster(backend, workers))
         dbtf(tensor, config=DbtfConfig(

@@ -309,7 +309,7 @@ class TestBudgetedFactorization:
         result, _, _ = _run("serial", memory_budget=None)
         return result
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_bit_identical_under_budget(self, baseline, backend, budget_bytes):
         result, runtime, budget = _run(backend, memory_budget=budget_bytes)
         assert budget.spill_events > 0, "budget too large to exercise spill"

@@ -6,26 +6,23 @@ rows' accepted bits in later rounds — with each pair's column cleared.
 A worker keeps them in one ``worker_state`` slot keyed by the factors
 broadcast, the round's ``columnUpdate`` broadcast and its columns, so
 every partition of a stage shares one build.  The keys must equal a
-from-scratch build, be built once per key under concurrency, and never
-outlive their runtime.
+from-scratch build, be built once per key, and never outlive their
+runtime.
 """
 
 import gc
-import sys
-import time
 import weakref
 
 import numpy as np
 import pytest
 
 from repro.bitops import BitMatrix
-from repro.core import DbtfConfig, RowSummationCache, dbtf, update_factor
+from repro.core import DbtfConfig, RowSummationCache, dbtf
 from repro.core import update as update_module
-from repro.core.incremental import prepare_mode_partitions
 from repro.core.update import _KEYS_SLOT, _round_keys, kernel_tables
 from repro.distengine import ClusterConfig, RuntimeFactory, SimulatedRuntime
 from repro.distengine import broadcast
-from repro.tensor import MODE_FACTOR_ROLES, planted_tensor
+from repro.tensor import planted_tensor
 
 SHAPE = (12, 13, 14)
 PARTITIONS = 5
@@ -103,68 +100,13 @@ class TestDerivation:
         assert builds == [[2, 66], [1, 66], [1, 66, 67], [66, 67]]
 
 
-class TestSharedBuild:
-    def test_thread_stress_builds_once_per_key(
-        self, tensor, factors, monkeypatch
-    ):
-        target, outer, inner = (factors[i] for i in MODE_FACTOR_ROLES[0])
-        config = DbtfConfig(rank=RANK, n_partitions=3 * PARTITIONS)
-
-        def run(backend, workers):
-            runtime = SimulatedRuntime(_cluster(backend, workers))
-            try:
-                rdd, _ = prepare_mode_partitions(
-                    tensor, 0, 3 * PARTITIONS, runtime
-                )
-                rdd = rdd.persist()
-                return [
-                    update_factor(
-                        rdd, target, outer, inner, config, runtime,
-                        dirty_columns=dirty,
-                    )
-                    for dirty in (None, {1, 3})
-                ], len(runtime.stages)
-            finally:
-                runtime.close()
-
-        keys = []
-        worker_state = update_module.worker_state
-
-        def recording(scope, name, key, build):
-            def slow_build(previous):
-                if name == _KEYS_SLOT:
-                    keys.append(key)
-                    time.sleep(0.01)  # widen the window for a racing build
-                return build(previous)
-
-            return worker_state(scope, name, key, slow_build)
-
-        monkeypatch.setattr(update_module, "worker_state", recording)
-        expected, rounds = run("serial", None)
-        serial_keys, keys[:] = list(keys), []
-        # More threads than cores and frequent switches, so a second build
-        # of one key would show.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got, _ = run("thread", 8)
-        finally:
-            sys.setswitchinterval(interval)
-        # One build per round of both updates, as on serial.
-        assert len(set(keys)) == len(keys) == rounds > 2
-        assert keys == serial_keys
-        for got_result, want_result in zip(got, expected):
-            assert got_result[0].words.tobytes() == want_result[0].words.tobytes()
-            assert got_result[1:] == want_result[1:]
-
-
 def _keys_count(index, _items):
     """Module-level task: this worker's round-key slots."""
     return [sum(key[1:] == (_KEYS_SLOT,) for key in broadcast._STORE)]
 
 
 class TestLifecycle:
-    @pytest.mark.parametrize("backend, workers", [("serial", None), ("thread", 2)])
+    @pytest.mark.parametrize("backend, workers", [("serial", None)])
     def test_closed_scope_keeps_no_masks(self, tensor, backend, workers):
         runtime = SimulatedRuntime(_cluster(backend, workers))
         dbtf(tensor, config=DbtfConfig(
