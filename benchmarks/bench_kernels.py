@@ -102,25 +102,6 @@ def test_slice_bits(benchmark, packed_rows):
     assert sliced.shape[0] == 512
 
 
-def test_masks_with_bit_cleared(benchmark):
-    """The factor-update path's per-column mask clear (fused AND)."""
-    from repro.core.update import _masks_with_bit_cleared
-
-    rng = np.random.default_rng(4)
-    words = BitMatrix.random(4096, 64, 0.2, rng).words
-
-    def sweep():
-        total = 0
-        for column in range(64):
-            total += int(_masks_with_bit_cleared(words, column)[0, 0])
-        return total
-
-    reference = sum(
-        int(_masks_with_bit_cleared(words, column)[0, 0]) for column in range(64)
-    )
-    assert benchmark(sweep) == reference
-
-
 def test_estimate_bytes_cached_hit(benchmark):
     """Memoized payload sizing: repeat calls skip the recursive walk."""
 
@@ -158,16 +139,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     repeats = 2 if args.smoke else args.repeats
 
-    from repro.core.update import _masks_with_bit_cleared
-
     rng = np.random.default_rng(0)
     packed = packing.pack_bits((rng.random((512, 4096)) < 0.1).astype(np.uint8))
     rolled = np.roll(packed, 1, axis=0)
-    mask_words = BitMatrix.random(262144, 64, 0.2, rng).words
-
-    def _mask_sweep():
-        for column in range(64):
-            _masks_with_bit_cleared(mask_words, column)
     group = packing.pack_bits((rng.random((15, 512)) < 0.3).astype(np.uint8))
     table = or_accumulate_table(group, 15)
     keys = rng.integers(0, 2**15, size=(512, 64))
@@ -213,8 +187,6 @@ def main(argv=None) -> int:
          lambda: pointwise_vector_matrix(pw_vector, pw_matrix)),
         ("slice_bits", {"rows": 512, "start": 100, "stop": 3000},
          lambda: packing.slice_bits(packed, 100, 3000)),
-        ("masks_bit_cleared", {"rows": 262144, "columns": 64},
-         lambda: _mask_sweep()),
         ("sizing_payload_walk", {"attrs": 2},
          lambda: estimate_bytes(payload)),
         ("sizing_payload_cached", {"attrs": 2},

@@ -110,61 +110,61 @@ def prepare_mode_partitions(
 
 
 def _patch_words(
-    part: np.ndarray, bits: np.ndarray, added: np.ndarray, n_partitions: int
+    target: np.ndarray, bits: np.ndarray, added: np.ndarray, n_targets: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One mode's patch as ``(words, masks, bounds)``, in one pass.
+    """One delta's patch as ``(words, masks, bounds)``, in one pass.
 
-    The changed cells' bits are merged per slab word: partition ``p`` sets
-    ``masks[k]`` in flat slab word ``words[k]`` for ``k`` in
-    ``bounds[2p]:bounds[2p + 1]`` and clears them up to ``bounds[2p + 2]``.
-    Each word appears once per partition and kind, so plain fancy-indexed
-    updates write it exactly once.
+    The changed cells' bits are merged per slab word: the slab of patch
+    target ``t`` sets ``masks[k]`` in flat slab word ``words[k]`` for ``k``
+    in ``bounds[2t]:bounds[2t + 1]`` and clears them up to
+    ``bounds[2t + 2]``.  Each word appears once per target and kind, so
+    plain fancy-indexed updates write it exactly once.
     """
     word, offset = np.divmod(bits.astype(np.int64), packing.WORD_BITS)
     span = int(word.max()) + 1
     groups, inverse = np.unique(
-        (part * 2 + ~added) * span + word, return_inverse=True
+        (target * 2 + ~added) * span + word, return_inverse=True
     )
     masks = np.zeros(groups.size, dtype=np.uint64)
     np.bitwise_or.at(
         masks, inverse, np.left_shift(np.uint64(1), offset.astype(np.uint64))
     )
-    bounds = np.searchsorted(groups, np.arange(2 * n_partitions + 1) * span)
+    bounds = np.searchsorted(groups, np.arange(2 * n_targets + 1) * span)
     return groups % span, masks, bounds
 
 
 class _PatchPartitionsTask:
-    """Stage payload: write one delta's cells into one partition's slab.
+    """Stage payload: write one delta's cells into the slabs it touches.
 
-    ``cells`` is the delta's broadcast, one :func:`_patch_words` per mode,
-    and ``mode`` picks this stage's.  The slab is written in place; only a
-    read-only slab — a view of the budgeted path's flushed unfolding — is
-    copied first, once, and the copy replaces it.  Setting and clearing
-    bits (never toggling them) makes a retried task write the same bits.
+    ``cells`` is the delta's broadcast (:func:`_patch_words`), whose patch
+    targets are the stage's tasks in order.  The slab is written in place;
+    only a read-only slab — a view of the budgeted path's flushed
+    unfolding — is copied first, once, and the copy replaces it.  Setting
+    and clearing bits (never toggling them) makes a retried task write the
+    same bits.
     """
 
-    __slots__ = ("cells", "mode")
+    __slots__ = ("cells",)
 
-    def __init__(self, cells, mode: int):
+    def __init__(self, cells):
         self.cells = cells
-        self.mode = mode
 
     @property
     def nbytes(self) -> int:
         """The payload's ledger size in O(1), as
         :func:`~repro.distengine.shuffle.estimate_bytes`' walk over the
-        slots gives it: the handle, the mode and the object."""
-        return HANDLE_WIRE_BYTES + 2 * 8
+        slots gives it: the handle and the object."""
+        return HANDLE_WIRE_BYTES + 8
 
-    def __call__(self, _index: int, items: list) -> list:
-        words, masks, bounds = self.cells.value[self.mode]
+    def __call__(self, target: int, items: list) -> list:
+        words, masks, bounds = self.cells.value
+        lo, mid, hi = bounds[2 * target : 2 * target + 3]
         for position, data in enumerate(items):
             slab = data.words
             if not (slab.flags.writeable and slab.flags.c_contiguous):
                 slab = np.array(slab, order="C")
                 items[position] = data = PartitionData(data.plan, slab)
             flat = slab.reshape(-1)
-            lo, mid, hi = bounds[2 * data.plan.index : 2 * data.plan.index + 3]
             flat[words[lo:mid]] |= masks[lo:mid]
             flat[words[mid:hi]] &= ~masks[mid:hi]
         return items
@@ -177,7 +177,7 @@ class PartitionedUnfoldings:
     partitions once, :meth:`patch` writes each delta into the cached slabs
     in place, and :meth:`unpersist` releases everything.  It also keeps
     each mode's :class:`~repro.core.update.DecisionCertificates`, which
-    :meth:`patch` clears where a changed cell can move a decision.  The
+    :meth:`patch` charges for the changed cells that can move a decision.  The
     epoch loop in :mod:`repro.incremental` holds exactly one of these per
     session.
     """
@@ -227,15 +227,16 @@ class PartitionedUnfoldings:
     def patch(self, delta: TensorDelta) -> None:
         """Write ``delta`` into every cached slab it touches, in place.
 
-        Per mode, the changed cells are merged into per-partition slab
-        words in one pass (:func:`_patch_words`), and the delta ships as
-        one broadcast (priced per mode as Lemma 6's O(|Δ|) shuffle, vs the
-        O(|X|) rebuild); one stage per mode then sets the added cells' bits
-        and clears the removed ones in each touched partition, on the
-        worker that holds it (:meth:`~repro.distengine.SimulatedRuntime.
+        The changed cells of all three modes are merged into per-slab words
+        in one pass (:func:`_patch_words`), and the delta ships as one
+        broadcast (priced per mode as Lemma 6's O(|Δ|) shuffle, vs the
+        O(|X|) rebuild); one stage then sets the added cells' bits and
+        clears the removed ones in each touched partition of every mode, on
+        the worker that holds it (:meth:`~repro.distengine.SimulatedRuntime.
         update_cached`).  Untouched partitions are not dispatched, and the
         RDDs stay the same: no new generation is cached.  Each mode's
-        certificates lose the pairs a changed cell can move.
+        certificates are charged for the cells that can move their
+        decisions.
         """
         if tuple(delta.shape) != tuple(self.shape):
             raise ValueError(
@@ -255,26 +256,43 @@ class PartitionedUnfoldings:
             cells.append(Unfolding(
                 mode, *(self.shape[axis] for axis in axes), *coords[:, axes].T
             ))
-        payload = [
-            _patch_words(*locate_cells(mode_cells, plans), added, len(plans))
+        # A patch target is one (mode, partition), numbered over the modes.
+        first = np.cumsum([0] + [len(plans) for plans in self._plans])
+        located = [
+            locate_cells(mode_cells, plans)
             for mode_cells, plans in zip(cells, self._plans)
         ]
-        handle = self.runtime.broadcast(payload, name="patchCells")
-        for mode, (_, _, bounds) in enumerate(payload):
-            # Before any slab changes, so a failed stage leaves no
-            # certificate for data it may have written.
-            self.certificates[mode].clear_cells(
-                cells[mode].rows, cells[mode].block_ids, cells[mode].offsets
+        touched, target = np.unique(
+            np.concatenate([
+                first[mode] + part for mode, (part, _) in enumerate(located)
+            ]),
+            return_inverse=True,
+        )
+        bits = np.concatenate([bits.astype(np.int64) for _, bits in located])
+        handle = self.runtime.broadcast(
+            _patch_words(target, bits, np.tile(added, 3), touched.size),
+            name="patchCells",
+        )
+        for mode, mode_cells in enumerate(cells):
+            # Before any slab changes, so a failed stage leaves every
+            # certificate charged for data it may have written.
+            self.certificates[mode].charge_cells(
+                mode_cells.rows, mode_cells.block_ids, mode_cells.offsets
             )
             self.runtime.record_transfer(
                 TransferKind.SHUFFLE, f"patchUnfolding[{mode}]",
                 _COORDINATE_BYTES * delta.n_changes,
             )
-            self.runtime.update_cached(
-                self._rdds[mode].node, _PatchPartitionsTask(handle, mode),
-                np.flatnonzero(bounds[2::2] > bounds[:-2:2]).tolist(),
-                f"patchPartitions[{mode}]",
-            )
+        mode = np.searchsorted(first, touched, side="right") - 1
+        part = touched - first[mode]
+        self.runtime.update_cached(
+            [
+                (self._rdds[m].node, p)
+                for m, p in zip(mode.tolist(), part.tolist())
+            ],
+            _PatchPartitionsTask(handle),
+            "patchPartitions",
+        )
         self.runtime.metrics.counter("incremental_patches_total").inc()
 
     def unpersist(self) -> None:

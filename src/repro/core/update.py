@@ -65,9 +65,11 @@ A pair's decision reads three inputs only: the row's tensor cells inside
 the column's support rectangle, the row's other bits, and the two fixed
 factors.  An epoch stream re-runs updates whose inputs barely move, so a
 caller may keep :class:`DecisionCertificates` per mode: the pairs whose
-last accepted decision was "keep" at inputs that have not changed since.
-A certified pair stands as "keep" without being evaluated, and a round
-ships only the rows that still hold an uncertified pair.
+last accepted decision was "keep", each with the slack its ``d`` had to
+the decision's boundary.  A changed tensor cell inside the rectangle
+moves ``d`` by at most 2 and is charged that much; a pair whose slack is
+not negative stands as "keep" without being evaluated, and a round ships
+only the rows that still hold an uncertified pair.
 """
 
 from __future__ import annotations
@@ -516,68 +518,77 @@ class _ColumnRoundTask:
 class DecisionCertificates:
     """One mode's certified decisions, kept across its updates.
 
-    ``keep`` is a ``(rows, rank)`` mask of the pairs whose last accepted
-    decision was "keep" and whose inputs have not changed since; the
-    factor words it was issued for are kept with it.  Inputs change in
-    three ways, and each clears what it can move:
+    ``slack`` is a ``(rows, rank)`` int array: for each certified pair, how
+    far its error change ``d = err1 - err0`` may move before the decision
+    it last accepted could change, and ``-1`` for every other pair.  A
+    decision to set the bit stands while ``d < 0`` and one to clear it
+    while ``d >= 0`` (ties keep 0), so a pair evaluated at ``d`` whose
+    final bit is 1 is issued ``-d - 1`` and one whose final bit is 0 is
+    issued ``d``.  The factor words it was issued for are kept with it.
+    Inputs change in three ways:
 
-    * a row's bits flip: the update clears the row's pairs;
+    * a row's bits flip: the update drops the row's pairs;
     * the outer or inner factor changes: :meth:`valid` finds no
       certificate, and it also drops the rows whose target bits differ
       from the snapshot, so an initial set, a warm start or a checkpoint
       resume starts clean;
-    * a tensor cell changes (:meth:`clear_cells`): the pairs whose support
-      rectangle holds it.
+    * a tensor cell changes (:meth:`charge_cells`): each pair whose
+      support rectangle holds it loses 2 of its slack, the most one cell
+      can move ``d``, and is dropped once its slack is negative.
 
     CP only: Tucker's coverage is not a rectangle of the two factors.
     """
 
-    __slots__ = ("keep", "target", "fixed")
+    __slots__ = ("slack", "target", "fixed")
 
     def __init__(self):
-        self.keep: "np.ndarray | None" = None
+        self.slack: "np.ndarray | None" = None
         self.target: "np.ndarray | None" = None
         self.fixed: "tuple[np.ndarray, np.ndarray] | None" = None
 
-    def valid(self, target: BitMatrix, outer: BitMatrix, inner: BitMatrix):
-        """The certificates that hold for these factors, as a fresh mask."""
-        if self.keep is None or not all(
+    def valid(
+        self, target: BitMatrix, outer: BitMatrix, inner: BitMatrix
+    ) -> np.ndarray:
+        """The slack of the certificates that hold for these factors, as a
+        fresh array, ``-1`` where none holds."""
+        if self.slack is None or not all(
             np.array_equal(words, snapshot)
             for words, snapshot in zip((outer.words, inner.words), self.fixed)
         ):
-            return np.zeros((target.n_rows, target.n_cols), dtype=bool)
-        keep = self.keep.copy()
-        keep[(target.words != self.target).any(axis=1)] = False
-        return keep
+            return np.full((target.n_rows, target.n_cols), -1, dtype=np.int64)
+        slack = self.slack.copy()
+        slack[(target.words != self.target).any(axis=1)] = -1
+        return slack
 
     def issue(
-        self, keep: np.ndarray, target: BitMatrix, outer: BitMatrix,
+        self, slack: np.ndarray, target: BitMatrix, outer: BitMatrix,
         inner: BitMatrix,
     ) -> None:
-        """Keep ``keep``, issued for these factors."""
-        self.keep = keep
+        """Keep ``slack``, issued for these factors."""
+        self.slack = slack
         self.target = target.words.copy()
         self.fixed = (outer.words.copy(), inner.words.copy())
 
-    def clear_cells(
+    def charge_cells(
         self, rows: np.ndarray, blocks: np.ndarray, offsets: np.ndarray
     ) -> None:
-        """Clear what tensor cells of this mode's unfolding can move.
+        """Charge the changed tensor cells of this mode's unfolding.
 
         Cell ``(row, block, offset)`` lies in component c's support
         rectangle when ``outer[block, c] & inner[offset, c]``; outside it
-        both candidates of pair ``(row, c)`` reconstruct the cell alike.
-        The snapshot's factors decide: certificates issued for other
-        factors fail :meth:`valid` anyway.
+        both candidates of pair ``(row, c)`` reconstruct the cell alike,
+        and inside it the cell moves ``d`` by at most 2.  The snapshot's
+        factors decide: certificates issued for other factors fail
+        :meth:`valid` anyway.
         """
-        if self.keep is None or not rows.size:
+        if self.slack is None or not rows.size:
             return
         outer, inner = self.fixed
-        rank = self.keep.shape[1]
+        rank = self.slack.shape[1]
         inside = packing.unpack_bits(outer[blocks], rank)
         inside &= packing.unpack_bits(inner[offsets], rank)
         cell, column = inside.nonzero()
-        self.keep[rows[cell], column] = False
+        np.subtract.at(self.slack, (rows[cell], column), 2)
 
 
 def _confirm(
@@ -669,9 +680,11 @@ def update_factor(
     :class:`DecisionCertificates`: certified pairs stand as "keep" with
     zero error movement, a round ships only the rows holding an
     uncertified pair and dispatches no stage when there is none, and the
-    update leaves the certificates of its own decisions behind.  The
-    result is the same with or without them.  An update that seeds its
-    error evaluates every row.
+    update leaves the certificates of its own decisions behind — the
+    slack of each evaluated pair it accepted, and the carried slack of
+    each held one, except in rows that flipped.  The result is the same
+    with or without them.  An update that seeds its error evaluates every
+    row; without certificates no slack is kept.
     """
     rank = config.rank
     if target.n_cols != rank:
@@ -694,9 +707,11 @@ def update_factor(
             return target.copy(), error_before, set()
         swept[:] = False
         swept[sorted(dirty)] = True
-    certified = np.zeros((target.n_rows, rank), dtype=bool)
+    # Each pair's certificate slack, -1 where none holds (always, without
+    # certificates).
+    slack = np.full((target.n_rows, rank), -1, dtype=np.int64)
     if certificates is not None and error_before is not None:
-        certified = certificates.valid(target, outer, inner)
+        slack = certificates.valid(target, outer, inner)
     # The factor matrices ship to the workers with the first stage (paper
     # Sec. III-E: factor matrices are broadcast each iteration); the round
     # tasks reference this broadcast by id instead of embedding the arrays.
@@ -715,7 +730,7 @@ def update_factor(
     changed = np.zeros(rank, dtype=bool)
     first_round = True
     while rows.size:
-        held = certified[rows]
+        held = slack[rows] >= 0
         in_round = np.zeros(rank, dtype=bool)
         in_round[columns] = True
         open_pairs = in_round & (order >= resume[:, None]) & ~held
@@ -782,13 +797,18 @@ def update_factor(
         limit, flips, moved = _confirm(change, flip, evaluated, current, scope)
         error += int(moved.sum())
         changed |= flips.any(axis=0)
-        # A row's accepted decisions are keeps at its final bits unless it
-        # flipped; a flip leaves only the flipped pair, a keep at the new
-        # bits (its decision does not read its own bit).
-        issued = held | (scope & (order < limit[:, None]))
-        row_flipped = flips.any(axis=1)
-        issued[row_flipped] = flips[row_flipped]
-        certified[rows] = issued
+        if certificates is not None:
+            # A row's accepted decisions are keeps at its final bits unless
+            # it flipped; a flip leaves only the flipped pair, a keep at the
+            # new bits (its decision does not read its own bit).  Held pairs
+            # carry their slack; evaluated ones are issued theirs.
+            final = (current != 0) ^ flips
+            issued = np.where(final, -change - 1, change)
+            accepted = scope & (order < limit[:, None])
+            issued = np.where(accepted, issued, -1)
+            issued = np.where(held, slack[rows], issued)
+            issued[flips.any(axis=1)[:, None] & ~flips] = -1
+            slack[rows] = issued
         flipped, flipped_column = flips.nonzero()
         word, offset = np.divmod(flipped_column, packing.WORD_BITS)
         updated.words[rows[flipped], word] ^= np.left_shift(
@@ -799,7 +819,7 @@ def update_factor(
         columns = order
         first_round = False
     if certificates is not None:
-        certificates.issue(certified, updated, outer, inner)
+        certificates.issue(slack, updated, outer, inner)
     if dirty_columns is None:
         return updated, error
     runtime.metrics.counter("incremental_columns_swept_total").inc(

@@ -267,7 +267,7 @@ class Backend(ABC):
         fault_injector: FaultInjector | None = None,
         collect_trace: bool = False,
         retry_policy: "RetryPolicy | None" = None,
-        retain: "tuple | None" = None,
+        retain: "Sequence | None" = None,
     ) -> StageResult:
         """Run ``task_fn`` over every ``(index, items)`` pair.
 
@@ -275,9 +275,10 @@ class Backend(ABC):
         metric increments (see :func:`execute_task`); the driver grafts
         them into its tracer afterwards.  ``retry_policy`` overrides the
         injector's retry budget and charges simulated backoff waits (see
-        :func:`execute_task`).  ``retain`` is ``(scope, {chain position:
-        node id})`` naming the persist points a worker-memory backend keeps
-        resident; backends sharing driver memory ignore it.
+        :func:`execute_task`).  ``retain`` has one entry per task: ``None``,
+        or ``{chain position: key}`` naming the outputs a worker-memory
+        backend keeps resident under ``key``; backends sharing driver memory
+        ignore it.
         """
 
     def fetch(self, partitions: list, release: bool = False) -> list:

@@ -56,12 +56,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_close_inherited_driver_ends)
 
 
-def _retain(store, worker, index, task_fn, result, retain):
-    """Keep a task's persist-point outputs in ``store``; return references."""
-    scope, keep = retain
+def _retain(store, worker, task_fn, result, keep):
+    """Keep a task's persist-point outputs in ``store`` under the keys
+    ``keep`` gives per chain position; return references."""
 
     def put(position, items):
-        key = (scope, keep[position], index)
+        key = keep[position]
         store[key] = items
         return ResidentPartition(key, worker, len(items), estimate_bytes(items))
 
@@ -77,11 +77,11 @@ def _retain(store, worker, index, task_fn, result, retain):
 
 def _run_tasks(
     store, worker, task_fn, stage_name, injector, collect_trace,
-    retry_policy, retain, broadcasts, tasks,
+    retry_policy, broadcasts, tasks,
 ):
     store.update(broadcasts)
     outcomes = []
-    for index, items in tasks:
+    for index, items, keep in tasks:
         try:
             if isinstance(items, ResidentPartition):
                 items = store[items.key]
@@ -91,12 +91,10 @@ def _run_tasks(
             )
         except Exception as exc:
             return ("error", index, exc, traceback.format_exc())
-        if retain is not None:
+        if keep is not None:
             outcome = replace(
                 outcome,
-                result=_retain(
-                    store, worker, index, task_fn, outcome.result, retain
-                ),
+                result=_retain(store, worker, task_fn, outcome.result, keep),
             )
         outcomes.append(outcome)
     return ("ok", outcomes)
@@ -306,12 +304,15 @@ class ProcessBackend(Backend):
                 items.worker if isinstance(items, ResidentPartition)
                 else index % pool.size
             )
-            batches.setdefault(worker, []).append((position, index, items))
+            keep = None if retain is None else retain[position]
+            batches.setdefault(worker, []).append(
+                (position, (index, items, keep))
+            )
         payloads = pool.encode({
             worker: (
                 "stage", task_fn, stage_name, fault_injector, collect_trace,
-                retry_policy, retain, self._broadcasts_for(worker),
-                [(index, items) for _, index, items in batch],
+                retry_policy, self._broadcasts_for(worker),
+                [task for _, task in batch],
             )
             for worker, batch in batches.items()
         })
@@ -319,7 +320,7 @@ class ProcessBackend(Backend):
         replies = pool.exchange(payloads)
         outcomes = [None] * len(indexed_partitions)
         for worker, batch in batches.items():
-            for (position, _, _), outcome in zip(batch, replies[worker]):
+            for (position, _), outcome in zip(batch, replies[worker]):
                 outcomes[position] = outcome
         return StageResult.from_outcomes(outcomes)
 

@@ -336,34 +336,43 @@ class SimulatedRuntime:
         for node in list(self._persisted_nodes):
             self.evict(node, count=count)
 
-    def update_cached(
-        self, node: PlanNode, task_fn, indices, stage_name: str
-    ) -> None:
-        """Rewrite some of ``node``'s cached partitions in place, as one stage.
+    def update_cached(self, targets, task_fn, stage_name: str) -> None:
+        """Rewrite some cached partitions in place, as one stage.
 
-        ``task_fn(index, items)`` returns partition ``index``'s new items
-        and may write them in place; a task that fails after writing is
-        retried on what it wrote, so it must be idempotent.  Each task runs
-        where its partition lives: a worker-resident partition is rewritten
-        in the worker that holds it, a driver-held one on the driver's copy
-        (a process worker's result replaces it).  Only the partitions in
-        ``indices`` are dispatched.  A persisted node no stage has needed
-        yet is materialized first, a spilled cache is paged in, and the
-        storage tier drops its stale spill bytes
+        ``targets`` lists ``(node, partition index)`` pairs, possibly of
+        several nodes; task ``t`` runs ``task_fn(t, items)`` on target
+        ``t``'s items, returns its new items and may write them in place.  A
+        task that fails after writing is retried on what it wrote, so it
+        must be idempotent.  Each task runs where its partition lives: a
+        worker-resident partition is rewritten in the worker that holds it
+        and stays there under its key, a driver-held one on the driver's
+        copy (a process worker's result replaces it).  A persisted node no
+        stage has needed yet is materialized first, a spilled cache is
+        paged in, and the storage tier drops each node's stale spill bytes
         (:meth:`~repro.storage.PartitionSpillStore.refresh`).
         """
-        if node.cached is None:
-            self.materialize(node, fetch=False)
-        partitions = self.cached_partitions(node)
-        indexed = [(index, partitions[index]) for index in indices]
-        retain = None
-        if any(isinstance(items, ResidentPartition) for _, items in indexed):
-            retain = (self.scope, {0: node.node_id})
-        results = self.run_stage(stage_name, task_fn, indexed, retain)
-        for (index, _), result in zip(indexed, results):
-            partitions[index] = result
+        nodes: dict = {}
+        for node, _ in targets:
+            if node.node_id not in nodes:
+                if node.cached is None:
+                    self.materialize(node, fetch=False)
+                nodes[node.node_id] = (node, self.cached_partitions(node))
+        indexed = [
+            (position, nodes[node.node_id][1][index])
+            for position, (node, index) in enumerate(targets)
+        ]
+        retain = [
+            {0: items.key} if isinstance(items, ResidentPartition) else None
+            for _, items in indexed
+        ]
+        results = self.run_stage(
+            stage_name, task_fn, indexed, retain if any(retain) else None
+        )
+        for (node, index), result in zip(targets, results):
+            nodes[node.node_id][1][index] = result
         if self.storage is not None:
-            self.storage.refresh(node, partitions)
+            for node, partitions in nodes.values():
+                self.storage.refresh(node, partitions)
 
     def count_partitions_cached(self, n_partitions: int) -> None:
         self.metrics.counter("partitions_cached_total").inc(n_partitions)
@@ -427,7 +436,14 @@ class SimulatedRuntime:
         persist_ids = persist_ids or {}
         retain = None
         if persist_ids and not self.backend.shares_driver_memory:
-            retain = (self.scope, persist_ids)
+            indexed_partitions = list(indexed_partitions)
+            retain = [
+                {
+                    position: (self.scope, node_id, index)
+                    for position, node_id in persist_ids.items()
+                }
+                for index, _ in indexed_partitions
+            ]
         last = len(fns) - 1
         tap_positions = tuple(sorted(p for p in persist_ids if p != last))
         if len(fns) == 1:
@@ -460,8 +476,8 @@ class SimulatedRuntime:
         this runtime.  This is the single choke point all task execution
         flows through, so the serial and process backends feed the
         cost model — and the trace/metrics layer — identically.
-        ``retain`` names worker-resident persist points (see
-        :meth:`run_plan`).
+        ``retain`` names, per task, the keys of its worker-resident
+        outputs (see :meth:`run_plan` and :meth:`update_cached`).
         """
         tracing = self.tracer is not None
         # The serialized task payload ships to every task at stage launch —

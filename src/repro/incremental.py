@@ -17,9 +17,11 @@ instead of re-running DBTF from scratch on every snapshot:
   handful of column evaluations while adversarial ones degrade gracefully
   to exactly the batch trajectory;
 * every update skips the (row, column) pairs whose last decision was
-  "keep" at inputs that have not changed since
-  (:class:`~repro.core.DecisionCertificates`), so a round evaluates only
-  the rows the delta or a flip touched — with the same result.
+  "keep" and whose slack — how far their error change was from the
+  decision's boundary, less 2 per changed cell in their support
+  rectangle — is not used up (:class:`~repro.core.DecisionCertificates`),
+  so a round evaluates only the rows whose slack the delta drained or a
+  flip touched — with the same result.
 
 Example::
 
@@ -224,7 +226,7 @@ class FactorizationSession:
     def advance(self, delta: TensorDelta) -> EpochResult:
         """Apply one delta and bring the factorization up to date.
 
-        Writes the delta into the cached slabs in place (clearing the
+        Writes the delta into the cached slabs in place (charging the
         decision certificates its cells can move), computes the
         dirty-column sets and the warm factors' exact baseline error on the
         new tensor, and warm-starts the solver with the certificates — all

@@ -235,8 +235,8 @@ class TestPatchMatchesRebuild:
                 n_stages = len(runtime.stages)
                 live.patch(change)
                 patches = runtime.stages[n_stages:]
+                touched = 0
                 for mode, rdd in enumerate(live.rdds):
-                    touched = 0
                     after = rdd.collect()
                     for old, words, copy, new in zip(
                         before[mode], arrays[mode], copies[mode], after
@@ -254,10 +254,11 @@ class TestPatchMatchesRebuild:
                         else:
                             # ... and an owned slab is written in place.
                             assert np.shares_memory(new.words, words)
-                    assert touched
-                    # Only the touched partitions are dispatched.
-                    assert patches[mode].name == f"patchPartitions[{mode}]"
-                    assert patches[mode].n_tasks == touched
+                # One stage dispatches only the touched partitions of every
+                # mode.
+                assert touched >= 3
+                assert [stage.name for stage in patches] == ["patchPartitions"]
+                assert patches[0].n_tasks == touched
             live.unpersist()
 
     @pytest.mark.parametrize("memory_budget", [None, 1])
@@ -273,8 +274,8 @@ class TestPatchMatchesRebuild:
             retry_policy=RetryPolicy(max_retries=1, seed=0),
         )
         failures = runtime.task_failures
-        assert set(failures) == {f"patchPartitions[{m}]" for m in range(3)}
-        assert all(count > 0 for count in failures.values())
+        assert set(failures) == {"patchPartitions"}
+        assert failures["patchPartitions"] > 0
 
     def test_spilled_patched_partitions_reload_patched(self):
         # A budget that holds one mode's slabs at a time: every patch pages

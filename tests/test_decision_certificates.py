@@ -8,9 +8,9 @@ of the same epochs — ``PartitionedUnfoldings`` plus ``dbtf_steps`` with
 the same warm start, dirty columns and baseline error — in factors, error
 traces, each update's changed columns and the swept/skipped counters, on
 the serial and process backends, from two initial sets at epoch 0, and
-after a kill and checkpoint resume mid-stream.  A spy pins the saving: in
-a steady-state hole-punch epoch the kernel sees only rows the delta
-touched.
+after a kill and checkpoint resume mid-stream.  A spy pins the saving: a
+steady-state hole-punch epoch ships no row, and a delta ships exactly the
+rows whose certificate slack it drains.
 """
 
 import numpy as np
@@ -33,7 +33,12 @@ from repro.core import decompose, update
 from repro.distengine import ClusterConfig, SimulatedRuntime, TransferKind
 from repro.incremental import FactorizationSession
 from repro.resilience import factors_from_state
-from repro.tensor import SparseBoolTensor, TensorDelta, planted_tensor
+from repro.tensor import (
+    MODE_FACTOR_ROLES,
+    SparseBoolTensor,
+    TensorDelta,
+    planted_tensor,
+)
 from repro.tensor.matricize import _mode_axes
 
 #: The padded last index of every mode holds no nonzero at epoch 0, so its
@@ -265,21 +270,55 @@ def _hole_punch_stream(seed, dim=20, rank=4, ones=6, epochs=8, holes=4):
     return tensor, deltas
 
 
+def _drain_cells(session):
+    """The pair with the least slack among those whose support rectangle
+    holds any cell, and ``slack // 2 + 1`` cells of that rectangle in its
+    row that the row's other components cover: toggling them charges the
+    pair past its slack but leaves its ``d`` where it was."""
+    dense = [
+        factor.to_dense().astype(bool)
+        for factor in session.history[-1].result.factors
+    ]
+    pairs = []
+    for mode, certificates in enumerate(session._unfoldings.certificates):
+        target, outer, inner = (dense[i] for i in MODE_FACTOR_ROLES[mode])
+        live = outer.any(axis=0) & inner.any(axis=0)
+        slack = np.where(live, certificates.slack, np.iinfo(np.int64).max)
+        row, column = np.unravel_index(slack.argmin(), slack.shape)
+        pairs.append((int(slack[row, column]), mode, int(row), int(column)))
+    slack, mode, row, column = min(pairs)
+    target, outer, inner = (dense[i] for i in MODE_FACTOR_ROLES[mode])
+    others = target[row] & (np.arange(target.shape[1]) != column)
+    covered = (outer[:, None, others] & inner[None, :, others]).any(axis=2)
+    blocks, offsets = np.nonzero(
+        covered & outer[:, None, column] & inner[None, :, column]
+    )
+    assert 0 <= slack and blocks.size > slack // 2
+    cells = np.zeros((slack // 2 + 1, 3), dtype=np.int64)
+    row_axis, block_axis, offset_axis = _mode_axes(mode)
+    cells[:, row_axis] = row
+    cells[:, block_axis] = blocks[: len(cells)]
+    cells[:, offset_axis] = offsets[: len(cells)]
+    return mode, row, cells
+
+
 def test_steady_state_epoch_ships_only_touched_rows(monkeypatch):
+    # Slack certificates: a steady-state hole-punch epoch ships no row, and
+    # a delta ships exactly the rows whose pairs it charges past their
+    # slack — one cell more than the slack allows, not one cell fewer.
     tensor, deltas = _hole_punch_stream(seed=1)
     config = DbtfConfig(rank=4, n_partitions=4, seed=0)
     rounds = []
     original = update._ColumnRoundTask.__init__
 
     def spied(self, factors, pending, *args):
-        rounds.append(None if pending is None else pending.value[0].copy())
+        rounds.append(None if pending is None else pending.value[0].tolist())
         original(self, factors, pending, *args)
 
     with FactorizationSession(tensor, config) as session:
         session.factorize()
         for delta in deltas[:-1]:
             session.advance(delta)
-        warm = session.history[-1].result.factors
         monkeypatch.setattr(update._ColumnRoundTask, "__init__", spied)
         modes = []
         real = decompose.update_factor
@@ -294,22 +333,24 @@ def test_steady_state_epoch_ships_only_touched_rows(monkeypatch):
             return result
 
         monkeypatch.setattr(decompose, "update_factor", tagged)
-        epoch = session.advance(deltas[-1])
-    # Steady state: the factors did not move, and some rows were evaluated.
-    assert all(
-        np.array_equal(a.words, b.words)
-        for a, b in zip(epoch.result.factors, warm)
-    )
-    assert any(shipped for _, shipped in modes)
-    coords = np.concatenate(
-        [deltas[-1].added_coords(), deltas[-1].removed_coords()]
-    )
-    for mode, shipped in modes:
-        touched = set(coords[:, _mode_axes(mode)[0]].tolist())
-        for rows in shipped:
-            assert rows is not None, "a round over every row"
-            assert set(rows.tolist()) <= touched
-            assert 0 < len(rows) < tensor.shape[_mode_axes(mode)[0]]
+
+        def shipped(delta):
+            warm = session.history[-1].result.factors
+            modes.clear()
+            epoch = session.advance(delta)
+            # Nothing moved, and every mode was updated.
+            assert all(
+                np.array_equal(a.words, b.words)
+                for a, b in zip(epoch.result.factors, warm)
+            )
+            assert {mode for mode, _ in modes} == {0, 1, 2}
+            return [(mode, rows) for mode, rows in modes if rows]
+
+        assert shipped(deltas[-1]) == []
+        mode, row, cells = _drain_cells(session)
+        assert shipped(_toggle(session.tensor, cells[:-1])) == []
+        last = _toggle(session.tensor, cells[-1:])
+        assert shipped(last) == [(mode, [[row]])]
 
 
 class TestCertificateRules:
@@ -323,31 +364,40 @@ class TestCertificateRules:
     def test_valid_drops_changed_rows_and_changed_fixed_factors(self):
         _, (target, outer, inner) = self._factors(0)
         certificates = DecisionCertificates()
-        keep = np.ones((target.n_rows, 3), dtype=bool)
-        certificates.issue(keep, target, outer, inner)
-        assert certificates.valid(target, outer, inner).all()
+        slack = np.arange(target.n_rows * 3).reshape(-1, 3)
+        certificates.issue(slack, target, outer, inner)
+        np.testing.assert_array_equal(
+            certificates.valid(target, outer, inner), slack
+        )
         moved = target.copy()
         moved.words[2] ^= np.uint64(1)
         valid = certificates.valid(moved, outer, inner)
-        assert not valid[2].any() and valid[np.arange(6) != 2].all()
+        assert (valid[2] == -1).all()
+        np.testing.assert_array_equal(
+            valid[np.arange(6) != 2], slack[np.arange(6) != 2]
+        )
         other = outer.copy()
         other.words[0] ^= np.uint64(1)
-        assert not certificates.valid(target, other, inner).any()
-        assert not DecisionCertificates().valid(target, outer, inner).any()
+        assert (certificates.valid(target, other, inner) == -1).all()
+        assert (DecisionCertificates().valid(target, outer, inner) == -1).all()
 
     def test_clear_cells_clears_pairs_whose_rectangle_holds_the_cell(self):
+        # Each cell charges 2 to every pair of its row whose rectangle holds
+        # it; a pair is cleared once the charges exceed its slack.
         _, (target, outer, inner) = self._factors(1)
         certificates = DecisionCertificates()
         certificates.issue(
-            np.ones((target.n_rows, 3), dtype=bool), target, outer, inner
+            np.full((target.n_rows, 3), 3), target, outer, inner
         )
-        certificates.clear_cells(
-            np.array([4]), np.array([2]), np.array([1])
-        )
+        blocks, offsets = np.array([0, 3, 1]), np.array([1, 2, 3])
+        certificates.charge_cells(np.full(3, 4), blocks, offsets)
         dense_outer, dense_inner = outer.to_dense(), inner.to_dense()
-        inside = (dense_outer[2] & dense_inner[1]).astype(bool)
-        assert (certificates.keep[4] == ~inside).all()
-        assert certificates.keep[np.arange(6) != 4].all()
+        held = (dense_outer[blocks] & dense_inner[offsets]).sum(axis=0)
+        np.testing.assert_array_equal(held, [2, 1, 0])
+        np.testing.assert_array_equal(certificates.slack[4], [-1, 1, 3])
+        assert (certificates.slack[np.arange(6) != 4] == 3).all()
+        valid = certificates.valid(target, outer, inner)
+        np.testing.assert_array_equal(valid[4] >= 0, [False, True, True])
 
     def test_tucker_core_rejects_certificates(self):
         shape, factors = self._factors(2)

@@ -148,13 +148,15 @@ class TestFullScanCount:
         assert len(full_scans) == sum(rounds) * PARTITIONS
 
     def test_session_epoch_with_baseline_makes_none(self, tensor, full_scans):
-        rng = np.random.default_rng(5)
+        # The delta toggles every cell of mode-0 slice 0.  A pair's slack is
+        # below its support rectangle's size and each cell charges 2, so
+        # every certificate of row 0 with a nonempty rectangle falls and
+        # the epoch evaluates that row.
         present = np.ravel_multi_index(tensor.coords.T, tensor.shape)
-        absent = np.setdiff1d(np.arange(np.prod(tensor.shape)), present)
+        toggled = np.arange(np.prod(SHAPE[1:]))
+        added = np.isin(toggled, present, invert=True)
         delta = TensorDelta(
-            tensor.shape,
-            np.sort(rng.choice(absent, 4, replace=False)),
-            np.sort(rng.choice(present, 4, replace=False)),
+            tensor.shape, toggled[added], toggled[~added]
         )
         with FactorizationSession(
             tensor, _config(seed=0, max_iterations=3)
