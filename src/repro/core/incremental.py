@@ -259,7 +259,7 @@ class PartitionedUnfoldings:
         # A patch target is one (mode, partition), numbered over the modes.
         first = np.cumsum([0] + [len(plans) for plans in self._plans])
         located = [
-            locate_cells(mode_cells, plans)
+            locate_cells(mode_cells, len(plans))
             for mode_cells, plans in zip(cells, self._plans)
         ]
         touched, target = np.unique(
@@ -293,6 +293,7 @@ class PartitionedUnfoldings:
             _PatchPartitionsTask(handle),
             "patchPartitions",
         )
+        self.runtime.release_broadcast(handle)
         self.runtime.metrics.counter("incremental_patches_total").inc()
 
     def unpersist(self) -> None:
@@ -301,16 +302,18 @@ class PartitionedUnfoldings:
             rdd.unpersist()
 
 
-def _dense_factor(factor: BitMatrix) -> np.ndarray:
-    """The factor as a dense (n_rows, rank) 0/1 array."""
-    return packing.unpack_bits(factor.words, factor.n_cols).reshape(
-        factor.n_rows, factor.n_cols
-    )
+def _dense_factors(factors) -> "list[np.ndarray]":
+    """The factors as dense ``(n_rows, rank)`` 0/1 arrays; dense ones pass
+    through, so a caller that needs them twice unpacks them once."""
+    return [
+        factor if isinstance(factor, np.ndarray) else factor.to_dense()
+        for factor in factors
+    ]
 
 
 def dirty_columns_for_delta(
     delta: TensorDelta,
-    factors: "tuple[BitMatrix, BitMatrix, BitMatrix]",
+    factors: "tuple[BitMatrix | np.ndarray, ...]",
 ) -> "list[set[int]]":
     """Per-mode sets of factor columns whose decisions the delta can move.
 
@@ -323,11 +326,14 @@ def dirty_columns_for_delta(
     same ±1, so the argmin — the column's decision — cannot move.  Columns
     whose rectangles miss every changed cell are therefore *clean* for a
     warm start at these factors, and ``update_factor`` may skip them.
+
+    ``factors`` are :class:`~repro.bitops.BitMatrix` or their
+    ``to_dense()`` arrays.
     """
     coords = np.concatenate(
         [delta.added_coords(), delta.removed_coords()], axis=0
     )
-    dense = [_dense_factor(factor) for factor in factors]
+    dense = _dense_factors(factors)
     dirty: list[set[int]] = []
     for mode in range(3):
         _, outer_index, inner_index = MODE_FACTOR_ROLES[mode]
@@ -346,7 +352,7 @@ def dirty_columns_for_delta(
 def baseline_error_after_delta(
     error: int,
     delta: TensorDelta,
-    factors: "tuple[BitMatrix, BitMatrix, BitMatrix]",
+    factors: "tuple[BitMatrix | np.ndarray, ...]",
 ) -> int:
     """|X' ⊕ X̃| for the old factors on the delta'd tensor, in O(|Δ|·R).
 
@@ -354,8 +360,9 @@ def baseline_error_after_delta(
     contribution depends solely on whether the current reconstruction
     covers that cell: an added cell costs 1 when uncovered and *repays* 1
     when covered (it was an error before), symmetrically for removals.
+    ``factors`` are as for :func:`dirty_columns_for_delta`.
     """
-    dense = [_dense_factor(factor) for factor in factors]
+    dense = _dense_factors(factors)
 
     def covered(coords: np.ndarray) -> int:
         if coords.shape[0] == 0:

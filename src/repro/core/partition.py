@@ -14,7 +14,9 @@ it is partial (:class:`PartitionData`).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +32,8 @@ __all__ = [
     "make_partition_plans",
     "build_partition_data",
     "slab_index_dtype",
+    "SlabLayout",
+    "slab_layout",
     "split_unfolding_coordinates",
     "locate_cells",
     "pack_partition",
@@ -240,6 +244,44 @@ def slab_index_dtype(n_rows: int, plans: list[PartitionPlan]) -> np.dtype:
     return np.dtype(np.uint32 if n_bits < 2**32 else np.int64)
 
 
+class SlabLayout(NamedTuple):
+    """Where one mode's partitions keep their cells: what
+    :func:`locate_cells` reads of the plans (:func:`slab_layout`)."""
+
+    #: ``(n_partitions,)``: each slab's first PVM product.
+    first: np.ndarray
+    #: ``(n_partitions,)``: the PVM products each slab holds.
+    n_pvms: np.ndarray
+    #: Words per PVM product at full width.
+    n_words: int
+    #: The slab bit index dtype (:func:`slab_index_dtype`).
+    dtype: np.dtype
+
+
+@functools.lru_cache(maxsize=64)
+def slab_layout(
+    n_rows: int, block_count: int, block_width: int, n_partitions: int
+) -> SlabLayout:
+    """The :class:`SlabLayout` of :func:`make_partition_plans`' plans for
+    an ``n_rows``-row unfolding.
+
+    The plans follow from the three sizes alone, so the layout is built
+    once per plan shape, when a mode is first partitioned, and every later
+    lookup — each delta's patch — reuses it.  Its arrays are read-only.
+    """
+    plans = make_partition_plans(block_count, block_width, n_partitions)
+    first, end = np.array(
+        [(plan.pvm_span.start, plan.pvm_span.stop) for plan in plans]
+    ).T
+    n_pvms = end - first
+    for array in (first, n_pvms):
+        array.setflags(write=False)
+    return SlabLayout(
+        first, n_pvms, packing.words_for_bits(block_width),
+        slab_index_dtype(n_rows, plans),
+    )
+
+
 def split_unfolding_coordinates(
     unfolding: Unfolding, plans: list[PartitionPlan]
 ) -> list[PartitionCoordinates]:
@@ -251,7 +293,7 @@ def split_unfolding_coordinates(
     Nonzeros are grouped by that small key with a stable radix sort; no
     sort over the columns remains.
     """
-    part, bits = locate_cells(unfolding, plans)
+    part, bits = locate_cells(unfolding, len(plans))
     key = part.astype(np.min_scalar_type(len(plans) - 1))
     order = np.argsort(key, kind="stable")  # a radix sort on 8/16-bit keys
     bits = bits[order]
@@ -263,22 +305,26 @@ def split_unfolding_coordinates(
 
 
 def locate_cells(
-    unfolding: Unfolding, plans: list[PartitionPlan]
+    unfolding: Unfolding, n_partitions: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(part, bits)``: each cell's partition and its slab-local bit index
-    there (:class:`PartitionCoordinates`), in O(nnz)."""
-    base, extra = divmod(unfolding.n_cols, len(plans))
+    """``(part, bits)``: each cell's partition among the ``n_partitions``
+    of :func:`make_partition_plans` and its slab-local bit index there
+    (:class:`PartitionCoordinates`), in O(nnz)."""
+    layout = slab_layout(
+        unfolding.n_rows, unfolding.block_count, unfolding.block_width,
+        n_partitions,
+    )
+    base, extra = divmod(unfolding.n_cols, n_partitions)
     columns = unfolding.columns()
     # The wide partitions end at column extra * (base + 1).  Below it the
     # first quotient is the partition index and the second is no larger;
     # beyond it the reverse.  With base == 0 every column lies below it.
     part = np.maximum(columns // (base + 1), (columns - extra) // max(base, 1))
-    first, end = np.array([(p.pvm_span.start, p.pvm_span.stop) for p in plans]).T
     bits = packing.cell_bits(
-        unfolding.rows, unfolding.block_ids - first[part], unfolding.offsets,
-        (end - first)[part], packing.words_for_bits(unfolding.block_width),
+        unfolding.rows, unfolding.block_ids - layout.first[part],
+        unfolding.offsets, layout.n_pvms[part], layout.n_words,
     )
-    return part, bits.astype(slab_index_dtype(unfolding.n_rows, plans))
+    return part, bits.astype(layout.dtype)
 
 
 def pack_partition(coordinates: PartitionCoordinates) -> PartitionData:

@@ -69,7 +69,10 @@ last accepted decision was "keep", each with the slack its ``d`` had to
 the decision's boundary.  A changed tensor cell inside the rectangle
 moves ``d`` by at most 2 and is charged that much; a pair whose slack is
 not negative stands as "keep" without being evaluated, and a round ships
-only the rows that still hold an uncertified pair.
+only the rows that still hold an uncertified pair.  An update with no
+uncertified pair in scope returns before its first round: nothing ships,
+so the bits, the error and the certificates are already what the rounds
+would leave.
 """
 
 from __future__ import annotations
@@ -679,12 +682,14 @@ def update_factor(
     ``certificates`` (CP only) are this mode's
     :class:`DecisionCertificates`: certified pairs stand as "keep" with
     zero error movement, a round ships only the rows holding an
-    uncertified pair and dispatches no stage when there is none, and the
-    update leaves the certificates of its own decisions behind — the
-    slack of each evaluated pair it accepted, and the carried slack of
-    each held one, except in rows that flipped.  The result is the same
-    with or without them.  An update that seeds its error evaluates every
-    row; without certificates no slack is kept.
+    uncertified pair, and the update leaves the certificates of its own
+    decisions behind — the exact slack of each accepted pair the kernel
+    evaluated, certified or not, and the carried slack of each held pair
+    it did not, except in rows that flipped.  An update with no
+    uncertified pair in scope returns before its first round, with the
+    bits unchanged, ``error_before`` and no changed column.  The result
+    is the same with or without certificates.  An update that seeds its
+    error evaluates every row; without certificates no slack is kept.
     """
     rank = config.rank
     if target.n_cols != rank:
@@ -712,6 +717,14 @@ def update_factor(
     slack = np.full((target.n_rows, rank), -1, dtype=np.int64)
     if certificates is not None and error_before is not None:
         slack = certificates.valid(target, outer, inner)
+        if (slack[:, swept] >= 0).all():
+            # Every pair in scope stands as "keep": no round would ship a
+            # row, so no bit or error moves, and the certificates already
+            # hold what the rounds would leave behind.
+            return _result(
+                runtime, dirty_columns is not None, swept, target.copy(),
+                error_before, np.zeros(rank, dtype=bool),
+            )
     # The factor matrices ship to the workers with the first stage (paper
     # Sec. III-E: factor matrices are broadcast each iteration); the round
     # tasks reference this broadcast by id instead of embedding the arrays.
@@ -736,7 +749,8 @@ def update_factor(
         open_pairs = in_round & (order >= resume[:, None]) & ~held
         shipped = np.flatnonzero(open_pairs.any(axis=1))
         change = np.zeros((rows.size, rank), dtype=np.int64)
-        evaluated = held.copy()
+        # The pairs the kernel evaluated this round, held ones included.
+        computed = np.zeros((rows.size, rank), dtype=bool)
         current = packing.unpack_bits(updated.words[rows], rank)
         if shipped.size:
             if factors is None:
@@ -769,6 +783,8 @@ def update_factor(
             per_partition = data_rdd.map(task, name="columnErrors").collect(
                 name="collectColumnErrors"
             )
+            if pending is not None:
+                runtime.release_broadcast(pending)
             if seed:
                 per_partition, zero_errors = zip(*per_partition)
             grid, pairs = _round_grid(columns, ship_resume)
@@ -776,7 +792,7 @@ def update_factor(
             for partial in per_partition:
                 total[pairs] += partial
             change[shipped[:, None], grid] = total.T
-            evaluated[shipped[:, None], grid] |= pairs.T
+            computed[shipped[:, None], grid] = pairs.T
             if seed:
                 # Round 1's first column spans every block and every row
                 # ships, so the factors' exact error is every row's error
@@ -788,25 +804,31 @@ def update_factor(
         # Strict inequality: ties keep 0, favouring sparser factors (the
         # paper does not specify a tie rule; see DESIGN.md).  A certified
         # pair keeps its bit whatever `change` reads for it.
-        flip = evaluated & ~held & ((change < 0) != (current != 0))
+        flip = computed & ~held & ((change < 0) != (current != 0))
         if first_round and dirty_columns is not None and flip.any():
             # Escalate on change: the sweep evaluates every column after
             # its first changed one.
             swept[flip.any(axis=0).argmax() + 1 :] = True
         scope = swept & (order >= resume[:, None])
-        limit, flips, moved = _confirm(change, flip, evaluated, current, scope)
+        limit, flips, moved = _confirm(
+            change, flip, held | computed, current, scope
+        )
         error += int(moved.sum())
         changed |= flips.any(axis=0)
         if certificates is not None:
             # A row's accepted decisions are keeps at its final bits unless
             # it flipped; a flip leaves only the flipped pair, a keep at the
-            # new bits (its decision does not read its own bit).  Held pairs
-            # carry their slack; evaluated ones are issued theirs.
+            # new bits (its decision does not read its own bit).  Each
+            # accepted pair the kernel evaluated, held or not, is issued
+            # its exact slack; a held pair it did not evaluate keeps its
+            # own.
             final = (current != 0) ^ flips
-            issued = np.where(final, -change - 1, change)
             accepted = scope & (order < limit[:, None])
-            issued = np.where(accepted, issued, -1)
-            issued = np.where(held, slack[rows], issued)
+            issued = np.where(
+                accepted & computed,
+                np.where(final, -change - 1, change),
+                np.where(held, slack[rows], -1),
+            )
             issued[flips.any(axis=1)[:, None] & ~flips] = -1
             slack[rows] = issued
         flipped, flipped_column = flips.nonzero()
@@ -818,14 +840,24 @@ def update_factor(
         rows, resume = rows[left], limit[left]
         columns = order
         first_round = False
+    if factors is not None:
+        runtime.release_broadcast(factors)
     if certificates is not None:
         certificates.issue(slack, updated, outer, inner)
-    if dirty_columns is None:
+    return _result(
+        runtime, dirty_columns is not None, swept, updated, error, changed
+    )
+
+
+def _result(runtime, scoped, swept, updated, error, changed):
+    """:func:`update_factor`'s return value; a scoped update also counts
+    the columns it swept and skipped."""
+    if not scoped:
         return updated, error
     runtime.metrics.counter("incremental_columns_swept_total").inc(
         int(swept.sum())
     )
     runtime.metrics.counter("incremental_columns_skipped_total").inc(
-        int(rank - swept.sum())
+        int(swept.size - swept.sum())
     )
     return updated, error, {int(column) for column in np.flatnonzero(changed)}

@@ -300,6 +300,10 @@ class Backend(ABC):
     def register_broadcast(self, handle) -> None:
         """Queue a broadcast value for the workers (no-op in driver memory)."""
 
+    def release_broadcast(self, key: tuple) -> None:
+        """Drop the broadcast value stored under ``key`` from the workers
+        (no-op in driver memory)."""
+
     def close(self) -> None:
         """Release worker resources; the backend is reusable until closed."""
 

@@ -12,7 +12,10 @@ once per worker on that worker's next stage message, and every stage sends
 one message per worker carrying all of its partitions.  What a worker
 derives from them — the row-summation cache and the round tasks' pair
 keys (:func:`~repro.distengine.broadcast.worker_state` slots) —
-lives in the same store, so the runtime's release drops it too.
+lives in the same store, so closing the runtime drops it too.  A value
+the runtime releases before then (``SimulatedRuntime.release_broadcast``)
+is dropped on each holding worker's next message of any kind, so a long
+run keeps only the values its unreleased handles name.
 
 The pool starts lazily on the first stage and is reused for the rest of
 the decomposition (mirroring Spark executors, which live for the whole
@@ -127,9 +130,11 @@ def _serve(conn, worker: int) -> None:
     store.clear()  # a forked worker starts without the driver's entries
     while True:
         try:
-            op, *args = pickle.loads(conn.recv_bytes())
+            op, released, *args = pickle.loads(conn.recv_bytes())
         except EOFError:
             return
+        for key in released:
+            store.pop(key, None)
         # The loop must outlive any failure: it is reported to the driver,
         # which re-raises it with this traceback attached.
         try:
@@ -215,9 +220,6 @@ class _WorkerPool:
             raise exc from RuntimeError(f"in a process worker:\n{remote}")
         return replies
 
-    def request(self, messages: dict) -> dict:
-        return self.exchange(self.encode(messages))
-
     def shutdown(self) -> None:
         for conn in self.conns:
             _DRIVER_ENDS.discard(conn)
@@ -255,6 +257,9 @@ class ProcessBackend(Backend):
         #: Broadcast values not yet shipped to every worker:
         #: ``key -> (value, workers already holding it)``.
         self._unshipped: dict[tuple, tuple[object, set]] = {}
+        #: Released broadcast keys each worker still holds; they ride on
+        #: the worker's next message.
+        self._released: dict[int, set] = {}
 
     @property
     def executor(self) -> _WorkerPool:
@@ -267,6 +272,7 @@ class ProcessBackend(Backend):
         if self._executor is not None:
             self._executor.shutdown()
             self._executor = None
+        self._released.clear()
 
     def __repr__(self) -> str:
         return f"ProcessBackend(n_workers={self.n_workers})"
@@ -280,6 +286,31 @@ class ProcessBackend(Backend):
             for key, (value, holders) in self._unshipped.items()
             if worker not in holders
         ]
+
+    def release_broadcast(self, key: tuple) -> None:
+        unshipped = self._unshipped.pop(key, None)
+        if unshipped is not None:
+            holders = unshipped[1]
+        elif self._executor is not None:
+            holders = range(self._executor.size)
+        else:
+            return
+        for worker in holders:
+            self._released.setdefault(worker, set()).add(key)
+
+    def _encode(self, messages: dict) -> dict:
+        """Pickle each worker's ``(op, *args)`` message with the broadcast
+        keys released since its last one, which then count as sent."""
+        payloads = self.executor.encode({
+            worker: (op, self._released.get(worker, ()), *args)
+            for worker, (op, *args) in messages.items()
+        })
+        for worker in messages:
+            self._released.pop(worker, None)
+        return payloads
+
+    def _request(self, messages: dict) -> dict:
+        return self.executor.exchange(self._encode(messages))
 
     def _mark_shipped(self, workers, n_workers: int) -> None:
         for key, (_, holders) in list(self._unshipped.items()):
@@ -308,7 +339,7 @@ class ProcessBackend(Backend):
             batches.setdefault(worker, []).append(
                 (position, (index, items, keep))
             )
-        payloads = pool.encode({
+        payloads = self._encode({
             worker: (
                 "stage", task_fn, stage_name, fault_injector, collect_trace,
                 retry_policy, self._broadcasts_for(worker),
@@ -331,7 +362,7 @@ class ProcessBackend(Backend):
                 wanted.setdefault(partition.worker, []).append(position)
         if not wanted:
             return partitions
-        replies = self.executor.request({
+        replies = self._request({
             worker: ("fetch", [partitions[p].key for p in positions], release)
             for worker, positions in wanted.items()
         })
@@ -346,7 +377,7 @@ class ProcessBackend(Backend):
             for key in [key for key in self._unshipped if key[0] == scope]:
                 del self._unshipped[key]
         if self._executor is not None:
-            self._executor.request({
+            self._request({
                 worker: ("release", scope, node_id)
                 for worker in range(self._executor.size)
             })
@@ -358,7 +389,7 @@ class ProcessBackend(Backend):
         """
         if self._executor is None:
             return []
-        replies = self._executor.request(
+        replies = self._request(
             {worker: ("count",) for worker in range(self._executor.size)}
         )
         return [replies[worker] for worker in range(self._executor.size)]

@@ -130,6 +130,9 @@ class SimulatedRuntime:
         #: Spark's executor blacklisting).
         self.blacklisted_partitions: set[tuple[str, int]] = set()
         self._broadcast_base_bytes = 0
+        #: Live broadcast handles per worker-store key (:meth:`broadcast`,
+        #: :meth:`release_broadcast`).
+        self._broadcast_refs: dict[tuple, int] = {}
         # Every runtime carries a metrics registry (counters are cheap and
         # back the task-failure facade); the tracer is opt-in via
         # ``ClusterConfig(tracing=True)`` or an explicit instance because
@@ -285,8 +288,29 @@ class SimulatedRuntime:
         # The ledger stores the per-machine copy; replay multiplies by M.
         self.record_transfer(TransferKind.BROADCAST, name, n_bytes)
         handle = Broadcast(value, content_id, name, n_bytes, self.scope)
+        self._broadcast_refs[handle.key] = (
+            self._broadcast_refs.get(handle.key, 0) + 1
+        )
         self.backend.register_broadcast(handle)
         return handle
+
+    def release_broadcast(self, handle: Broadcast) -> None:
+        """Let the workers drop ``handle``'s value: no later stage reads it.
+
+        Handles are content-addressed, so a value stays while another
+        handle this runtime returned for equal content is unreleased; the
+        last release hands the key to the backend, whose process workers
+        drop it on their next message.  Without releases a worker keeps
+        every value until ``close()``.  Unmetered and untraced, like
+        broadcast resolution: the ledger charged the value when it was
+        sent.  Releasing a handle twice is a caller error.
+        """
+        count = self._broadcast_refs.get(handle.key, 0)
+        if count > 1:
+            self._broadcast_refs[handle.key] = count - 1
+        elif count == 1:
+            del self._broadcast_refs[handle.key]
+            self.backend.release_broadcast(handle.key)
 
     # ------------------------------------------------------------------
     # Plan layer: lazy lineage, fusion, persist caches

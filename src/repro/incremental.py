@@ -61,7 +61,7 @@ from .core import (
 )
 from .core.steps import StepEvent
 from .distengine import SimulatedRuntime
-from .resilience import CheckpointConfig, factors_from_state
+from .resilience import CheckpointConfig
 from .tensor import SparseBoolTensor, TensorDelta
 
 __all__ = ["EpochResult", "SessionResult", "FactorizationSession"]
@@ -318,7 +318,10 @@ class FactorizationSession:
                 )
             self.tensor = self.tensor.apply_delta(delta)
             self._unfoldings.patch(delta)
-            warm_factors = factors_from_state(warm["factors"])
+            # The warm state's factors, unpacked once for both.
+            warm_factors = [
+                factor.to_dense() for factor in self.history[-1].result.factors
+            ]
             dirty = dirty_columns_for_delta(delta, warm_factors)
             baseline = baseline_error_after_delta(
                 int(warm["errors"][-1]), delta, warm_factors

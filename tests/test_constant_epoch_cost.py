@@ -1,6 +1,6 @@
 """Per-epoch driver cost that does not grow with a session's history.
 
-Two halves:
+Three parts:
 
 * ``SimulatedRuntime`` folds each recorded stage's simulated compute into
   running totals, so ``report()`` / ``simulated_time()`` at the configured
@@ -10,11 +10,16 @@ Two halves:
   must still replay exactly as before.
 * A long session of tiny epochs: every ``advance`` does driver work in
   O(|Δ|) plus O(stages run this epoch), counted in calls, not seconds.
+* Certified epochs: an epoch whose delta drains no decision certificate
+  runs the patch stage alone — no factor broadcast, no round, no
+  confirmation — and a process worker's resident store does not grow with
+  the epochs, since each broadcast value is released once read.
 """
 
 import numpy as np
 import pytest
 
+import repro.core.update as update_module
 import repro.distengine.runtime as runtime_module
 import repro.tensor.delta as delta_module
 import repro.tensor.sparse as sparse_module
@@ -30,6 +35,8 @@ from repro.distengine import (
 from repro.distengine.scheduler import makespan
 from repro.tensor import SparseBoolTensor, TensorDelta
 from repro.tensor.random import planted_tensor
+
+from .test_decision_certificates import _hole_punch_stream
 
 
 def _effective(stage, speculation):
@@ -256,3 +263,76 @@ class TestLongSession:
             assert not any(report_makespans)
             assert set(session.tensor.flat.tolist()) == expected
         _assert_matches_replay(runtime)
+
+
+class TestCertifiedEpochs:
+    def test_steady_state_epoch_runs_only_the_patch(self, monkeypatch):
+        # Each delta charges some certificates but drains none, so every
+        # update returns before its first round.
+        tensor, deltas = _hole_punch_stream(
+            seed=0, dim=24, ones=8, epochs=30, holes=2
+        )
+        confirms = []
+        confirm = update_module._confirm
+
+        def counted_confirm(*args):
+            confirms.append(args)
+            return confirm(*args)
+
+        monkeypatch.setattr(update_module, "_confirm", counted_confirm)
+        config = DbtfConfig(rank=4, n_partitions=4, seed=0)
+        with FactorizationSession(tensor, config) as session:
+            runtime = session.runtime
+            broadcasts = []
+            broadcast = runtime.broadcast
+
+            def named_broadcast(value, name="broadcast"):
+                broadcasts.append(name)
+                return broadcast(value, name=name)
+
+            monkeypatch.setattr(runtime, "broadcast", named_broadcast)
+            session.factorize()
+            assert confirms and "updateFactor.broadcast" in broadcasts
+            certificates = session._unfoldings.certificates
+            for delta in deltas:
+                stages = len(runtime.stages)
+                confirms.clear()
+                broadcasts.clear()
+                slack = [mode.slack.copy() for mode in certificates]
+                session.advance(delta)
+                assert [stage.name for stage in runtime.stages[stages:]] == [
+                    "patchPartitions"
+                ]
+                assert broadcasts == ["patchCells"]
+                assert not confirms
+                assert any(
+                    (mode.slack != before).any()
+                    for mode, before in zip(certificates, slack)
+                )
+
+    def test_process_worker_stores_stay_flat(self):
+        # Some of these epochs drain certificates and run rounds, so every
+        # kind of broadcast passes through the workers: the factors, the
+        # rounds' ``columnUpdate`` and the patch's ``patchCells``.
+        tensor, deltas = _hole_punch_stream(
+            seed=0, dim=20, ones=6, epochs=60, holes=4
+        )
+        config = DbtfConfig(
+            rank=4, n_partitions=4, seed=0,
+            cluster=ClusterConfig(backend="process", n_workers=2),
+        )
+        with FactorizationSession(tensor, config) as session:
+            runtime = session.runtime
+            session.factorize()
+            entries, names = {}, set()
+            for epoch, delta in enumerate(deltas, start=1):
+                stages = len(runtime.stages)
+                session.advance(delta)
+                if epoch > 10:
+                    names.update(
+                        stage.name for stage in runtime.stages[stages:]
+                    )
+                if epoch in (10, 60):
+                    entries[epoch] = runtime.backend.resident_entries()
+            assert "columnErrors" in names
+            assert entries[60] == entries[10]

@@ -375,6 +375,14 @@ class TestBaselineError:
         assert baseline_error_after_delta(error, delta, factors) == (
             new_tensor.hamming_distance(reconstruction)
         )
+        # Factors unpacked once by the caller read the same.
+        dense = [factor.to_dense() for factor in factors]
+        assert baseline_error_after_delta(error, delta, dense) == (
+            new_tensor.hamming_distance(reconstruction)
+        )
+        assert dirty_columns_for_delta(delta, dense) == (
+            dirty_columns_for_delta(delta, factors)
+        )
 
     def test_empty_delta_keeps_error(self):
         tensor = _random_tensor(seed=11)

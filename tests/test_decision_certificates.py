@@ -40,6 +40,7 @@ from repro.tensor import (
     planted_tensor,
 )
 from repro.tensor.matricize import _mode_axes
+from .sweep_oracle import basis, unfolded
 
 #: The padded last index of every mode holds no nonzero at epoch 0, so its
 #: factor rows are zero and a cell there lies in no support rectangle.
@@ -272,9 +273,10 @@ def _hole_punch_stream(seed, dim=20, rank=4, ones=6, epochs=8, holes=4):
 
 def _drain_cells(session):
     """The pair with the least slack among those whose support rectangle
-    holds any cell, and ``slack // 2 + 1`` cells of that rectangle in its
-    row that the row's other components cover: toggling them charges the
-    pair past its slack but leaves its ``d`` where it was."""
+    holds any cell, as ``(mode, row, column)``, and ``slack // 2 + 1``
+    cells of that rectangle in its row that the row's other components
+    cover: toggling them charges the pair past its slack but leaves its
+    ``d`` where it was."""
     dense = [
         factor.to_dense().astype(bool)
         for factor in session.history[-1].result.factors
@@ -299,7 +301,7 @@ def _drain_cells(session):
     cells[:, row_axis] = row
     cells[:, block_axis] = blocks[: len(cells)]
     cells[:, offset_axis] = offsets[: len(cells)]
-    return mode, row, cells
+    return mode, row, column, cells
 
 
 def test_steady_state_epoch_ships_only_touched_rows(monkeypatch):
@@ -347,10 +349,69 @@ def test_steady_state_epoch_ships_only_touched_rows(monkeypatch):
             return [(mode, rows) for mode, rows in modes if rows]
 
         assert shipped(deltas[-1]) == []
-        mode, row, cells = _drain_cells(session)
+        mode, row, _, cells = _drain_cells(session)
         assert shipped(_toggle(session.tensor, cells[:-1])) == []
         last = _toggle(session.tensor, cells[-1:])
         assert shipped(last) == [(mode, [[row]])]
+
+
+def _exact_slack(session, mode, row):
+    """Row ``row``'s slack per column at the session's factors and tensor,
+    recounted by brute force: ``d`` for a 0-bit, ``-d - 1`` for a 1-bit."""
+    dense = [
+        factor.to_dense().astype(bool)
+        for factor in session.history[-1].result.factors
+    ]
+    target, outer, inner = (dense[i] for i in MODE_FACTOR_ROLES[mode])
+    x = unfolded(session.tensor.to_dense(), mode)[row]
+    cells = basis(outer, inner)
+    bits = target[row]
+    slack = []
+    for column in range(bits.size):
+        errors = []
+        for value in (False, True):
+            trial = bits.copy()
+            trial[column] = value
+            errors.append(int((cells[trial].any(axis=0) ^ x).sum()))
+        d = errors[1] - errors[0]
+        slack.append(-d - 1 if bits[column] else d)
+    return np.array(slack)
+
+
+def test_reevaluated_held_pairs_get_their_exact_slack():
+    # Draining one pair ships its row from that pair's column on, so the
+    # kernel re-evaluates the row's later pairs too, certified or not.
+    # Each of them is issued the slack just computed, not its charged-down
+    # one; pairs before the drained column carry theirs.
+    tensor, deltas = _hole_punch_stream(seed=1)
+    config = DbtfConfig(rank=4, n_partitions=4, seed=0)
+    with FactorizationSession(tensor, config) as session:
+        session.factorize()
+        for delta in deltas:
+            session.advance(delta)
+        mode, row, column, cells = _drain_cells(session)
+        certificates = session._unfoldings.certificates[mode]
+        before = certificates.slack[row].copy()
+        warm = session.history[-1].result.factors
+        dense = [factor.to_dense().astype(bool) for factor in warm]
+        _, outer, inner = (dense[i] for i in MODE_FACTOR_ROLES[mode])
+        _, block_axis, offset_axis = _mode_axes(mode)
+        charged = before - 2 * (
+            outer[cells[:, block_axis]] & inner[cells[:, offset_axis]]
+        ).sum(axis=0)
+        epoch = session.advance(_toggle(session.tensor, cells))
+        assert all(
+            np.array_equal(a.words, b.words)
+            for a, b in zip(epoch.result.factors, warm)
+        )
+        after = certificates.slack[row]
+        later = np.arange(after.size) > column
+        assert later.any() and (before[later] >= 0).all()
+        exact = _exact_slack(session, mode, row)
+        np.testing.assert_array_equal(after[column:], exact[column:])
+        np.testing.assert_array_equal(after[:column], charged[:column])
+        # The re-evaluated held pairs did not merely keep their charges.
+        assert (charged[later] != exact[later]).any()
 
 
 class TestCertificateRules:

@@ -87,6 +87,38 @@ class TestBroadcastHandle:
         finally:
             factory.close()
 
+    def test_released_value_leaves_workers_after_its_last_handle(self):
+        # Equal payloads share a content id, so the first release must keep
+        # the value the second handle still names.
+        value = list(range(100))
+        factory = RuntimeFactory(ClusterConfig(backend="process", n_workers=2))
+        try:
+            with factory.lease() as runtime:
+                rdd = runtime.parallelize([0, 1, 2, 3], n_partitions=4)
+                first = runtime.broadcast(value, name="xs")
+                second = runtime.broadcast(list(value), name="xs")
+                assert first.key == second.key
+                task = _AddBroadcastSum(second)
+                assert rdd.map_partitions_with_index(task).collect() == [
+                    4950, 4951, 4952, 4953
+                ]
+                runtime.release_broadcast(first)
+                assert factory.backend.resident_entries() == [1, 1]
+                assert rdd.map_partitions_with_index(task).collect() == [
+                    4950, 4951, 4952, 4953
+                ]
+                runtime.release_broadcast(second)
+                assert factory.backend.resident_entries() == [0, 0]
+                # A value released before any stage was sent never ships.
+                runtime.release_broadcast(runtime.broadcast([7], name="ys"))
+                other = _AddBroadcastSum(runtime.broadcast([1, 2], name="zs"))
+                assert rdd.map_partitions_with_index(other).collect() == [
+                    3, 4, 5, 6
+                ]
+                assert factory.backend.resident_entries() == [1, 1]
+        finally:
+            factory.close()
+
     def test_handles_of_two_runtimes_never_collide(self, clean_store):
         first = BroadcastHandle([1], "cafe" * 4, "xs", 8, scope=1)
         second = BroadcastHandle([2], "cafe" * 4, "xs", 8, scope=2)
